@@ -2538,10 +2538,15 @@ class SwappingManager:
             self.stats.replicated_clusters += 1
 
     def _on_cluster_collected(self, event: Any) -> None:
-        """A resident cluster was reclaimed by the local collector: its
-        retained store copies (left behind for fast-path no-ops) are
-        unreachable through any replacement-object, so drop them."""
-        if event.space != self._space.name or self.fastpath is None:
+        """A cluster was reclaimed by the local collector: the scheduler
+        forgets it, and its retained store copies (left behind for
+        fast-path no-ops) are unreachable through any replacement-object,
+        so drop them."""
+        if event.space != self._space.name:
+            return
+        if self.sched is not None:
+            self.sched.on_cluster_collected(event.sid)
+        if self.fastpath is None:
             return
         chain = self.fastpath.chains.pop(event.sid, None)
         retained = self.fastpath.retained.pop(event.sid, None)

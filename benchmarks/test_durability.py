@@ -35,7 +35,10 @@ def test_durability(benchmark):
             # everything recovered AND re-replicated back to the target
             assert result.clusters_lost == 0
             assert result.fully_replicated == result.clusters
-            assert result.replicas_repaired == kills * result.clusters
+            # a store death loses only the replicas placed on it, and
+            # repair restores exactly those
+            assert result.replicas_lost > 0
+            assert result.replicas_repaired == result.replicas_lost
             assert result.bytes_re_replicated > 0
             assert result.recovery_s > 0.0  # repair traffic is not free
 

@@ -12,7 +12,11 @@ drives the scrubber until the neighborhood is stable again — reporting
   replication is restored;
 * **bytes re-replicated** — payload bytes the repair shipped;
 * **clusters lost** — how many records had no surviving copy (must be
-  zero while ``kills < replication_factor``).
+  zero while ``kills < replication_factor``);
+* **replicas lost** — how many ``(sid, store)`` replicas the placement
+  ledger held on the killed stores: a store death loses only the copies
+  placed on it, so this, not ``kills * clusters``, is what repair must
+  restore.
 
 ``python -m repro.bench.durability`` writes ``BENCH_durability.json``.
 """
@@ -57,6 +61,7 @@ class KillResult:
     clusters_lost: int
     recovery_s: float
     bytes_re_replicated: int
+    replicas_lost: int  # active replicas the placement put on killed stores
     replicas_repaired: int
     scrub_passes: int
     fully_replicated: int  # clusters back at the target factor
@@ -140,6 +145,14 @@ def run_kill_scenario(
     for sid in sids:
         space.manager.swap_out(sid)
 
+    placement = space.manager.resilience.placement
+    killed = {store.device_id for store in flaky[:kills]}
+    replicas_lost = sum(
+        1
+        for record in placement.records().values()
+        for device_id in record.active()
+        if device_id in killed
+    )
     for store in flaky[:kills]:
         store.kill(lose_data=True)
         space.manager.detach_store(store, dead=True)
@@ -152,7 +165,6 @@ def run_kill_scenario(
     scrubber.run_until_stable()
     recovery_s = clock.now() - started
 
-    placement = space.manager.resilience.placement
     lost = sum(
         1 for record in placement.records().values() if record.live_count == 0
     )
@@ -177,6 +189,7 @@ def run_kill_scenario(
         clusters_lost=lost,
         recovery_s=recovery_s,
         bytes_re_replicated=stats.scrub_bytes_repaired - stats_before_bytes,
+        replicas_lost=replicas_lost,
         replicas_repaired=stats.replicas_repaired - stats_before_repairs,
         scrub_passes=stats.scrub_ticks - passes_before,
         fully_replicated=full,
@@ -207,14 +220,16 @@ def run_durability(
 def format_table(report: DurabilityReport) -> str:
     header = (
         f"{'kills':>5} {'clusters':>9} {'lost':>5} {'recovery s':>11} "
-        f"{'bytes reshipped':>16} {'repairs':>8} {'full rf':>8}"
+        f"{'bytes reshipped':>16} {'reps lost':>9} {'repairs':>8} "
+        f"{'full rf':>8}"
     )
     lines = [header, "-" * len(header)]
     for kills, result in sorted(report.results.items()):
         lines.append(
             f"{kills:>5} {result.clusters:>9} {result.clusters_lost:>5} "
             f"{result.recovery_s:>11.3f} {result.bytes_re_replicated:>16} "
-            f"{result.replicas_repaired:>8} {result.fully_replicated:>8}"
+            f"{result.replicas_lost:>9} {result.replicas_repaired:>8} "
+            f"{result.fully_replicated:>8}"
         )
     lines.append(
         "survives minority loss: "

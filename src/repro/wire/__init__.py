@@ -30,7 +30,7 @@ from repro.wire.delta import (
     encode_cluster_delta,
     encode_cluster_delta_stream,
 )
-from repro.wire.wrappers import encode_value, decode_value
+from repro.wire.wrappers import emit_value, encode_value, decode_value
 from repro.wire.canonical import (
     canonical_text,
     digest_of_canonical,
@@ -62,6 +62,7 @@ __all__ = [
     "encode_cluster_delta",
     "encode_cluster_delta_stream",
     "apply_cluster_delta",
+    "emit_value",
     "encode_value",
     "decode_value",
     "canonical_text",

@@ -44,9 +44,14 @@ import struct
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import CodecError, IntegrityError
-from repro.wire.canonical import _escape_attr, _escape_text
-from repro.wire.wrappers import _stable_order, _xml_safe
-from repro.wire.xmlcodec import ClusterDocument, make_classifier
+from repro.wire.canonical import _escape_attr
+from repro.wire.wrappers import _stable_order, _str_element
+from repro.wire.xmlcodec import (
+    ClusterDocument,
+    _class_open,
+    _field_open,
+    make_classifier,
+)
 
 #: Document magic + format version.  Decoders reject anything else.
 MAGIC = b"OBW"
@@ -80,6 +85,10 @@ def encode_varint(buf: bytearray, value: int) -> None:
     """Append ``value`` (non-negative) as LEB128."""
     if 0 <= value < 0x80:  # single-byte values dominate real payloads
         buf.append(value)
+        return
+    if 0 < value < 0x4000:  # then two-byte ones (oids past 127)
+        buf.append((value & 0x7F) | 0x80)
+        buf.append(value >> 7)
         return
     if value < 0:
         raise CodecError(f"varint cannot carry negative value {value}")
@@ -154,38 +163,12 @@ def _frame(buf: bytearray, tag: int, body: bytes) -> None:
     buf += body
 
 
-#: Escaped-markup caches for the *bounded-cardinality* strings (class
-#: and field names) that repeat across every member of every cluster —
-#: value strings never go through these.  Cleared when they grow past
-#: any plausible schema population.
-_FIELD_OPEN_CACHE: Dict[str, str] = {}
-_CLASS_OPEN_CACHE: Dict[str, str] = {}
+#: Length-prefixed name bytes for the *bounded-cardinality* strings
+#: (class and field names); the matching canonical open tags are cached
+#: on the XML side (:func:`repro.wire.xmlcodec._field_open`).
 _NAME_BYTES_CACHE: Dict[str, bytes] = {}
 #: decode-side twin: raw length-free name bytes -> (name, open tag)
 _NAME_DECODE_CACHE: Dict[bytes, Tuple[str, str]] = {}
-
-
-def _field_open(name: str) -> str:
-    cached = _FIELD_OPEN_CACHE.get(name)
-    if cached is None:
-        if len(_FIELD_OPEN_CACHE) > 4096:
-            _FIELD_OPEN_CACHE.clear()
-        cached = _FIELD_OPEN_CACHE[name] = (
-            f'<field name="{_escape_attr(name)}">'
-        )
-    return cached
-
-
-def _class_open(name: str) -> str:
-    """``<object class="..." oid="`` — the caller appends the oid."""
-    cached = _CLASS_OPEN_CACHE.get(name)
-    if cached is None:
-        if len(_CLASS_OPEN_CACHE) > 4096:
-            _CLASS_OPEN_CACHE.clear()
-        cached = _CLASS_OPEN_CACHE[name] = (
-            f'<object class="{_escape_attr(name)}" oid="'
-        )
-    return cached
 
 
 def _name_bytes(name: str) -> bytes:
@@ -214,11 +197,10 @@ def _encode_value(
     """Emit one value as canonical-XML chunks *and* binary bytes.
 
     The chunk stream is byte-identical to what
-    :func:`repro.wire.wrappers.encode_value` + canonical serialization
-    would produce — the digest canon depends on it.  Exact scalar types
-    are dispatched before the classifier runs (a plain int/str/float can
-    never be a proxy or managed object), which is most of the win over
-    the ElementTree path.
+    :func:`repro.wire.wrappers.emit_value` produces — the digest canon
+    depends on it.  Exact scalar types are dispatched before the
+    classifier runs (a plain int/str/float can never be a proxy or
+    managed object).
     """
     kind = type(value)
     if kind is _SCALAR_INT:
@@ -275,7 +257,7 @@ def _encode_value(
             return
         raise CodecError(f"classifier returned unknown kind {ref_kind!r}")
 
-    # subclass / container fallback, mirroring wrappers.encode_value order
+    # subclass / container fallback, mirroring wrappers.emit_value order
     if isinstance(value, bool):
         _encode_value(parts, buf, bool(value), classify)
         return
@@ -343,15 +325,7 @@ def _encode_value(
 
 
 def _emit_str(parts: List[str], buf: bytearray, value: str) -> None:
-    if value and not _xml_safe(value):
-        encoded = base64.b64encode(
-            value.encode("utf-8", errors="surrogatepass")
-        ).decode("ascii")
-        parts.append(f'<str enc="b64">{encoded}</str>')
-    elif value == "":
-        parts.append('<str empty="1"/>')
-    else:
-        parts.append(f"<str>{_escape_text(value)}</str>")
+    parts.append(_str_element(value))
     buf.append(VAL_STR)
     _put_str(buf, value)
 
@@ -389,9 +363,9 @@ def encode_cluster_binary(
     """One-pass encode to ``(canonical_text, digest, binary_payload)``.
 
     A single graph walk produces the binary frames and the canonical
-    text chunks together; the digest is hashed incrementally from the
-    chunks exactly as :func:`~repro.wire.xmlcodec.
-    encode_cluster_canonical` would, and embedded in the DIGEST frame.
+    text chunks together; the joined text is hashed once, exactly as
+    :func:`~repro.wire.xmlcodec.encode_cluster_canonical` does, and the
+    digest is embedded in the DIGEST frame.
     """
     from repro.runtime.classext import instance_fields
 
@@ -441,53 +415,70 @@ def encode_cluster_binary(
                     f"object oid={oid} of type {type(obj).__name__} is "
                     f"not @managed"
                 )
-            record = bytearray()
-            encode_varint(record, oid)
-            record += _name_bytes(schema.name)
+            # a member frame is almost always under 128 bytes: reserve
+            # one length byte and widen it in place on the rare overflow
+            payload.append(FRAME_MEMBER)
+            length_at = len(payload)
+            payload.append(0)
+            encode_varint(payload, oid)
+            payload += _name_bytes(schema.name)
             fields = instance_fields(obj)
-            encode_varint(record, len(fields))
+            encode_varint(payload, len(fields))
             if fields:
                 parts_append(f'{_class_open(schema.name)}{oid}">')
                 for name, value in fields.items():
-                    parts_append(_field_open(name))
-                    record += _name_bytes(name)
-                    # exact small ints and None dominate real field
-                    # populations — emit them without the dispatch call
+                    name_bytes = _name_bytes(name)
+                    # exact small ints, None and member references
+                    # dominate real field populations — emit them
+                    # without the dispatch call
                     if type(value) is _SCALAR_INT:
-                        parts_append(f"<int>{value}</int>")
-                        record.append(VAL_INT)
+                        parts_append(
+                            f"{_field_open(name)}<int>{value}</int></field>"
+                        )
+                        payload += name_bytes
+                        payload.append(VAL_INT)
                         zig = (
                             (value << 1)
                             if value >= 0
                             else (((-value) << 1) - 1)
                         )
                         if zig < 0x80:
-                            record.append(zig)
+                            payload.append(zig)
                         else:
-                            encode_varint(record, zig)
+                            encode_varint(payload, zig)
                     elif value is None:
-                        parts_append("<none/>")
-                        record.append(VAL_NONE)
+                        parts_append(f"{_field_open(name)}<none/></field>")
+                        payload += name_bytes
+                        payload.append(VAL_NONE)
                     else:
                         ref_oid = local_oids.get(id(value))
+                        payload += name_bytes
                         if ref_oid is not None:
-                            parts_append(f'<ref oid="{ref_oid}"/>')
-                            record.append(VAL_REF)
+                            parts_append(
+                                f'{_field_open(name)}<ref oid="{ref_oid}"/>'
+                                "</field>"
+                            )
+                            payload.append(VAL_REF)
                             if ref_oid < 0x80:
-                                record.append(ref_oid)
+                                payload.append(ref_oid)
                             else:
-                                encode_varint(record, ref_oid)
+                                encode_varint(payload, ref_oid)
                         else:
-                            _encode_value(text_parts, record, value, classify)
-                    parts_append("</field>")
+                            parts_append(_field_open(name))
+                            _encode_value(text_parts, payload, value, classify)
+                            parts_append("</field>")
                 parts_append("</object>")
             else:
                 parts_append(f'{_class_open(schema.name)}{oid}"/>')
-            _frame(payload, FRAME_MEMBER, bytes(record))
+            length = len(payload) - length_at - 1
+            if length < 0x80:
+                payload[length_at] = length
+            else:
+                prefix = bytearray()
+                encode_varint(prefix, length)
+                payload[length_at : length_at + 1] = prefix
         parts_append("</swap-cluster>")
 
-    # hashing the joined text once is equivalent to (and much cheaper
-    # than) chunk-incremental updates — the text is built either way
     text = "".join(text_parts)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     _frame(payload, FRAME_DIGEST, bytes.fromhex(digest))
@@ -518,15 +509,7 @@ def _read_value(
         return value, pos
     if tag == VAL_STR:
         value, pos = _get_str(data, pos)
-        if value and not _xml_safe(value):
-            encoded = base64.b64encode(
-                value.encode("utf-8", errors="surrogatepass")
-            ).decode("ascii")
-            parts.append(f'<str enc="b64">{encoded}</str>')
-        elif value == "":
-            parts.append('<str empty="1"/>')
-        else:
-            parts.append(f"<str>{_escape_text(value)}</str>")
+        parts.append(_str_element(value))
         return value, pos
     if tag == VAL_REF:
         oid, pos = decode_varint(data, pos)

@@ -37,9 +37,10 @@ def payload_digest(xml_text: str) -> str:
 def digest_of_canonical(canonical: str) -> str:
     """Digest of text that is *already* canonical (no parse, no re-serialize).
 
-    The streaming encoder (:func:`repro.wire.xmlcodec.encode_cluster_stream`)
-    emits canonical text directly, so its digest is a single raw hash —
-    this is the fast-path counterpart of :func:`payload_digest`.
+    The swap-out encoders (:mod:`repro.wire.xmlcodec`,
+    :mod:`repro.wire.delta`) emit canonical text directly, so its digest
+    is a single raw hash — this is the fast-path counterpart of
+    :func:`payload_digest`.
     """
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -84,9 +85,12 @@ def canonical_open_tag(tag: str, attrib: dict) -> str:
 def serialize_element(element: ET.Element) -> str:
     """Serialize one element in canonical form (sorted attributes).
 
-    Public entry point for encoders that build canonical documents
-    incrementally; ``canonical_text(serialize_element(e))`` is the
-    identity for whitespace-free trees.
+    For callers that hold an element tree: :func:`~repro.wire.delta.
+    apply_cluster_delta` re-emits parsed members with it, and it is the
+    reference the direct text encoder
+    (:func:`repro.wire.wrappers.emit_value`) must match byte for byte.
+    ``canonical_text(serialize_element(e))`` is the identity for
+    whitespace-free trees.
     """
     return _serialize(element)
 

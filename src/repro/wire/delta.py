@@ -88,8 +88,9 @@ def encode_cluster_delta_stream(
         yield canonical_open_tag("swap-delta", attrib)[:-1] + "/>"
         return
     yield canonical_open_tag("swap-delta", attrib)
+    local_oids = {id(obj): oid for oid, obj in objects.items()}
     for oid in sorted(objects):
-        yield encode_object_element(oid, objects[oid], classify)
+        yield encode_object_element(oid, objects[oid], classify, local_oids)
     for oid in tombstones:
         yield f'<tombstone oid="{oid}"/>'
     yield "</swap-delta>"
@@ -108,24 +109,23 @@ def encode_cluster_delta(
     outbound_index_of: Callable[[Any], int],
     foreign_index_of: Callable[[Any], int] | None = None,
 ) -> Tuple[str, str]:
-    """One-pass delta encode: canonical text plus its incremental digest."""
-    hasher = hashlib.sha256()
-    parts = []
-    for chunk in encode_cluster_delta_stream(
-        sid=sid,
-        space=space,
-        base_epoch=base_epoch,
-        epoch=epoch,
-        objects=objects,
-        dead_oids=dead_oids,
-        member_oids=member_oids,
-        oid_of=oid_of,
-        outbound_index_of=outbound_index_of,
-        foreign_index_of=foreign_index_of,
-    ):
-        hasher.update(chunk.encode("utf-8"))
-        parts.append(chunk)
-    return "".join(parts), hasher.hexdigest()
+    """One-pass delta encode: canonical text plus its digest, hashed once
+    over the joined text."""
+    text = "".join(
+        encode_cluster_delta_stream(
+            sid=sid,
+            space=space,
+            base_epoch=base_epoch,
+            epoch=epoch,
+            objects=objects,
+            dead_oids=dead_oids,
+            member_oids=member_oids,
+            oid_of=oid_of,
+            outbound_index_of=outbound_index_of,
+            foreign_index_of=foreign_index_of,
+        )
+    )
+    return text, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _parse(xml_text: str, expected_tag: str) -> ET.Element:

@@ -6,6 +6,12 @@ layer: scalars, containers, and the two reference kinds.  References are
 delegated to a *classifier* callback supplied by the cluster codec so the
 value layer stays independent of the swapping core.
 
+There are two encoders with the same output.  :func:`emit_value`
+writes canonical text straight into a list of chunks; swap-out uses it.
+:func:`encode_value` builds an element, for callers that append values
+into larger ElementTree documents (hibernation images, messages,
+replication sync).
+
 Wire tags::
 
     <none/> <true/> <false/>
@@ -21,10 +27,11 @@ from __future__ import annotations
 
 import base64
 import re
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional
 from xml.etree import ElementTree as ET
 
 from repro.errors import CodecError
+from repro.wire.canonical import _escape_attr, _escape_text
 
 # XML 1.0 cannot carry most control characters at all, and any compliant
 # parser normalizes \r / \r\n to \n in text content — both would corrupt
@@ -37,6 +44,21 @@ _XML_SAFE_TEXT = re.compile(
 
 def _xml_safe(text: str) -> bool:
     return _XML_SAFE_TEXT.match(text) is not None
+
+
+def _str_element(value: str) -> str:
+    """Canonical ``<str>`` element: escaped text, or base64 when the
+    string is not XML-safe."""
+    if not value:
+        # ElementTree drops the distinction between "" and no text
+        return '<str empty="1"/>'
+    if not _xml_safe(value):
+        encoded = base64.b64encode(
+            value.encode("utf-8", errors="surrogatepass")
+        ).decode("ascii")
+        return f'<str enc="b64">{encoded}</str>'
+    return f"<str>{_escape_text(value)}</str>"
+
 
 # A classifier maps a value to ("local", oid) | ("out", index) | None.
 # None means "not a reference, encode as a plain value".
@@ -113,6 +135,103 @@ def encode_value(value: Any, classify: Classifier) -> ET.Element:
         f"cannot encode value of type {type(value).__name__}: not a managed "
         f"reference and not a supported primitive/container"
     )
+
+
+def emit_value(parts: List[str], value: Any, classify: Classifier) -> None:
+    """Append the canonical text of one value to ``parts``.
+
+    The chunks join to exactly ``serialize_element(encode_value(value,
+    classify))``, without building an element.  Exact scalar types are
+    written before the classifier runs: a plain int, str, float, bool or
+    None is never a reference.
+    """
+    kind = type(value)
+    if kind is int:
+        parts.append(f"<int>{value}</int>")
+        return
+    if kind is str:
+        parts.append(_str_element(value))
+        return
+    if value is None:
+        parts.append("<none/>")
+        return
+    if kind is bool:
+        parts.append("<true/>" if value else "<false/>")
+        return
+    if kind is float:
+        parts.append(f"<float>{value!r}</float>")
+        return
+
+    ref = classify(value)
+    if ref is not None:
+        ref_kind, ident = ref
+        if ref_kind == "local":
+            parts.append(f'<ref oid="{_escape_attr(str(ident))}"/>')
+        elif ref_kind == "out":
+            parts.append(f'<outref index="{_escape_attr(str(ident))}"/>')
+        elif ref_kind == "ext":
+            attributes = "".join(
+                f' {key}="{_escape_attr(str(val))}"'
+                for key, val in sorted(ident.items())
+            )
+            parts.append(f"<extref{attributes}/>")
+        else:
+            raise CodecError(f"classifier returned unknown kind {ref_kind!r}")
+        return
+
+    # subclasses and containers, in encode_value's order
+    if isinstance(value, int):
+        parts.append(_text_element("int", str(value)))
+    elif isinstance(value, float):
+        parts.append(_text_element("float", repr(value)))
+    elif isinstance(value, str):
+        parts.append(_str_element(value))
+    elif isinstance(value, (bytes, bytearray)):
+        encoded = base64.b64encode(bytes(value)).decode("ascii")
+        parts.append(_text_element("bytes", encoded))
+    elif isinstance(value, list):
+        _emit_sequence(parts, "list", value, classify)
+    elif isinstance(value, tuple):
+        _emit_sequence(parts, "tuple", value, classify)
+    elif isinstance(value, set):
+        _emit_sequence(parts, "set", _stable_order(value), classify)
+    elif isinstance(value, frozenset):
+        _emit_sequence(parts, "fset", _stable_order(value), classify)
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("<dict/>")
+            return
+        parts.append("<dict>")
+        for key, item in value.items():
+            parts.append("<entry><k>")
+            emit_value(parts, key, classify)
+            parts.append("</k><v>")
+            emit_value(parts, item, classify)
+            parts.append("</v></entry>")
+        parts.append("</dict>")
+    else:
+        raise CodecError(
+            f"cannot encode value of type {type(value).__name__}: not a "
+            f"managed reference and not a supported primitive/container"
+        )
+
+
+def _text_element(tag: str, text: str) -> str:
+    if not text:
+        return f"<{tag}/>"
+    return f"<{tag}>{_escape_text(text)}</{tag}>"
+
+
+def _emit_sequence(
+    parts: List[str], tag: str, items: Any, classify: Classifier
+) -> None:
+    if not items:
+        parts.append(f"<{tag}/>")
+        return
+    parts.append(f"<{tag}>")
+    for item in items:
+        emit_value(parts, item, classify)
+    parts.append(f"</{tag}>")
 
 
 def decode_value(element: ET.Element, resolve: Resolver) -> Any:

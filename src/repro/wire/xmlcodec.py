@@ -29,8 +29,8 @@ from xml.etree import ElementTree as ET
 from repro.errors import CodecError, IntegrityError
 from repro.runtime.classext import instance_fields, is_managed, is_proxy
 from repro.runtime.registry import TypeRegistry
-from repro.wire.canonical import canonical_open_tag, serialize_element
-from repro.wire.wrappers import decode_value, encode_value
+from repro.wire.canonical import _escape_attr, canonical_open_tag
+from repro.wire.wrappers import decode_value, emit_value
 
 
 @dataclass
@@ -102,26 +102,23 @@ def encode_cluster_canonical(
     outbound_index_of: Callable[[Any], int],
     foreign_index_of: Callable[[Any], int] | None = None,
 ) -> Tuple[str, str]:
-    """One-pass encode: canonical text plus its digest, hashed incrementally.
+    """One-pass encode: canonical text plus its digest.
 
-    Replaces the old encode → parse → canonicalize → re-serialize → hash
-    pipeline with a single traversal; the digest is computed over the
-    chunks as they are produced.
+    The members are written straight as canonical text (no element
+    tree); the joined text is hashed once.
     """
-    hasher = hashlib.sha256()
-    parts: List[str] = []
-    for chunk in encode_cluster_stream(
-        sid=sid,
-        space=space,
-        epoch=epoch,
-        objects=objects,
-        oid_of=oid_of,
-        outbound_index_of=outbound_index_of,
-        foreign_index_of=foreign_index_of,
-    ):
-        hasher.update(chunk.encode("utf-8"))
-        parts.append(chunk)
-    return "".join(parts), hasher.hexdigest()
+    text = "".join(
+        encode_cluster_stream(
+            sid=sid,
+            space=space,
+            epoch=epoch,
+            objects=objects,
+            oid_of=oid_of,
+            outbound_index_of=outbound_index_of,
+            foreign_index_of=foreign_index_of,
+        )
+    )
+    return text, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def make_classifier(
@@ -165,20 +162,75 @@ def make_classifier(
     return classify
 
 
+#: Escaped-markup caches for the *bounded-cardinality* strings (class
+#: and field names) that repeat across every member of every cluster —
+#: value strings never go through these.  Cleared when they grow past
+#: any plausible schema population.
+_FIELD_OPEN_CACHE: Dict[str, str] = {}
+_CLASS_OPEN_CACHE: Dict[str, str] = {}
+
+
+def _field_open(name: str) -> str:
+    cached = _FIELD_OPEN_CACHE.get(name)
+    if cached is None:
+        if len(_FIELD_OPEN_CACHE) > 4096:
+            _FIELD_OPEN_CACHE.clear()
+        cached = _FIELD_OPEN_CACHE[name] = (
+            f'<field name="{_escape_attr(name)}">'
+        )
+    return cached
+
+
+def _class_open(name: str) -> str:
+    """``<object class="..." oid="`` — the caller appends the oid."""
+    cached = _CLASS_OPEN_CACHE.get(name)
+    if cached is None:
+        if len(_CLASS_OPEN_CACHE) > 4096:
+            _CLASS_OPEN_CACHE.clear()
+        cached = _CLASS_OPEN_CACHE[name] = (
+            f'<object class="{_escape_attr(name)}" oid="'
+        )
+    return cached
+
+
 def encode_object_element(
-    oid: int, obj: Any, classify: Callable[[Any], tuple | None]
+    oid: int,
+    obj: Any,
+    classify: Callable[[Any], tuple | None],
+    local_oids: Dict[int, int],
 ) -> str:
-    """Canonical ``<object>`` element for one managed instance."""
+    """Canonical ``<object>`` element for one managed instance.
+
+    ``local_oids`` maps ``id()`` of each object the document carries to
+    its oid: a field holding one of them is an intra-cluster ``<ref>``
+    by definition and is written without consulting the classifier, as
+    are exact ints and ``None`` (most real fields).
+    """
     schema = getattr(type(obj), "_obi_schema", None)
     if schema is None:
         raise CodecError(
             f"object oid={oid} of type {type(obj).__name__} is not @managed"
         )
-    obj_el = ET.Element("object", {"oid": str(oid), "class": schema.name})
-    for name, value in instance_fields(obj).items():
-        field_el = ET.SubElement(obj_el, "field", {"name": name})
-        field_el.append(encode_value(value, classify))
-    return serialize_element(obj_el)
+    fields = instance_fields(obj)
+    if not fields:
+        return f'{_class_open(schema.name)}{oid}"/>'
+    parts = [f'{_class_open(schema.name)}{oid}">']
+    append = parts.append
+    for name, value in fields.items():
+        if type(value) is int:
+            append(f"{_field_open(name)}<int>{value}</int></field>")
+        elif value is None:
+            append(f"{_field_open(name)}<none/></field>")
+        else:
+            ref_oid = local_oids.get(id(value))
+            if ref_oid is not None:
+                append(f'{_field_open(name)}<ref oid="{ref_oid}"/></field>')
+            else:
+                append(_field_open(name))
+                emit_value(parts, value, classify)
+                append("</field>")
+    append("</object>")
+    return "".join(parts)
 
 
 def encode_cluster_stream(
@@ -194,6 +246,7 @@ def encode_cluster_stream(
     """Yield the canonical document in chunks: root open tag, one chunk
     per member object, closing tag.
 
+    Each chunk is canonical text written directly, with no element tree.
     Chunks concatenate to exactly :func:`encode_cluster`'s output, so a
     transport can frame/ship them without ever materializing the whole
     document alongside a second serialized copy.
@@ -217,8 +270,9 @@ def encode_cluster_stream(
         yield canonical_open_tag("swap-cluster", attrib)[:-1] + "/>"
         return
     yield canonical_open_tag("swap-cluster", attrib)
+    local_oids = {id(obj): oid for oid, obj in objects.items()}
     for oid in sorted(objects):
-        yield encode_object_element(oid, objects[oid], classify)
+        yield encode_object_element(oid, objects[oid], classify, local_oids)
     yield "</swap-cluster>"
 
 

@@ -172,6 +172,22 @@ def test_cycles_resolve_across_member_frames():
     assert document.objects[2].left is document.objects[1]
 
 
+def test_long_member_frames_and_wide_oids_roundtrip():
+    # member frames past 127 bytes need a multi-byte length prefix, and
+    # oids past 127 / 16383 need two- and three-byte varints
+    big, small, far = Node("x" * 300), Node(1), Node(2)
+    big.next, small.next, far.next = small, far, big
+    for oid, node in ((130, big), (127, small), (20000, far)):
+        object.__setattr__(node, "_test_oid", oid)
+    members = {130: big, 127: small, 20000: far}
+    text, digest, btext, bdigest, payload = _encode_both(members)
+    assert btext == text and bdigest == digest
+    document, decoded_text, decoded_digest = _decode(payload)
+    assert decoded_text == text and decoded_digest == digest
+    assert document.objects[130].value == "x" * 300
+    assert document.objects[20000].next is document.objects[130]
+
+
 def test_empty_cluster_roundtrip():
     text, digest, btext, bdigest, payload = _encode_both({})
     assert btext == text and bdigest == digest

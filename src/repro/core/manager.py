@@ -1564,10 +1564,8 @@ class SwappingManager:
         replacement = ReplacementObject(
             sid=sid, oid=replacement_oid, outbound=outbound, location=location
         )
-        patch_set = space._proxies_by_target_sid.get(sid)
-        if patch_set is not None:
-            for proxy in list(patch_set.values()):
-                proxy._obi_detach(replacement)
+        for proxy in space.proxies_targeting(sid).values():
+            proxy._obi_detach(replacement)
 
         # Release the members; they become eligible for local collection.
         # (compress-local pre-releases the accounting so the pool can
@@ -1737,10 +1735,8 @@ class SwappingManager:
                 space.heap.allocate(oid, sizes[oid])
 
             # Patch all inbound proxies back to the replicas.
-            patch_set = space._proxies_by_target_sid.get(sid)
-            if patch_set is not None:
-                for proxy in list(patch_set.values()):
-                    proxy._obi_patch(document.objects[proxy._obi_target_oid])
+            for proxy in space.proxies_targeting(sid).values():
+                proxy._obi_patch(document.objects[proxy._obi_target_oid])
 
             space.heap.free_oid(replacement.oid)
             cluster.state = SwapClusterState.RESIDENT

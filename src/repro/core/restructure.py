@@ -16,12 +16,11 @@ This module adds the runtime half of that adaptability:
 
 Both preserve the mediation invariant (``verify_integrity`` clean) and
 all existing application handles: live proxies are retagged/dismantled
-in place through the same patch tables swapping uses.
+in place through the same proxy table swapping uses.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import Any, Callable, Iterable, List, Set
 
 from repro.errors import ClusterNotResidentError, ClusterPinnedError, NotManagedError
@@ -47,25 +46,17 @@ def _require_restructurable(space: Any, sid: Sid) -> Any:
 def _move_bucket_entries(
     space: Any, from_sid: Sid, to_sid: Sid, moved_oids: Set[Oid] | None = None
 ) -> int:
-    """Move live proxies targeting ``from_sid`` (optionally only those
-    targeting ``moved_oids``) into ``to_sid``'s patch bucket, retagging
-    them."""
-    source_bucket = space._proxies_by_target_sid.get(from_sid)
-    if source_bucket is None:
-        return 0
-    target_bucket = space._proxies_by_target_sid.get(to_sid)
-    if target_bucket is None:
-        target_bucket = weakref.WeakValueDictionary()
-        space._proxies_by_target_sid[to_sid] = target_bucket
+    """Re-file live proxies targeting ``from_sid`` (optionally only those
+    targeting ``moved_oids``) under the same keys in ``to_sid``'s bucket,
+    retagging them."""
     target_cluster = space._clusters[to_sid]
     moved = 0
-    for proxy in list(source_bucket.values()):
+    for key, proxy in space.proxies_targeting(from_sid).items():
         if moved_oids is not None and proxy._obi_target_oid not in moved_oids:
             continue
-        source_bucket.pop(id(proxy), None)
         _object_setattr(proxy, "_obi_target_sid", to_sid)
         _object_setattr(proxy, "_obi_cluster", target_cluster)
-        target_bucket[id(proxy)] = proxy
+        space._refile_proxy(proxy, from_sid, key, key)
         moved += 1
     return moved
 
@@ -109,7 +100,7 @@ def merge_swap_clusters(space: Any, absorber_sid: Sid, absorbed_sid: Sid) -> Sid
         absorber.last_crossing_tick, absorbed.last_crossing_tick
     )
     space._clusters.pop(absorbed_sid, None)
-    space._proxies_by_target_sid.pop(absorbed_sid, None)
+    space._drop_proxy_bucket(absorbed_sid)
 
     space.bus.emit(
         SwapClusterMergedEvent(

@@ -20,9 +20,10 @@ code rules — is implemented here so proxies stay small:
 
 from __future__ import annotations
 
-import weakref
 from contextlib import contextmanager
+from functools import partial as _partial
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from weakref import ref as _ref
 
 from repro.clock import Clock, SimulatedClock
 from repro.core.clustering import group_clusters, resolve_strategy
@@ -101,19 +102,16 @@ class Space:
         self._objects: Dict[Oid, Any] = {}
         self._sid_by_oid: Dict[Oid, Sid] = {}
         self._clusters: Dict[Sid, SwapCluster] = {ROOT_SID: SwapCluster(ROOT_SID)}
-        #: Reuse cache: one proxy per (source_sid, target_oid) pair.
-        self._proxy_cache: "weakref.WeakValueDictionary[Tuple[Sid, Oid], Any]" = (
-            weakref.WeakValueDictionary()
-        )
-        #: All live proxies per *target* swap-cluster — the patch set for
-        #: swap-out/swap-in.  Keyed by ``id(proxy)`` because proxies
-        #: overload ``__eq__``/``__hash__`` for object identity, which
-        #: would make a set silently coalesce distinct proxies denoting
-        #: the same target.  Weak values play the role of the paper's
-        #: proxy finalizers: dead proxies drop out automatically.
-        self._proxies_by_target_sid: Dict[
-            Sid, "weakref.WeakValueDictionary[int, Any]"
-        ] = {}
+        #: The swap-cluster-proxy table: one weak bucket per *target*
+        #: swap-cluster, mapping a key to a ``weakref.ref`` of a live
+        #: proxy.  A canonical pair proxy is keyed ``(source_sid,
+        #: target_oid)``, so the bucket is also the reuse cache of rule
+        #: (ii); an assign-mode cursor is keyed ``id(proxy)`` (proxies
+        #: overload ``__eq__``/``__hash__`` for object identity, so they
+        #: cannot be keys themselves).  The bucket is the patch set for
+        #: swap-out/swap-in.  Each ref's callback plays the role of the
+        #: paper's proxy finalizer; see :meth:`_register_proxy`.
+        self._proxy_buckets: Dict[Sid, Dict[Any, "_ref[Any]"]] = {}
         self._roots: Dict[str, Any] = {}
         #: class-name -> generated proxy class (bypasses the registry
         #: lock on the invocation fast path)
@@ -524,13 +522,53 @@ class Space:
 
     # ------------------------------------------------------------------ proxies
 
+    def _register_proxy(self, proxy: Any, target_sid: Sid, key: Any) -> None:
+        """File ``proxy`` under ``key`` in ``target_sid``'s weak bucket.
+
+        The ref's callback is the bucket's own ``pop`` bound to ``key``:
+        when the proxy dies, C code removes the entry (``pop(key, ref)``
+        never raises) and no Python frame runs.  Re-filing an entry
+        (replacing it, moving it to another bucket, or re-keying it)
+        drops the bucket's only reference to the old ref, and a weakref
+        that dies before its referent never calls back.  So a stale
+        callback can never evict a newer entry filed under the same key.
+        (The cyclic collector clears a dead proxy's refs before it calls
+        them back; in between it runs only weakref callbacks, and none
+        in this package mints a proxy.)
+        """
+        bucket = self._proxy_buckets.get(target_sid)
+        if bucket is None:
+            bucket = self._proxy_buckets[target_sid] = {}
+        bucket[key] = _ref(proxy, _partial(bucket.pop, key))
+
+    def _refile_proxy(
+        self, proxy: Any, old_sid: Sid, old_key: Any, new_key: Any
+    ) -> None:
+        """Move ``proxy``'s entry from ``old_key`` in ``old_sid``'s bucket
+        to ``new_key`` in the bucket of its (already retagged) target."""
+        old_bucket = self._proxy_buckets.get(old_sid)
+        if old_bucket is not None:
+            old_bucket.pop(old_key, None)
+        self._register_proxy(proxy, proxy._obi_target_sid, new_key)
+
     def _proxy_for(self, source_sid: Sid, target_oid: Oid) -> Any:
-        """Create or reuse the swap-cluster-proxy for one reference pair."""
-        key = (source_sid, target_oid)
-        proxy = self._proxy_cache.get(key)
-        if proxy is not None:
-            return proxy
+        """Reuse or mint the canonical swap-cluster-proxy for one pair.
+
+        The target cluster's bucket is the reuse cache: the pair's proxy
+        is filed there under ``(source_sid, target_oid)`` (registration
+        inlined from :meth:`_register_proxy`).
+        """
         target_sid = self._sid_by_oid[target_oid]
+        key = (source_sid, target_oid)
+        bucket = self._proxy_buckets.get(target_sid)
+        if bucket is None:
+            bucket = self._proxy_buckets[target_sid] = {}
+        else:
+            ref = bucket.get(key)
+            if ref is not None:
+                proxy = ref()
+                if proxy is not None:
+                    return proxy
         cluster = self._clusters[target_sid]
         class_name = cluster.class_name_by_oid[target_oid]
         proxy_class = self._proxy_class_cache.get(class_name)
@@ -548,12 +586,7 @@ class Space:
                     f"object oid={target_oid} neither resident nor swapped"
                 )
         proxy._obi_init(self, source_sid, target_sid, target_oid, target, cluster)
-        self._proxy_cache[key] = proxy
-        patch_set = self._proxies_by_target_sid.get(target_sid)
-        if patch_set is None:
-            patch_set = weakref.WeakValueDictionary()
-            self._proxies_by_target_sid[target_sid] = patch_set
-        patch_set[id(proxy)] = proxy
+        bucket[key] = _ref(proxy, _partial(bucket.pop, key))
         return proxy
 
     def _retarget_proxy(
@@ -562,11 +595,11 @@ class Space:
         """Assign-mode self-patching: point ``proxy`` at a new target.
 
         This is the paper's iteration optimisation, so it must stay
-        cheap: two slot writes per step, with patch-table movement only
-        when the cursor actually crosses into a different swap-cluster.
-        An assign-mode proxy is never (re)inserted into the reuse cache
-        — it is the variable's own proxy, not the canonical pair proxy
-        (``SwapClusterUtils.assign`` evicted any cached entry once).
+        cheap: two slot writes per step, with table movement only when
+        the cursor actually crosses into a different swap-cluster.  An
+        assign-mode proxy is filed under ``id(proxy)``, never under its
+        pair key — it is the variable's own proxy, not the canonical
+        pair proxy (``SwapClusterUtils.assign`` re-keyed it once).
         """
         old_target_sid = proxy._obi_target_sid
         _object_setattr(proxy, "_obi_target_oid", new_oid)
@@ -577,26 +610,20 @@ class Space:
     def _move_patch_bucket(
         self, proxy: Any, old_target_sid: Sid, new_target_sid: Sid
     ) -> None:
-        """An assign-mode cursor crossed a boundary: move its patch entry."""
+        """An assign-mode cursor crossed a boundary: re-file its entry."""
         _object_setattr(proxy, "_obi_target_sid", new_target_sid)
         _object_setattr(proxy, "_obi_cluster", self._clusters[new_target_sid])
-        old_set = self._proxies_by_target_sid.get(old_target_sid)
-        if old_set is not None:
-            old_set.pop(id(proxy), None)
-        patch_set = self._proxies_by_target_sid.get(new_target_sid)
-        if patch_set is None:
-            patch_set = weakref.WeakValueDictionary()
-            self._proxies_by_target_sid[new_target_sid] = patch_set
-        patch_set[id(proxy)] = proxy
+        self._refile_proxy(proxy, old_target_sid, id(proxy), id(proxy))
 
     def make_cursor(self, handle: Any) -> Any:
         """A fresh swap-cluster-0 proxy for iteration variables.
 
-        Unlike :meth:`wrap_for_root`, this never returns the cached
-        canonical proxy for the pair: assign-mode iteration (paper §4)
-        retargets the variable's own proxy step by step, which must not
-        disturb proxies other references share.  The cursor is still
-        registered for patching, so swap events keep it correct.
+        Unlike :meth:`wrap_for_root`, this never returns the canonical
+        proxy for the pair: assign-mode iteration (paper §4) retargets
+        the variable's own proxy step by step, which must not disturb
+        proxies other references share.  The cursor is filed under
+        ``id(proxy)`` in its target's bucket, so swap events keep it
+        correct.
         """
         from repro.core.utils import SwapClusterUtils
 
@@ -614,15 +641,41 @@ class Space:
                     f"object oid={target_oid} neither resident nor swapped"
                 )
         proxy._obi_init(self, ROOT_SID, target_sid, target_oid, target, cluster)
-        patch_set = self._proxies_by_target_sid.get(target_sid)
-        if patch_set is None:
-            patch_set = weakref.WeakValueDictionary()
-            self._proxies_by_target_sid[target_sid] = patch_set
-        patch_set[id(proxy)] = proxy
+        self._register_proxy(proxy, target_sid, id(proxy))
         return proxy
 
+    def proxies_targeting(self, sid: Sid) -> Dict[Any, Any]:
+        """The live swap-cluster-proxies targeting swap-cluster ``sid``.
+
+        A snapshot keyed like the table: ``(source_sid, target_oid)``
+        for a canonical pair proxy, ``id(proxy)`` for an assign-mode
+        cursor.  Every patch loop (swap-out, swap-in, restructuring,
+        tombstoning) walks this copy, so it may re-file entries and a
+        proxy dying mid-loop cannot disturb the iteration.
+        """
+        bucket = self._proxy_buckets.get(sid)
+        if not bucket:
+            return {}
+        live = {}
+        # copy() is one C call: a collection triggered while the loop
+        # allocates may pop entries from ``bucket``, never from the copy
+        for key, ref in bucket.copy().items():
+            proxy = ref()
+            if proxy is not None:
+                live[key] = proxy
+        return live
+
+    def _drop_proxy_bucket(self, sid: Sid) -> None:
+        """Forget ``sid``'s bucket; its callers re-filed or tombstoned
+        the live entries first."""
+        bucket = self._proxy_buckets.pop(sid, None)
+        if bucket is not None:
+            # each entry's ref -> callback -> bucket.pop -> bucket is a
+            # cycle: break it now instead of leaving it to the cyclic GC
+            bucket.clear()
+
     def live_proxy_count(self) -> int:
-        return sum(len(s) for s in self._proxies_by_target_sid.values())
+        return sum(len(bucket) for bucket in self._proxy_buckets.values())
 
     def wrap_for_root(self, value: Any) -> Any:
         """A swap-cluster-0 handle for any managed value."""
@@ -736,8 +789,9 @@ class Space:
         if cluster is None:
             return
         tombstone = _CollectedTombstone(sid)
-        stale = self._proxies_by_target_sid.pop(sid, None)
-        for proxy in (list(stale.values()) if stale is not None else []):
+        stale = self.proxies_targeting(sid)
+        self._drop_proxy_bucket(sid)
+        for proxy in stale.values():
             proxy._obi_detach(tombstone)
         for oid in list(cluster.oids):
             self._sid_by_oid.pop(oid, None)

@@ -41,12 +41,14 @@ class SwapClusterUtils:
             )
         # From now on this proxy is the variable's own self-patching
         # cursor, not the canonical proxy for its (source, target) pair:
-        # evict it from the reuse cache once so per-step retargeting
-        # never has to touch the cache again.
+        # re-key its table entry from the pair to id(proxy) once, so the
+        # pair mints a fresh canonical proxy and per-step retargeting
+        # only ever moves an id-keyed entry.
         space = proxy._obi_space
+        target_sid = proxy._obi_target_sid
         key = (proxy._obi_source_sid, proxy._obi_target_oid)
-        if space._proxy_cache.get(key) is proxy:
-            del space._proxy_cache[key]
+        if space.proxies_targeting(target_sid).get(key) is proxy:
+            space._refile_proxy(proxy, target_sid, key, id(proxy))
         proxy._obi_assign_mode = True
         return proxy
 

@@ -58,14 +58,14 @@ def _scan_neighbors(prefetcher: Prefetcher, source: Sid) -> List[Sid]:
         if swapped(sid):
             ranked.append(sid)
     edges: List[Tuple[int, Sid]] = []
-    for target_sid, bucket in sorted(space._proxies_by_target_sid.items()):
+    for target_sid in sorted(clusters):
         if target_sid == source or target_sid in history:
             continue
         if not swapped(target_sid):
             continue
         if any(
             proxy._obi_source_sid == source
-            for proxy in list(bucket.values())
+            for proxy in space.proxies_targeting(target_sid).values()
         ):
             edges.append((-clusters[target_sid].last_crossing_tick, target_sid))
     ranked.extend(sid for _tick, sid in sorted(edges))

@@ -19,7 +19,6 @@ from __future__ import annotations
 import re
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
-from xml.etree import ElementTree as ET
 
 from repro.comm.transport import (
     Link,
@@ -40,6 +39,7 @@ from repro.errors import (
 from repro.wire.binary import binary_to_canonical, decode_delta_binary
 from repro.wire.canonical import digest_of_canonical
 from repro.wire.delta import apply_cluster_delta
+from repro.wire.scan import document_epoch
 
 #: Cost of a key-probe / drop round trip: a control message, not a payload.
 CONTROL_MESSAGE_BYTES = 64
@@ -48,13 +48,6 @@ CONTROL_MESSAGE_BYTES = 64
 #: compaction thresholds keep real chains far shorter.
 MAX_DELTA_CHAIN = 64
 
-
-def _payload_epoch(xml_text: str) -> int:
-    """Epoch attribute of a stored ``<swap-cluster>`` document."""
-    try:
-        return int(ET.fromstring(xml_text).get("epoch", "0"))
-    except (ET.ParseError, ValueError) as exc:
-        raise CodecError(f"unreadable payload epoch: {exc}") from exc
 
 #: Digest returned by a digest probe when the stored payload cannot even
 #: be decoded (at-rest corruption of the compressed frames).  Never a
@@ -164,7 +157,7 @@ class InMemoryStore:
         else:
             text = decompress_payload(data, compression)
         base_text = self._resolve_text(base_key)
-        held_epoch = _payload_epoch(base_text)
+        held_epoch = document_epoch(base_text)
         if held_epoch != base_epoch:
             raise CodecError(
                 f"{self._device_id}: base {base_key!r} is at epoch "
@@ -396,7 +389,7 @@ class XmlStoreDevice:
             delta_text = decode_delta_binary(decode_body(data, compression))
             data = compress_payload(delta_text, compression)
         base_text = self._resolve_text(base_key)
-        held_epoch = _payload_epoch(base_text)
+        held_epoch = document_epoch(base_text)
         if held_epoch != base_epoch:
             raise CodecError(
                 f"{self._device_id}: base {base_key!r} is at epoch "

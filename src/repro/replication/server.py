@@ -37,6 +37,7 @@ from repro.errors import CodecError, ReplicationError, SyncConflictError, SyncEr
 from repro.ids import IdAllocator
 from repro.replication.cluster import ObjectCluster
 from repro.runtime.registry import TypeRegistry, global_registry
+from repro.wire.canonical import serialize_element
 from repro.wire.wrappers import decode_value
 from repro.wire.xmlcodec import encode_cluster
 
@@ -481,4 +482,5 @@ def parse_replica_document(
     frontier: List[Tuple[int, int]] = []
     for entry in frontier_el:
         frontier.append((int(entry.get("cid")), int(entry.get("oid"))))
-    return cid, frontier, ET.tostring(body_el, encoding="unicode"), version
+    # canonical, so replica decode reads it without a canonicalize pass
+    return cid, frontier, serialize_element(body_el), version

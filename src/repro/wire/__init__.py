@@ -11,6 +11,8 @@ implements the object-graph ⇄ XML codec:
   the cluster's replacement-object array;
 * :mod:`repro.wire.canonical` — canonical text + digests for
   store-and-return integrity checks;
+* :mod:`repro.wire.scan` — reads canonical swap text without an XML
+  parser (swap-in decode, delta splice, stores' epoch read);
 * :mod:`repro.wire.binary` — the negotiated length-prefixed binary
   framing (digests stay over canonical XML; see
   ``docs/PROTOCOL.md`` §1f).

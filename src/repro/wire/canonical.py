@@ -85,9 +85,9 @@ def canonical_open_tag(tag: str, attrib: dict) -> str:
 def serialize_element(element: ET.Element) -> str:
     """Serialize one element in canonical form (sorted attributes).
 
-    For callers that hold an element tree: :func:`~repro.wire.delta.
-    apply_cluster_delta` re-emits parsed members with it, and it is the
-    reference the direct text encoder
+    For callers that hold an element tree, such as the replica document
+    parser (:func:`repro.replication.server.parse_replica_document`).  It
+    is the reference the direct text encoder
     (:func:`repro.wire.wrappers.emit_value`) must match byte for byte.
     ``canonical_text(serialize_element(e))`` is the identity for
     whitespace-free trees.

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Tuple
-from xml.etree import ElementTree as ET
+from typing import Any, Callable, Dict, Iterator, Tuple
 
 from repro.errors import CodecError, IntegrityError
 from repro.runtime.classext import instance_fields, is_managed, is_proxy
 from repro.runtime.registry import TypeRegistry
 from repro.wire.canonical import _escape_attr, canonical_open_tag
-from repro.wire.wrappers import decode_value, emit_value
+from repro.wire.scan import decode_members, scan_once, top_level
+from repro.wire.wrappers import emit_value
 
 
 @dataclass
@@ -283,71 +283,32 @@ def decode_cluster(
     resolve_out: Callable[[int], Any],
     resolve_extern: Callable[[Dict[str, str]], Any] | None = None,
 ) -> ClusterDocument:
-    """Rebuild a swap-cluster from XML text.
+    """Rebuild a swap-cluster from its XML text.
 
-    Two passes: first allocate every instance uninitialized (so circular
-    intra-cluster references resolve), then fill fields.  ``resolve_out``
-    maps a replacement-array index back to the live swap-cluster-proxy;
-    ``resolve_extern`` maps ``<extref>`` attributes back to an
-    unreplicated-frontier handle (installed by the replicator).
+    The text is read with :mod:`repro.wire.scan`: canonical text directly,
+    anything else once more after :func:`~repro.wire.canonical.
+    canonical_text`.  Two passes: first allocate every instance
+    uninitialized (so circular intra-cluster references resolve), then
+    fill fields.  ``resolve_out`` maps a replacement-array index back to
+    the live swap-cluster-proxy; ``resolve_extern`` maps ``<extref>``
+    attributes back to an unreplicated-frontier handle (installed by the
+    replicator).
     """
-    try:
-        root = ET.fromstring(xml_text)
-    except ET.ParseError as exc:
-        raise CodecError(f"malformed swap-cluster XML: {exc}") from exc
-    if root.tag != "swap-cluster":
-        raise CodecError(f"expected <swap-cluster>, got <{root.tag}>")
 
-    sid = int(root.get("sid", "-1"))
-    space = root.get("space", "")
-    epoch = int(root.get("epoch", "0"))
-
-    # pass 1: allocate
-    instances: Dict[int, Any] = {}
-    field_elements: List[Tuple[int, ET.Element]] = []
-    for obj_el in root:
-        if obj_el.tag != "object":
-            raise CodecError(f"unexpected element <{obj_el.tag}> in swap-cluster")
-        oid = int(obj_el.get("oid"))
-        class_name = obj_el.get("class", "")
-        cls = registry.resolve(class_name)
-        instances[oid] = object.__new__(cls)
-        field_elements.append((oid, obj_el))
-
-    declared = root.get("count")
-    if declared is not None and int(declared) != len(instances):
-        raise CodecError(
-            f"swap-cluster {sid}: count attribute says {declared} objects, "
-            f"document holds {len(instances)}"
+    def read(text: str) -> ClusterDocument:
+        attrs, events = top_level(text, "swap-cluster")
+        sid = int(attrs.get("sid", "-1"))
+        epoch = int(attrs.get("epoch", "0"))
+        objects = decode_members(
+            events,
+            sid=sid,
+            declared_count=attrs.get("count"),
+            resolve_class=registry.resolve,
+            resolve_out=resolve_out,
+            resolve_extern=resolve_extern,
+        )
+        return ClusterDocument(
+            sid=sid, space=attrs.get("space", ""), epoch=epoch, objects=objects
         )
 
-    def resolve(kind: str, ident: Any) -> Any:
-        if kind == "local":
-            try:
-                return instances[ident]
-            except KeyError:
-                raise CodecError(
-                    f"dangling intra-cluster reference oid={ident}"
-                ) from None
-        if kind == "ext":
-            if resolve_extern is None:
-                raise CodecError(
-                    "document contains <extref> but no extern resolver is "
-                    "installed (is a replicator attached to this space?)"
-                )
-            return resolve_extern(ident)
-        return resolve_out(ident)
-
-    # pass 2: fill fields
-    for oid, obj_el in field_elements:
-        instance = instances[oid]
-        for field_el in obj_el:
-            if field_el.tag != "field" or len(field_el) != 1:
-                raise CodecError(f"malformed <field> in object oid={oid}")
-            name = field_el.get("name")
-            if not name:
-                raise CodecError(f"<field> without name in object oid={oid}")
-            value = decode_value(field_el[0], resolve)
-            object.__setattr__(instance, name, value)
-
-    return ClusterDocument(sid=sid, space=space, epoch=epoch, objects=instances)
+    return scan_once(xml_text, "swap-cluster", read)

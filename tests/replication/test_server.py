@@ -10,7 +10,8 @@ from repro.replication.server import (
     WsServerClient,
     parse_replica_document,
 )
-from tests.helpers import Node, Pair, build_chain
+from repro.wire.canonical import canonical_text
+from tests.helpers import Holder, Node, Pair, build_chain
 
 
 def test_publish_and_describe():
@@ -43,6 +44,19 @@ def test_fetch_cluster_document_shape():
     assert len(frontier) == 1  # one edge to the second cluster
     assert body.startswith("<swap-cluster")
     assert version == 1
+
+
+def test_replica_body_is_canonical():
+    server = ObjectServer()
+    holder = Holder()
+    holder.items.extend(["a&b", "", None, 2.5])
+    holder.index["k"] = b"\x00bytes"
+    descriptor = server.publish("holder", holder, cluster_size=5)
+    _, _, body, _ = parse_replica_document(
+        server.fetch_cluster("holder", descriptor.root_cid)
+    )
+    assert body == canonical_text(body)
+    assert "<none/>" in body  # ElementTree.tostring would write "<none />"
 
 
 def test_last_cluster_has_empty_frontier():

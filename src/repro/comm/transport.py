@@ -29,11 +29,6 @@ FRAME_OVERHEAD_BYTES = 8
 #: Compression codecs this implementation can negotiate, best first.
 SUPPORTED_COMPRESSIONS: Tuple[str, ...] = ("zlib",)
 
-#: Wire codecs this implementation can negotiate, best first.  ``"xml"``
-#: is the canonical text protocol every peer speaks; ``"binary"`` is the
-#: length-prefixed framing in :mod:`repro.wire.binary`.
-SUPPORTED_CODECS: Tuple[str, ...] = ("binary", "xml")
-
 
 def chunk_text(text: str, frame_bytes: int) -> List[bytes]:
     """Split UTF-8 encoded ``text`` into frames of at most ``frame_bytes``."""
@@ -51,25 +46,6 @@ def negotiate_compression(
     ``theirs`` is what the store advertises (``supported_compressions``);
     stores predating the negotiation advertise nothing and get plain text,
     so the protocol stays backward compatible.
-    """
-    if not theirs:
-        return None
-    theirs_set = set(theirs)
-    for name in ours:
-        if name in theirs_set:
-            return name
-    return None
-
-
-def negotiate_codec(
-    ours: Sequence[str], theirs: Sequence[str] | None
-) -> Optional[str]:
-    """Pick the first wire codec both ends support.
-
-    ``theirs`` is the store's ``supported_codecs`` advertisement; stores
-    predating the codec negotiation advertise nothing and get the
-    canonical XML protocol (``None``), so the wire stays backward
-    compatible exactly like :func:`negotiate_compression`.
     """
     if not theirs:
         return None

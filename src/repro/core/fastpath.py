@@ -63,13 +63,6 @@ class FastPathConfig:
     #: (replica fan-out + encode/transfer overlap).  0 = serial
     #: shipping exactly as before.
     pipeline_channels: int = 0
-    #: Wire codec to negotiate per store: ``"binary"`` opts into the
-    #: length-prefixed framing of :mod:`repro.wire.binary` (digests stay
-    #: computed over canonical XML); ``None`` / ``"xml"`` keeps the
-    #: canonical text protocol exactly as before.  Stores that do not
-    #: advertise the codec in ``supported_codecs`` transparently keep
-    #: getting XML.
-    codec: Optional[str] = None
 
 
 @dataclass
@@ -167,8 +160,6 @@ class FastPathState:
     retained: Dict[Sid, List[object]] = field(default_factory=dict)
     #: store device_id -> negotiated codec (cached negotiation results).
     negotiated: Dict[str, Optional[str]] = field(default_factory=dict)
-    #: store device_id -> negotiated wire codec (``"binary"`` or None).
-    negotiated_codec: Dict[str, Optional[str]] = field(default_factory=dict)
     #: sid -> delta chain currently standing on the replica stores.
     chains: Dict[Sid, DeltaChain] = field(default_factory=dict)
     #: Pipelined transfer scheduler (set by the manager when
@@ -191,37 +182,6 @@ class FastPathState:
                 self.config.compression, theirs
             )
         return self.negotiated[device_id]
-
-    def negotiate_codec_for(self, store: object) -> Optional[str]:
-        """Negotiate (once per store) the wire codec for full payloads.
-
-        Binary requires the opt-in ``config.codec == "binary"``, a
-        ``store_stream``-capable store, and a ``supported_codecs``
-        advertisement that includes it; everything else keeps canonical
-        XML (``None``).  Results are cached per device, and
-        :meth:`demote_codec` pins a store back to XML when it rejects
-        the negotiated framing at ship time.
-        """
-        if self.config.codec != "binary":
-            return None
-        device_id = getattr(store, "device_id", None)
-        if device_id is None or getattr(store, "store_stream", None) is None:
-            return None
-        if device_id not in self.negotiated_codec:
-            from repro.comm.transport import negotiate_codec
-
-            theirs = getattr(store, "supported_codecs", None)
-            negotiated = negotiate_codec(("binary",), theirs)
-            self.negotiated_codec[device_id] = (
-                "binary" if negotiated == "binary" else None
-            )
-        return self.negotiated_codec[device_id]
-
-    def demote_codec(self, store: object) -> None:
-        """Pin ``store`` to canonical XML after a codec rejection."""
-        device_id = getattr(store, "device_id", None)
-        if device_id is not None:
-            self.negotiated_codec[device_id] = None
 
     def forget_cluster(self, sid: Sid) -> List[object]:
         """Drop retention bookkeeping for ``sid``; returns the old holders.

@@ -40,7 +40,7 @@ from typing import (
     Tuple,
 )
 
-from repro.comm.transport import compress_body, compress_payload
+from repro.comm.transport import compress_payload
 from repro.core.fastpath import DeltaChain, FastPathConfig, FastPathState
 from repro.core.interfaces import SwapStore
 from repro.core.replacement import ReplacementObject, SwapLocation
@@ -49,7 +49,6 @@ from repro.errors import (
     AllStoresUnreachableError,
     ClusterNotSwappedError,
     CodecError,
-    CodecNegotiationError,
     HeapExhaustedError,
     NoSwapDeviceError,
     ObiError,
@@ -78,11 +77,6 @@ from repro.events import (
 )
 from repro.ids import Sid, format_swap_key
 from repro.obs.trace import NULL_SPAN
-from repro.wire.binary import (
-    decode_cluster_binary,
-    encode_cluster_binary,
-    encode_delta_binary,
-)
 from repro.wire.canonical import digest_of_canonical, verify_payload
 from repro.wire.delta import apply_cluster_delta, encode_cluster_delta
 from repro.wire.xmlcodec import decode_cluster, encode_cluster_canonical
@@ -150,10 +144,6 @@ class ManagerStats:
     fastpath_noops: int = 0
     fastpath_reships: int = 0
     swapin_cache_hits: int = 0
-    # -- wire-codec counters (zero unless ``codec="binary"`` is on) --
-    codec_binary_ships: int = 0
-    codec_binary_fetches: int = 0
-    codec_fallbacks: int = 0
     # -- delta swap counters (all zero while ``config.delta`` is off) --
     fastpath_delta_ships: int = 0
     fastpath_delta_fallbacks: int = 0
@@ -191,10 +181,6 @@ class SwappingManager:
         #: then mirrors when ``replication_factor`` > 1).
         self._bindings: Dict[Sid, List[SwapStore]] = {}
         self._loading: set[Sid] = set()
-        #: sid -> (digest, document) decoded straight from binary wire
-        #: frames during the fetch+verify pass; ``swap_in`` consumes the
-        #: entry instead of re-decoding the canonical text.
-        self._bin_decoded: Dict[Sid, Tuple[str, Any]] = {}
         #: Keep the stored XML after a successful swap-in (versioning /
         #: reconciliation use, paper Section 3 "set-aside").
         self.keep_swapped_copies = False
@@ -1002,16 +988,7 @@ class SwappingManager:
                 shipped: Optional[str] = None
                 if sink is not None and not diverged:
                     compression = fastpath.negotiate_for(holder)
-                    wire_codec = fastpath.negotiate_codec_for(holder)
-                    if wire_codec == "binary":
-                        # deltas travel as binary-framed canonical text:
-                        # same digest-checked framing, stores unwrap to
-                        # XML at rest so chain resolution is unchanged
-                        data = compress_body(
-                            encode_delta_binary(delta_text), compression
-                        )
-                    else:
-                        data = compress_payload(delta_text, compression)
+                    data = compress_payload(delta_text, compression)
                     frame_bytes = config.frame_bytes
                     frames = [
                         data[offset : offset + frame_bytes]
@@ -1019,28 +996,15 @@ class SwappingManager:
                     ] or [b""]
 
                     def ship(
-                        sink=sink,
-                        frames=frames,
-                        compression=compression,
-                        wire_codec=wire_codec,
+                        sink=sink, frames=frames, compression=compression
                     ) -> None:
-                        if wire_codec == "binary":
-                            sink(
-                                key,
-                                base_epoch,
-                                frames,
-                                base_key=base_key,
-                                compression=compression,
-                                codec="binary",
-                            )
-                        else:
-                            sink(
-                                key,
-                                base_epoch,
-                                frames,
-                                base_key=base_key,
-                                compression=compression,
-                            )
+                        sink(
+                            key,
+                            base_epoch,
+                            frames,
+                            base_key=base_key,
+                            compression=compression,
+                        )
 
                     try:
                         with self._obs_span(
@@ -1062,15 +1026,7 @@ class SwappingManager:
                         StoreFullError,
                         TransportError,
                         RetryExhaustedError,
-                    ) as exc:
-                        cause = (
-                            exc.__cause__
-                            if isinstance(exc, RetryExhaustedError)
-                            else exc
-                        )
-                        if isinstance(cause, CodecNegotiationError):
-                            fastpath.demote_codec(holder)
-                            self.stats.codec_fallbacks += 1
+                    ):
                         shipped = None  # diverged/lost base: ship it whole
                 if shipped is None:
                     try:
@@ -1210,35 +1166,16 @@ class SwappingManager:
                 outbound.append(proxy)
             return index
 
-        fastpath = self.fastpath
-        wire_payload: Optional[bytes] = None
-        if fastpath is not None and fastpath.config.codec == "binary":
-            # one walk emits the binary frames AND the canonical text;
-            # the digest is still computed over the canonical XML form
-            with self._obs_span(
-                "swap.out.encode.binary", sid=sid, objects=len(members)
-            ):
-                xml_text, digest, wire_payload = encode_cluster_binary(
-                    sid=sid,
-                    space=space.name,
-                    epoch=cluster.epoch + 1,
-                    objects=members,
-                    oid_of=lambda obj: obj._obi_oid,
-                    outbound_index_of=outbound_index_of,
-                )
-        else:
-            # one pass: canonical text and its digest come out together
-            with self._obs_span(
-                "swap.out.encode", sid=sid, objects=len(members)
-            ):
-                xml_text, digest = encode_cluster_canonical(
-                    sid=sid,
-                    space=space.name,
-                    epoch=cluster.epoch + 1,
-                    objects=members,
-                    oid_of=lambda obj: obj._obi_oid,
-                    outbound_index_of=outbound_index_of,
-                )
+        # one pass: canonical text and its digest come out together
+        with self._obs_span("swap.out.encode", sid=sid, objects=len(members)):
+            xml_text, digest = encode_cluster_canonical(
+                sid=sid,
+                space=space.name,
+                epoch=cluster.epoch + 1,
+                objects=members,
+                oid_of=lambda obj: obj._obi_oid,
+                outbound_index_of=outbound_index_of,
+            )
         self.stats.encode_calls += 1
         key = format_swap_key(space.name, sid, cluster.epoch + 1)
         return self._ship_and_detach(
@@ -1250,7 +1187,6 @@ class SwappingManager:
             outbound=outbound,
             chosen=chosen,
             tier="full",
-            wire_payload=wire_payload,
         )
 
     def _ship_and_detach(
@@ -1264,14 +1200,10 @@ class SwappingManager:
         outbound: List[Any],
         chosen: SwapStore | None,
         tier: str,
-        wire_payload: Optional[bytes] = None,
     ) -> SwapLocation:
         """Ship one serialized payload (with mirrors, failover, degrade)
         and detach the cluster.  The payload is encoded exactly once by
         the caller; retries and alternate stores all reuse ``xml_text``.
-        ``wire_payload`` carries the same document as binary frames for
-        holders that negotiated the binary codec; every fallback path
-        (degrade pool, stores without the codec) uses ``xml_text``.
         """
         space = self._space
         sid = cluster.sid
@@ -1354,9 +1286,7 @@ class SwappingManager:
                         device=holder.device_id,
                         stage="mirror" if stored_on else "primary",
                     ), self._channel(holder):
-                        self._store_payload(
-                            holder, key, xml_text, sid, wire_payload
-                        )
+                        self._store_payload(holder, key, xml_text, sid)
                 except StoreFullError:
                     # a caller-chosen store that refuses is the caller's
                     # problem; auto-selected mirrors are best-effort
@@ -1386,9 +1316,7 @@ class SwappingManager:
                             device=candidate.device_id,
                             stage="failover",
                         ):
-                            self._store_payload(
-                                candidate, key, xml_text, sid, wire_payload
-                            )
+                            self._store_payload(candidate, key, xml_text, sid)
                     except (StoreFullError, TransportError, RetryExhaustedError):
                         continue
                     stored_on.append(candidate)
@@ -1693,21 +1621,15 @@ class SwappingManager:
             resolve_extern = None
             if space.extern_resolver is not None:
                 resolve_extern = lambda attrs: space.extern_resolver(attrs, sid)  # noqa: E731
-            stashed = self._bin_decoded.pop(sid, None)
-            if stashed is not None and stashed[0] == location.digest:
-                # the fetch pass already decoded the binary frames (and
-                # verified the canonical digest) — nothing to re-decode
-                document = stashed[1]
-            else:
-                with self._obs_span(
-                    "swap.in.decode", sid=sid, objects=len(cluster.oids)
-                ):
-                    document = decode_cluster(
-                        xml_text,
-                        registry=space._registry,
-                        resolve_out=replacement.outbound_at,
-                        resolve_extern=resolve_extern,
-                    )
+            with self._obs_span(
+                "swap.in.decode", sid=sid, objects=len(cluster.oids)
+            ):
+                document = decode_cluster(
+                    xml_text,
+                    registry=space._registry,
+                    resolve_out=replacement.outbound_at,
+                    resolve_extern=resolve_extern,
+                )
             if set(document.objects) != cluster.oids:
                 raise CodecError(
                     f"swap-cluster {sid}: stored membership does not match "
@@ -1837,12 +1759,7 @@ class SwappingManager:
     # -- resilient store I/O ------------------------------------------------------
 
     def _store_payload(
-        self,
-        holder: SwapStore,
-        key: str,
-        xml_text: str,
-        sid: Sid,
-        wire_payload: Optional[bytes] = None,
+        self, holder: SwapStore, key: str, xml_text: str, sid: Sid
     ) -> None:
         """Ship one payload; retried under the resilience policy if enabled.
 
@@ -1852,35 +1769,8 @@ class SwappingManager:
         of one per payload-sized transfer, and fewer bytes on the wire
         when a codec was negotiated.  Retries re-chunk but never
         re-encode — the serialized text is produced once by the caller.
-
-        A holder that negotiated the binary wire codec gets
-        ``wire_payload`` frames instead of text; if it rejects them
-        after all (:class:`~repro.errors.CodecNegotiationError` — e.g. a
-        FlakyStore ``codec_downgrade`` fault), the store is demoted to
-        XML and the same payload re-ships transparently as text.
         """
-        try:
-            self._run_ship(
-                self._shipper(holder, key, xml_text, wire_payload),
-                holder,
-                sid,
-            )
-            return
-        except CodecNegotiationError:
-            pass
-        except RetryExhaustedError as exc:
-            if not isinstance(exc.__cause__, CodecNegotiationError):
-                raise
-        # the store refused the negotiated framing: pin it to canonical
-        # XML and re-ship the identical document as text
-        assert self.fastpath is not None
-        self.fastpath.demote_codec(holder)
-        self.stats.codec_fallbacks += 1
-        self._run_ship(self._shipper(holder, key, xml_text, None), holder, sid)
-
-    def _run_ship(
-        self, ship: Callable[[], None], holder: SwapStore, sid: Sid
-    ) -> None:
+        ship = self._shipper(holder, key, xml_text)
         if self.resilience is None:
             ship()
             return
@@ -1892,39 +1782,19 @@ class SwappingManager:
         )
 
     def _shipper(
-        self,
-        holder: SwapStore,
-        key: str,
-        xml_text: str,
-        wire_payload: Optional[bytes] = None,
+        self, holder: SwapStore, key: str, xml_text: str
     ) -> Callable[[], None]:
         fastpath = self.fastpath
         stream = getattr(holder, "store_stream", None)
         if fastpath is None or stream is None:
             return lambda: holder.store(key, xml_text)
         compression = fastpath.negotiate_for(holder)
-        if (
-            wire_payload is not None
-            and fastpath.negotiate_codec_for(holder) == "binary"
-        ):
-            data = compress_body(wire_payload, compression)
-            codec: Optional[str] = "binary"
-        else:
-            data = compress_payload(xml_text, compression)
-            codec = None
+        data = compress_payload(xml_text, compression)
         frame_bytes = fastpath.config.frame_bytes
         frames = [
             data[offset : offset + frame_bytes]
             for offset in range(0, len(data), frame_bytes)
         ] or [b""]
-        if codec == "binary":
-            # count only ships that land: a CodecNegotiationError refusal
-            # falls back to XML and must not inflate the binary tally
-            def ship_binary() -> None:
-                stream(key, frames, compression, codec="binary")
-                self.stats.codec_binary_ships += 1
-
-            return ship_binary
         return lambda: stream(key, frames, compression)
 
     def _fetch_verified(
@@ -1932,23 +1802,9 @@ class SwappingManager:
     ) -> str:
         """Fetch + digest-check one copy; retried (transport failures
         *and* transient corruption) under the resilience policy."""
-        fastpath = self.fastpath
-        fetch_wire = (
-            getattr(holder, "fetch_wire", None)
-            if fastpath is not None and fastpath.config.codec == "binary"
-            else None
-        )
 
         def attempt() -> str:
-            if fetch_wire is not None:
-                raw, wire_codec = fetch_wire(location.key)
-                if wire_codec == "binary":
-                    return self._decode_wire(raw, holder, location, sid)
-                # the store holds this key as canonical XML (negotiation
-                # fell back, or the entry predates the codec)
-                text = raw.decode("utf-8")
-            else:
-                text = holder.fetch(location.key)
+            text = holder.fetch(location.key)
             # verify_payload hashes the raw text first (payloads are
             # canonical on the wire) and only falls back to the full
             # canonicalization pass for foreign text
@@ -1969,50 +1825,6 @@ class SwappingManager:
             op_name="fetch",
             retry_on=(TransportError, CorruptPayloadError),
         )
-
-    def _decode_wire(
-        self, raw: bytes, holder: SwapStore, location: SwapLocation, sid: Sid
-    ) -> str:
-        """Decode binary wire frames fetched from ``holder``.
-
-        One pass rebuilds the instances AND re-derives the canonical
-        text + digest; comparing that digest against the trusted
-        location record is the same integrity bar as ``verify_payload``
-        on the text path.  The decoded document is stashed so
-        ``swap_in`` does not decode the canonical text a second time.
-        """
-        space = self._space
-        cluster = space._clusters.get(sid)
-        replacement = cluster.replacement if cluster is not None else None
-        if replacement is None:
-            raise CorruptPayloadError(
-                f"binary fetch for {location.key}: swap-cluster {sid} has "
-                f"no replacement table to resolve outbound references"
-            )
-        resolve_extern = None
-        if space.extern_resolver is not None:
-            resolve_extern = lambda attrs: space.extern_resolver(attrs, sid)  # noqa: E731
-        with self._obs_span("swap.in.decode.binary", device=holder.device_id):
-            try:
-                document, text, digest = decode_cluster_binary(
-                    raw,
-                    registry=space._registry,
-                    resolve_out=replacement.outbound_at,
-                    resolve_extern=resolve_extern,
-                )
-            except CodecError as exc:
-                raise CorruptPayloadError(
-                    f"device {holder.device_id} returned corrupt binary "
-                    f"frames for {location.key}: {exc}"
-                ) from exc
-        if digest != location.digest:
-            raise CorruptPayloadError(
-                f"device {holder.device_id} returned corrupted frames for "
-                f"{location.key} (digest mismatch)"
-            )
-        self.stats.codec_binary_fetches += 1
-        self._bin_decoded[sid] = (digest, document)
-        return text
 
     def _fetch_one(
         self, holder: SwapStore, location: SwapLocation, sid: Sid

@@ -22,21 +22,17 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.comm.transport import (
     Link,
-    SUPPORTED_CODECS,
     SUPPORTED_COMPRESSIONS,
     compress_payload,
-    decode_body,
     decompress_payload,
 )
 from repro.comm.webservice import WebServiceEndpoint
 from repro.errors import (
     CodecError,
-    CodecNegotiationError,
     StoreFullError,
     TransportError,
     UnknownKeyError,
 )
-from repro.wire.binary import binary_to_canonical, decode_delta_binary
 from repro.wire.canonical import digest_of_canonical
 from repro.wire.delta import apply_cluster_delta
 from repro.wire.scan import document_epoch
@@ -54,49 +50,15 @@ MAX_DELTA_CHAIN = 64
 #: valid hex digest, so it can only ever mismatch.
 UNREADABLE_DIGEST = "unreadable"
 
-#: What ``fetch`` returns when a binary-at-rest payload no longer
-#: transcodes (rotted frames).  Deliberately a well-formed document that
-#: can never match any recorded digest, so the swap-in verify path
-#: handles it exactly like rotted XML text.
-CORRUPT_BINARY_TEXT = '<swap-cluster corrupt="binary-frames"/>'
-
-
-def _validate_codec(
-    device_id: str, codec: Optional[str], advertised: Tuple[str, ...]
-) -> Optional[str]:
-    """Reject a wire codec this store did not advertise.
-
-    ``None`` and ``"xml"`` always pass — canonical XML is the protocol
-    every store speaks.  Anything else must appear in the store's
-    ``supported_codecs`` advertisement or the sender gets a
-    :class:`~repro.errors.CodecNegotiationError` naming the store and
-    the advertised set (so chaos-run negotiation failures are
-    debuggable), and falls back to canonical XML.
-    """
-    if codec is None or codec == "xml":
-        return codec
-    if codec not in advertised:
-        raise CodecNegotiationError(
-            f"{device_id}: unsupported wire codec {codec!r} "
-            f"(advertises {sorted(advertised)})"
-        )
-    return codec
-
-
 class InMemoryStore:
     """Minimal conforming store: a dict of key -> XML text."""
-
-    #: Wire codecs this store can hold at rest, best first.
-    supported_codecs: Tuple[str, ...] = SUPPORTED_CODECS
 
     def __init__(self, device_id: str = "memory-store") -> None:
         self._device_id = device_id
         self._data: Dict[str, str] = {}
         #: key -> (delta text, base key); a key lives in exactly one of
-        #: ``_data`` / ``_deltas`` / ``_wire``
+        #: ``_data`` / ``_deltas``
         self._deltas: Dict[str, Tuple[str, str]] = {}
-        #: key -> binary wire payload held as frames (negotiated codec)
-        self._wire: Dict[str, bytes] = {}
 
     @property
     def device_id(self) -> str:
@@ -104,7 +66,6 @@ class InMemoryStore:
 
     def store(self, key: str, xml_text: str) -> None:
         self._deltas.pop(key, None)
-        self._wire.pop(key, None)
         self._data[key] = xml_text
 
     def store_stream(
@@ -112,22 +73,10 @@ class InMemoryStore:
         key: str,
         frames: Iterable[bytes],
         compression: Optional[str] = None,
-        codec: Optional[str] = None,
     ) -> None:
-        """Receive a payload as a batch of frames (loopback, no link).
-
-        Under the negotiated ``"binary"`` codec the payload is kept as
-        frames; ``fetch`` / ``digest`` transcode back to canonical XML
-        on demand, so integrity probes are unchanged.
-        """
-        codec = _validate_codec(self._device_id, codec, self.supported_codecs)
+        """Receive a payload as a batch of frames (loopback, no link)."""
         data = b"".join(bytes(frame) for frame in frames)
-        if codec == "binary":
-            self._data.pop(key, None)
-            self._deltas.pop(key, None)
-            self._wire[key] = decode_body(data, compression)
-        else:
-            self.store(key, decompress_payload(data, compression))
+        self.store(key, decompress_payload(data, compression))
 
     def store_delta(
         self,
@@ -137,7 +86,6 @@ class InMemoryStore:
         *,
         base_key: str,
         compression: Optional[str] = None,
-        codec: Optional[str] = None,
     ) -> None:
         """Accept a delta document applying to the payload at ``base_key``.
 
@@ -150,12 +98,8 @@ class InMemoryStore:
             raise TransportError(
                 f"{self._device_id}: delta key {key!r} cannot be its own base"
             )
-        codec = _validate_codec(self._device_id, codec, self.supported_codecs)
         data = b"".join(bytes(frame) for frame in frames)
-        if codec == "binary":
-            text = decode_delta_binary(decode_body(data, compression))
-        else:
-            text = decompress_payload(data, compression)
+        text = decompress_payload(data, compression)
         base_text = self._resolve_text(base_key)
         held_epoch = document_epoch(base_text)
         if held_epoch != base_epoch:
@@ -164,14 +108,11 @@ class InMemoryStore:
                 f"{held_epoch}, delta expects {base_epoch}"
             )
         self._data.pop(key, None)
-        self._wire.pop(key, None)
         self._deltas[key] = (text, base_key)
 
     def _resolve_text(self, key: str, depth: int = 0) -> str:
         if key in self._data:
             return self._data[key]
-        if key in self._wire:
-            return binary_to_canonical(self._wire[key])[0]
         entry = self._deltas.get(key)
         if entry is None:
             raise UnknownKeyError(f"{self._device_id}: no key {key!r}") from None
@@ -183,25 +124,7 @@ class InMemoryStore:
         )
 
     def fetch(self, key: str) -> str:
-        try:
-            return self._resolve_text(key)
-        except CodecError:
-            if key in self._wire:
-                # rotted binary frames: surface as a visibly-broken
-                # document so digest verification catches it like any
-                # other at-rest corruption
-                return CORRUPT_BINARY_TEXT
-            raise
-
-    def fetch_wire(self, key: str) -> Tuple[bytes, Optional[str]]:
-        """Payload as it is held: ``(raw bytes, wire codec or None)``.
-
-        ``None`` means the bytes are canonical XML utf-8 — the caller
-        can always fall back to the text path.
-        """
-        if key in self._wire:
-            return self._wire[key], "binary"
-        return self._resolve_text(key).encode("utf-8"), None
+        return self._resolve_text(key)
 
     def drop(self, key: str) -> None:
         # a delta depending on the dropped key must survive it: collapse
@@ -212,10 +135,9 @@ class InMemoryStore:
                 self._deltas.pop(child, None)
         self._data.pop(key, None)
         self._deltas.pop(key, None)
-        self._wire.pop(key, None)
 
     def contains(self, key: str) -> bool:
-        return key in self._data or key in self._deltas or key in self._wire
+        return key in self._data or key in self._deltas
 
     def digest(self, key: str) -> str:
         """Digest probe: hash of the payload as held *right now*."""
@@ -230,7 +152,7 @@ class InMemoryStore:
         return True
 
     def keys(self) -> List[str]:
-        return list(self._data) + list(self._deltas) + list(self._wire)
+        return list(self._data) + list(self._deltas)
 
     def used_by_prefix(self, prefix: str) -> int:
         """Bytes held under keys starting with ``prefix``.
@@ -247,14 +169,10 @@ class InMemoryStore:
             len(text.encode("utf-8"))
             for key, (text, _base) in self._deltas.items()
             if key.startswith(prefix)
-        ) + sum(
-            len(data)
-            for key, data in self._wire.items()
-            if key.startswith(prefix)
         )
 
     def __len__(self) -> int:
-        return len(self._data) + len(self._deltas) + len(self._wire)
+        return len(self._data) + len(self._deltas)
 
 
 class XmlStoreDevice:
@@ -267,9 +185,6 @@ class XmlStoreDevice:
 
     #: Codecs this store can accept, best first (compression negotiation).
     supported_compressions: Tuple[str, ...] = SUPPORTED_COMPRESSIONS
-
-    #: Wire codecs this store can hold at rest, best first.
-    supported_codecs: Tuple[str, ...] = SUPPORTED_CODECS
 
     def __init__(
         self,
@@ -293,9 +208,6 @@ class XmlStoreDevice:
         #: exactly one of ``_data`` / ``_deltas``.  Delta bytes count
         #: toward capacity like any other stored bytes.
         self._deltas: Dict[str, Tuple[bytes, Optional[str], str]] = {}
-        #: keys of ``_data`` entries held as binary wire frames rather
-        #: than canonical XML text (value = codec name)
-        self._codecs: Dict[str, str] = {}
         self._used = 0
 
     # -- SwapStore protocol ----------------------------------------------------
@@ -314,33 +226,14 @@ class XmlStoreDevice:
         key: str,
         frames: Iterable[bytes],
         compression: Optional[str] = None,
-        codec: Optional[str] = None,
     ) -> None:
         """Receive a payload as a batch of frames over one connection.
 
         ``frames`` already carry the negotiated ``compression``; the link
         (when batching-capable) charges one latency for the whole batch
-        instead of one per frame.  Under the negotiated ``"binary"``
-        codec the (compressed) frames hold binary wire framing instead
-        of canonical XML; the entry is kept as received and transcoded
-        back to canonical text on ``fetch``/``digest``.
+        instead of one per frame.
         """
-        frame_list = [bytes(frame) for frame in frames]
-        if self._link is not None:
-            batch = getattr(self._link, "transfer_batch", None)
-            if batch is not None:
-                batch([len(frame) for frame in frame_list])
-            else:
-                for frame in frame_list:
-                    self._link.transfer(len(frame))
-        data = b"".join(frame_list)
-        if compression is not None and compression not in self.supported_compressions:
-            raise TransportError(
-                f"{self._device_id}: unsupported compression {compression!r} "
-                f"(advertises {sorted(self.supported_compressions)})"
-            )
-        codec = _validate_codec(self._device_id, codec, self.supported_codecs)
-        self._put(key, data, compression, codec=codec)
+        self._put(key, self._receive_frames(frames, compression), compression)
 
     def store_delta(
         self,
@@ -350,7 +243,6 @@ class XmlStoreDevice:
         *,
         base_key: str,
         compression: Optional[str] = None,
-        codec: Optional[str] = None,
     ) -> None:
         """Receive a delta applying to the payload held at ``base_key``.
 
@@ -361,33 +253,12 @@ class XmlStoreDevice:
         and :class:`~repro.errors.CodecError` when the held base sits at
         a different epoch than ``base_epoch`` — the diverged-replica
         signal that tells the sender to fall back to a full payload.
-
-        A binary-framed delta (negotiated codec) is unwrapped to its
-        canonical text on receipt — deltas stay XML at rest so chain
-        resolution is codec-agnostic.
         """
         if key == base_key:
             raise TransportError(
                 f"{self._device_id}: delta key {key!r} cannot be its own base"
             )
-        frame_list = [bytes(frame) for frame in frames]
-        if self._link is not None:
-            batch = getattr(self._link, "transfer_batch", None)
-            if batch is not None:
-                batch([len(frame) for frame in frame_list])
-            else:
-                for frame in frame_list:
-                    self._link.transfer(len(frame))
-        data = b"".join(frame_list)
-        if compression is not None and compression not in self.supported_compressions:
-            raise TransportError(
-                f"{self._device_id}: unsupported compression {compression!r} "
-                f"(advertises {sorted(self.supported_compressions)})"
-            )
-        codec = _validate_codec(self._device_id, codec, self.supported_codecs)
-        if codec == "binary":
-            delta_text = decode_delta_binary(decode_body(data, compression))
-            data = compress_payload(delta_text, compression)
+        data = self._receive_frames(frames, compression)
         base_text = self._resolve_text(base_key)
         held_epoch = document_epoch(base_text)
         if held_epoch != base_epoch:
@@ -406,18 +277,37 @@ class XmlStoreDevice:
         if entry is not None:
             self._used -= len(entry[0])
             delta += len(entry[0])
-        self._codecs.pop(key, None)
         self._deltas[key] = (data, compression, base_key)
         self._used += delta
+
+    def _receive_frames(
+        self, frames: Iterable[bytes], compression: Optional[str]
+    ) -> bytes:
+        """Carry one batch of frames over the link and join them.
+
+        The link is charged before ``compression`` is checked against
+        the advertisement: a refused batch still crossed the air.
+        """
+        frame_list = [bytes(frame) for frame in frames]
+        if self._link is not None:
+            batch = getattr(self._link, "transfer_batch", None)
+            if batch is not None:
+                batch([len(frame) for frame in frame_list])
+            else:
+                for frame in frame_list:
+                    self._link.transfer(len(frame))
+        if compression is not None and compression not in self.supported_compressions:
+            raise TransportError(
+                f"{self._device_id}: unsupported compression {compression!r} "
+                f"(advertises {sorted(self.supported_compressions)})"
+            )
+        return b"".join(frame_list)
 
     def _resolve_text(self, key: str, depth: int = 0) -> str:
         """Full document under ``key``, applying any delta chain (no link)."""
         entry = self._data.get(key)
         if entry is not None:
-            raw = decode_body(entry[0], entry[1])
-            if self._codecs.get(key) == "binary":
-                return binary_to_canonical(raw)[0]
-            return raw.decode("utf-8")
+            return decompress_payload(entry[0], entry[1])
         delta_entry = self._deltas.get(key)
         if delta_entry is None:
             raise UnknownKeyError(f"{self._device_id}: no key {key!r}") from None
@@ -432,32 +322,11 @@ class XmlStoreDevice:
         entry = self._data.get(key)
         if entry is not None:
             self._carry(len(entry[0]))
-            try:
-                return self._resolve_text(key)
-            except CodecError:
-                if self._codecs.get(key) == "binary":
-                    return CORRUPT_BINARY_TEXT
-                raise
+            return self._resolve_text(key)
         # chain tip: the applied document is what travels back
         text = self._resolve_text(key)
         self._carry(len(text.encode("utf-8")))
         return text
-
-    def fetch_wire(self, key: str) -> Tuple[bytes, Optional[str]]:
-        """Payload in its at-rest wire form: ``(bytes, codec or None)``.
-
-        A binary entry travels back as frames (charging the stored,
-        compressed size on the link — the whole point); anything else
-        comes back as canonical XML utf-8 with codec ``None``.
-        """
-        entry = self._data.get(key)
-        if entry is not None:
-            self._carry(len(entry[0]))
-            raw = decode_body(entry[0], entry[1])
-            return raw, self._codecs.get(key)
-        text = self._resolve_text(key)
-        self._carry(len(text.encode("utf-8")))
-        return text.encode("utf-8"), None
 
     def drop(self, key: str) -> None:
         self._carry(CONTROL_MESSAGE_BYTES)
@@ -496,13 +365,7 @@ class XmlStoreDevice:
             raise TransportError(f"{self._device_id}: link down")
         return self._used + nbytes <= self.capacity
 
-    def _put(
-        self,
-        key: str,
-        data: bytes,
-        compression: Optional[str],
-        codec: Optional[str] = None,
-    ) -> None:
+    def _put(self, key: str, data: bytes, compression: Optional[str]) -> None:
         previous = self._data.get(key) or self._deltas.get(key)
         delta = len(data) - (len(previous[0]) if previous else 0)
         if self._used + delta > self.capacity:
@@ -513,10 +376,6 @@ class XmlStoreDevice:
         # a full payload arriving under a key held as a delta replaces it
         self._deltas.pop(key, None)
         self._data[key] = (data, compression)
-        if codec == "binary":
-            self._codecs[key] = codec
-        else:
-            self._codecs.pop(key, None)
         self._used += delta
 
     # -- extras ----------------------------------------------------------------------
@@ -597,7 +456,6 @@ class XmlStoreDevice:
         entry = self._data.pop(key, None)
         if entry is not None:
             self._used -= len(entry[0])
-        self._codecs.pop(key, None)
         delta_entry = self._deltas.pop(key, None)
         if delta_entry is not None:
             self._used -= len(delta_entry[0])
@@ -639,23 +497,17 @@ class FileStore:
     swapping to a flash card instead of a nearby device.
     """
 
-    #: Wire codecs this store can hold at rest, best first.
-    supported_codecs: Tuple[str, ...] = SUPPORTED_CODECS
-
     def __init__(self, directory: str | Path, device_id: str = "flash-card") -> None:
         self._directory = Path(directory)
         self._directory.mkdir(parents=True, exist_ok=True)
         self._device_id = device_id
         self._paths: Dict[str, Path] = {}
-        #: keys whose file holds binary wire frames (``.bin`` on disk)
-        self._codecs: Dict[str, str] = {}
 
     @property
     def device_id(self) -> str:
         return self._device_id
 
     def store(self, key: str, xml_text: str) -> None:
-        self._drop_codec_file(key)
         path = self._directory / _safe_filename(key)
         path.write_text(xml_text, encoding="utf-8")
         self._paths[key] = path
@@ -665,54 +517,18 @@ class FileStore:
         key: str,
         frames: Iterable[bytes],
         compression: Optional[str] = None,
-        codec: Optional[str] = None,
     ) -> None:
-        """Receive framed payloads; binary entries land as ``.bin`` files."""
-        codec = _validate_codec(self._device_id, codec, self.supported_codecs)
-        data = decode_body(b"".join(bytes(frame) for frame in frames), compression)
-        if codec == "binary":
-            path = (self._directory / _safe_filename(key)).with_suffix(".bin")
-            old = self._paths.get(key)
-            if old is not None and old != path and old.exists():
-                old.unlink()
-            path.write_bytes(data)
-            self._paths[key] = path
-            self._codecs[key] = codec
-        else:
-            self.store(key, data.decode("utf-8"))
-
-    def _drop_codec_file(self, key: str) -> None:
-        """Remove a stale ``.bin`` file when ``key`` reverts to XML."""
-        if self._codecs.pop(key, None) is not None:
-            old = self._paths.pop(key, None)
-            if old is not None and old.exists():
-                old.unlink()
-
-    def _read_text(self, key: str) -> str:
-        path = self._paths.get(key, self._directory / _safe_filename(key))
-        if not path.exists():
-            raise UnknownKeyError(f"{self._device_id}: no key {key!r}")
-        if self._codecs.get(key) == "binary":
-            return binary_to_canonical(path.read_bytes())[0]
-        return path.read_text(encoding="utf-8")
+        """Receive a framed payload and write it as one text file."""
+        data = b"".join(bytes(frame) for frame in frames)
+        self.store(key, decompress_payload(data, compression))
 
     def fetch(self, key: str) -> str:
-        try:
-            return self._read_text(key)
-        except CodecError:
-            if self._codecs.get(key) == "binary":
-                return CORRUPT_BINARY_TEXT
-            raise
-
-    def fetch_wire(self, key: str) -> Tuple[bytes, Optional[str]]:
-        """The file's bytes plus the codec they are framed in."""
         path = self._paths.get(key, self._directory / _safe_filename(key))
         if not path.exists():
             raise UnknownKeyError(f"{self._device_id}: no key {key!r}")
-        return path.read_bytes(), self._codecs.get(key)
+        return path.read_text(encoding="utf-8")
 
     def drop(self, key: str) -> None:
-        self._codecs.pop(key, None)
         path = self._paths.pop(key, self._directory / _safe_filename(key))
         if path.exists():
             path.unlink()
@@ -724,7 +540,7 @@ class FileStore:
     def digest(self, key: str) -> str:
         """Digest probe over the file as it exists on the card now."""
         try:
-            return digest_of_canonical(self._read_text(key))
+            return digest_of_canonical(self.fetch(key))
         except UnknownKeyError:
             raise
         except Exception:

@@ -93,16 +93,6 @@ class TransportError(ObiError):
     """A simulated link is down or the peer is out of range."""
 
 
-class CodecNegotiationError(TransportError):
-    """A store refused the wire codec the manager negotiated.
-
-    Distinct from a plain :class:`TransportError` so the sender can
-    demote the store to canonical XML and re-ship transparently instead
-    of burning retries or failing over — the link is fine, only the
-    framing dialect is not.
-    """
-
-
 class DeviceNotFoundError(ObiError):
     """Discovery could not resolve the requested device id."""
 

@@ -12,21 +12,8 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
-from repro.errors import CodecNegotiationError, StoreFullError, TransportError
+from repro.errors import StoreFullError, TransportError
 from repro.faults.plan import FaultInjector, mangle_payload
-
-
-def mangle_frames(data: bytes) -> bytes:
-    """The binary-codec bitrot: flip bytes mid-payload.
-
-    Mirrors :func:`~repro.faults.plan.mangle_payload` for framed wire
-    payloads — the result is still bytes, never the original canonical
-    digest, so the decode-side digest check must catch it.
-    """
-    if not data:
-        return b"\x00rot"
-    middle = len(data) // 2
-    return data[:middle] + bytes([data[middle] ^ 0xFF]) + data[middle + 1 :]
 
 
 class FlakyLink:
@@ -100,12 +87,6 @@ class FlakyStore:
         #: ``(latency_factor, bandwidth_factor, capacity_factor)`` while
         #: browned out, ``None`` otherwise.
         self._brownout: Optional[tuple] = None
-        #: Codec-downgrade fault: the store keeps *advertising* the
-        #: binary codec (``supported_codecs`` delegates to the inner
-        #: store) but rejects binary-framed ships with a
-        #: :class:`~repro.errors.CodecNegotiationError` — the sender
-        #: must demote it to canonical XML and re-ship transparently.
-        self.codec_downgrade = False
 
     # -- SwapStore protocol ------------------------------------------------
 
@@ -147,27 +128,6 @@ class FlakyStore:
             return injector.corrupt(text)
         return text
 
-    def fetch_wire(self, key: str) -> Any:
-        # same fault surface as fetch(): down window, death, transient
-        # failure, corrupted response — except the corruption flips raw
-        # frame bytes, proving the decode-side canonical-digest check
-        # catches damage the XML digest check never sees
-        injector = self._injector
-        self._gate()
-        injector.charge_latency()
-        if injector.roll(injector.plan.fetch_failure_rate):
-            injector.stats.fetch_faults += 1
-            raise TransportError(f"injected: fetch from {self.device_id} failed")
-        inner_wire = getattr(self._inner, "fetch_wire", None)
-        if inner_wire is not None:
-            data, codec = inner_wire(key)
-        else:
-            data, codec = self._inner.fetch(key).encode("utf-8"), None
-        if injector.roll(injector.plan.corruption_rate):
-            injector.stats.corruptions += 1
-            return mangle_frames(data), codec
-        return data, codec
-
     def drop(self, key: str) -> None:
         injector = self._injector
         self._gate()
@@ -189,35 +149,20 @@ class FlakyStore:
                 return False
         return self._inner.has_room(nbytes)
 
-    def _deliver_stream(
-        self,
-        key: str,
-        frame_list: Any,
-        compression: Any,
-        codec: Any = None,
-    ) -> None:
+    def _deliver_stream(self, key: str, frame_list: Any, compression: Any) -> None:
         # a streaming-capable inner store takes the batch as-is; a plain
         # store (InMemoryStore et al.) gets the reassembled document so
         # wrapping never widens the inner store's protocol
         stream = getattr(self._inner, "store_stream", None)
         if stream is not None:
-            if codec is not None:
-                stream(key, frame_list, compression, codec=codec)
-            else:
-                stream(key, frame_list, compression)
+            stream(key, frame_list, compression)
             return
-        from repro.comm.transport import decode_body, decompress_payload
-        from repro.errors import CodecError
+        from repro.comm.transport import decompress_payload
 
         data = b"".join(frame_list)
         try:
-            if codec == "binary":
-                from repro.wire.binary import binary_to_canonical
-
-                text = binary_to_canonical(decode_body(data, compression))[0]
-            else:
-                text = decompress_payload(data, compression)
-        except (TransportError, CodecError):
+            text = decompress_payload(data, compression)
+        except TransportError:
             # rotted/truncated frames: land the damage as visibly-broken
             # text so digest sampling and swap-in verification catch it
             text = data.decode("utf-8", errors="replace")
@@ -228,18 +173,11 @@ class FlakyStore:
         key: str,
         frames: Any,
         compression: Any = None,
-        codec: Any = None,
     ) -> None:
         # same fault surface as store(): down window, mid-payload
         # interruption (a truncated batch lands), transient failure
         injector = self._injector
         self._gate()
-        if codec == "binary" and self.codec_downgrade:
-            injector.stats.codec_downgrades += 1
-            raise CodecNegotiationError(
-                f"injected: {self.device_id} refuses wire codec 'binary' "
-                f"despite advertising it (downgrade fault)"
-            )
         injector.charge_latency()
         frame_list = [bytes(frame) for frame in frames]
         self._squeeze_gate(sum(len(frame) for frame in frame_list))
@@ -247,7 +185,7 @@ class FlakyStore:
             injector.stats.interruptions += 1
             truncated = frame_list[: max(1, len(frame_list) // 2)]
             try:
-                self._deliver_stream(key, truncated, compression, codec)
+                self._deliver_stream(key, truncated, compression)
             except Exception:
                 pass  # the partial batch may itself be undecodable
             raise TransportError(
@@ -260,7 +198,7 @@ class FlakyStore:
             injector.stats.at_rest_corruptions += 1
             frame_list = list(frame_list)
             frame_list[-1] = frame_list[-1][: max(0, len(frame_list[-1]) - 4)] + b"\x00rot"
-        self._deliver_stream(key, frame_list, compression, codec)
+        self._deliver_stream(key, frame_list, compression)
 
     def store_delta(
         self,
@@ -270,7 +208,6 @@ class FlakyStore:
         *,
         base_key: str,
         compression: Any = None,
-        codec: Any = None,
     ) -> None:
         # defined explicitly (not via __getattr__) so delta ships face
         # the same gates as full ones: down window, death, mid-batch
@@ -281,14 +218,7 @@ class FlakyStore:
             )
         injector = self._injector
         self._gate()
-        if codec == "binary" and self.codec_downgrade:
-            injector.stats.codec_downgrades += 1
-            raise CodecNegotiationError(
-                f"injected: {self.device_id} refuses wire codec 'binary' "
-                f"despite advertising it (downgrade fault)"
-            )
         injector.charge_latency()
-        extra = {} if codec is None else {"codec": codec}
         frame_list = [bytes(frame) for frame in frames]
         self._squeeze_gate(sum(len(frame) for frame in frame_list))
         if injector.roll(injector.plan.interruption_rate):
@@ -301,7 +231,6 @@ class FlakyStore:
                     truncated,
                     base_key=base_key,
                     compression=compression,
-                    **extra,
                 )
             except Exception:
                 pass  # the partial batch may itself be undecodable
@@ -321,7 +250,6 @@ class FlakyStore:
             frame_list,
             base_key=base_key,
             compression=compression,
-            **extra,
         )
 
     def contains(self, key: str) -> bool:

@@ -110,7 +110,6 @@ class FaultStats:
     link_faults: int = 0
     window_denials: int = 0
     dead_denials: int = 0
-    codec_downgrades: int = 0
     spike_seconds: float = 0.0
 
     @property

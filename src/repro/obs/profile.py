@@ -23,7 +23,6 @@ from typing import Any, Dict, Optional
 #: are deliberately absent: aggregating them would double-count children.
 PHASE_OF: Dict[str, str] = {
     "swap.out.encode": "encode",
-    "swap.out.encode.binary": "encode",
     "swap.out.delta.encode": "encode",
     "swap.out.delta.apply": "encode",
     "swap.out.store": "store",
@@ -33,7 +32,6 @@ PHASE_OF: Dict[str, str] = {
     "swap.in.fetch": "fetch",
     "swap.in.verify": "verify",
     "swap.in.decode": "decode",
-    "swap.in.decode.binary": "decode",
     "link.transfer": "link",
     "retry.backoff": "backoff",
 }

@@ -51,9 +51,6 @@ COUNTER_NAMES: Dict[str, str] = {
     "fastpath.delta.compactions": "fastpath_delta_compactions",
     "fastpath.delta.bytes_shipped": "delta_bytes_shipped",
     "fastpath.delta.bytes_saved": "delta_bytes_saved",
-    "fastpath.codec.binary_ships": "codec_binary_ships",
-    "fastpath.codec.binary_fetches": "codec_binary_fetches",
-    "fastpath.codec.fallbacks": "codec_fallbacks",
     "policy.ladder.escalations": "ladder_escalations",
     "policy.ladder.deescalations": "ladder_deescalations",
     "policy.ladder.compress_local": "ladder_compress_local",
@@ -172,10 +169,6 @@ class SpaceTelemetry:
     fastpath_delta_compactions: int = 0
     delta_bytes_shipped: int = 0
     delta_bytes_saved: int = 0
-    # -- wire-codec counters (zero while codec="binary" is off) --
-    codec_binary_ships: int = 0
-    codec_binary_fetches: int = 0
-    codec_fallbacks: int = 0
     # -- degrade-ladder counters (zero while the ladder is disabled) --
     ladder_escalations: int = 0
     ladder_deescalations: int = 0
@@ -274,9 +267,6 @@ def snapshot(space: Any) -> SpaceTelemetry:
         fastpath_delta_compactions=stats.fastpath_delta_compactions,
         delta_bytes_shipped=stats.delta_bytes_shipped,
         delta_bytes_saved=stats.delta_bytes_saved,
-        codec_binary_ships=stats.codec_binary_ships,
-        codec_binary_fetches=stats.codec_binary_fetches,
-        codec_fallbacks=stats.codec_fallbacks,
         ladder_escalations=stats.ladder_escalations,
         ladder_deescalations=stats.ladder_deescalations,
         ladder_compress_local=stats.ladder_compress_local,
@@ -368,12 +358,6 @@ def format_report(telemetry: SpaceTelemetry) -> str:
             f"{telemetry.fastpath_delta_compactions} compactions; "
             f"shipped {telemetry.delta_bytes_shipped} B, "
             f"saved {telemetry.delta_bytes_saved} B"
-        )
-    if telemetry.codec_binary_ships or telemetry.codec_fallbacks:
-        lines.append(
-            f"  codec: {telemetry.codec_binary_ships} binary ships, "
-            f"{telemetry.codec_binary_fetches} binary fetches, "
-            f"{telemetry.codec_fallbacks} fallbacks to XML"
         )
     if (
         telemetry.ladder_escalations

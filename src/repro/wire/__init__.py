@@ -12,10 +12,7 @@ implements the object-graph ⇄ XML codec:
 * :mod:`repro.wire.canonical` — canonical text + digests for
   store-and-return integrity checks;
 * :mod:`repro.wire.scan` — reads canonical swap text without an XML
-  parser (swap-in decode, delta splice, stores' epoch read);
-* :mod:`repro.wire.binary` — the negotiated length-prefixed binary
-  framing (digests stay over canonical XML; see
-  ``docs/PROTOCOL.md`` §1f).
+  parser (swap-in decode, delta splice, stores' epoch read).
 """
 
 from repro.wire.xmlcodec import (
@@ -45,13 +42,6 @@ from repro.wire.schema import (
     validate_cluster_text,
     VALUE_TAGS,
 )
-from repro.wire.binary import (
-    binary_to_canonical,
-    decode_cluster_binary,
-    decode_delta_binary,
-    encode_cluster_binary,
-    encode_delta_binary,
-)
 
 __all__ = [
     "ClusterDocument",
@@ -75,9 +65,4 @@ __all__ = [
     "ensure_valid_cluster",
     "validate_cluster_text",
     "VALUE_TAGS",
-    "encode_cluster_binary",
-    "decode_cluster_binary",
-    "binary_to_canonical",
-    "encode_delta_binary",
-    "decode_delta_binary",
 ]

@@ -1,12 +1,10 @@
-"""With the codec off, the hot path is bit-identical to the committed
-pre-codec results.
+"""The swap hot-path bench replays bit-identically.
 
-The binary codec is strictly opt-in: ``FastPathConfig.codec`` defaults
-to ``None`` and every codec hook sits behind a successful negotiation.
-The strongest regression guard is replaying the swap hot-path bench —
-same workload, same simulated clock — and comparing the *entire*
-scenario result (simulated percentiles, link bytes, every counter)
-against the entry committed in ``BENCH_swap_hotpath.json``.
+Replaying the hot-path bench — same workload, same simulated clock —
+and comparing the *entire* scenario result (simulated percentiles, link
+bytes, every counter) against the entry committed in
+``BENCH_swap_hotpath.json`` guards the whole swap pipeline against
+behaviour drift.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from repro.bench.hotpath import HotPathConfig, run_scenario
-from repro.core.fastpath import FastPathConfig
 
 BENCH_PATH = Path(__file__).resolve().parents[2] / "BENCH_swap_hotpath.json"
 
@@ -58,14 +55,3 @@ def test_codec_off_run_matches_committed_bench(committed, scenario):
     )
     assert asdict(result) == committed["scenarios"][scenario]
 
-
-def test_explicit_codec_none_is_the_default_pipeline(committed):
-    """``FastPathConfig(codec=None)`` spelled out is the same machine."""
-    result = run_scenario(
-        "fastpath_clean",
-        _config(committed),
-        fastpath=True,
-        mutate=False,
-        fastpath_config=FastPathConfig(codec=None),
-    )
-    assert asdict(result) == committed["scenarios"]["fastpath_clean"]

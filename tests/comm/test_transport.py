@@ -5,11 +5,15 @@ import pytest
 from repro.clock import SimulatedClock
 from repro.comm.transport import (
     BLUETOOTH_BPS,
+    SUPPORTED_COMPRESSIONS,
     LoopbackLink,
     SimulatedLink,
     bluetooth_link,
+    compress_body,
+    decode_body,
     wifi_link,
 )
+from repro.devices.store import XmlStoreDevice
 from repro.errors import TransportError
 
 
@@ -69,3 +73,22 @@ def test_invalid_parameters():
         SimulatedLink(0)
     with pytest.raises(ValueError):
         SimulatedLink(100, latency_s=-1)
+
+
+def test_unknown_compression_names_the_supported_set():
+    for convert in (compress_body, decode_body):
+        with pytest.raises(TransportError) as exc_info:
+            convert(b"data", "lz4")
+        message = str(exc_info.value)
+        assert "'lz4'" in message
+        assert str(sorted(SUPPORTED_COMPRESSIONS)) in message
+
+
+def test_store_rejects_unknown_compression_naming_itself():
+    device = XmlStoreDevice("desk-pc", capacity=1 << 20)
+    with pytest.raises(TransportError) as exc_info:
+        device.store_stream("k", [b"x"], compression="lz4")
+    message = str(exc_info.value)
+    assert "desk-pc" in message
+    assert "'lz4'" in message
+    assert str(sorted(SUPPORTED_COMPRESSIONS)) in message

@@ -1,11 +1,9 @@
-"""The codec negotiation matrix: every store kind, advertisement, compression.
+"""The store matrix on canonical XML: every store kind x compression.
 
-Satellite of the binary-framing work: {InMemoryStore, XmlStoreDevice,
-FlakyStore} x {binary advertised, xml-only, absent advertisement} x
-{zlib, no compression}, all driven through the manager hot path with
-``FastPathConfig(codec="binary")``.  Binary frames must flow exactly
-when the store advertises them, everything else must transparently stay
-on canonical XML, and every combination must round-trip values.
+{InMemoryStore, XmlStoreDevice, FlakyStore} x {zlib, no compression},
+all driven through the manager hot path.  Each store must negotiate the
+compression it advertises, hold canonical XML at rest, and round-trip
+values through a mutate-and-cycle swap.
 """
 
 import pytest
@@ -14,40 +12,29 @@ from repro.core.fastpath import FastPathConfig
 from repro.devices import InMemoryStore
 from repro.devices.store import XmlStoreDevice
 from repro.faults import FaultInjector, FaultPlan, FlakyStore
+from repro.wire.canonical import verify_payload
 from tests.helpers import build_chain, chain_values, make_space
 
 
-def _make_store(kind, advert):
+def _make_store(kind):
     inner = (
         InMemoryStore("s")
         if kind == "memory"
         else XmlStoreDevice("s", capacity=1 << 20)
     )
-    if advert == "xml-only":
-        inner.supported_codecs = ("xml",)
-    elif advert == "absent":
-        inner.supported_codecs = ()
     if kind == "flaky":
         return FlakyStore(inner, FaultInjector(FaultPlan.empty())), inner
     return inner, inner
 
 
-def _binary_at_rest(inner):
-    if isinstance(inner, InMemoryStore):
-        return len(inner._wire)
-    return len(inner._codecs)
-
-
 @pytest.mark.parametrize("compression", ["zlib", "none"])
-@pytest.mark.parametrize("advert", ["binary", "xml-only", "absent"])
 @pytest.mark.parametrize("kind", ["memory", "xml", "flaky"])
-def test_negotiation_matrix_roundtrips(kind, advert, compression):
-    store, inner = _make_store(kind, advert)
+def test_negotiation_matrix_roundtrips(kind, compression):
+    store, inner = _make_store(kind)
     space = make_space(with_store=False)
     space.manager.add_store(store)
     space.manager.enable_fastpath(
         FastPathConfig(
-            codec="binary",
             compression=("zlib",) if compression == "zlib" else (),
             serve_swap_in_from_cache=False,
         )
@@ -56,17 +43,14 @@ def test_negotiation_matrix_roundtrips(kind, advert, compression):
     expected = list(range(12))
     assert chain_values(handle) == expected
 
-    binary_expected = advert == "binary"
     space.swap_out(2)
-    stats = space.manager.stats
-    assert (stats.codec_binary_ships > 0) == binary_expected
-    assert (_binary_at_rest(inner) > 0) == binary_expected
-    assert space.manager.fastpath.negotiated_codec["s"] == (
-        "binary" if binary_expected else None
-    )
+    # InMemoryStore advertises no compression, so it always gets plain text
+    negotiated = "zlib" if compression == "zlib" and kind != "memory" else None
+    assert space.manager.fastpath.negotiated["s"] == negotiated
+    location = space.clusters()[2].location
+    assert verify_payload(inner.fetch(location.key), location.digest)
 
     space.swap_in(2)
-    assert (stats.codec_binary_fetches > 0) == binary_expected
     assert chain_values(handle) == expected
 
     # mutate inside the swapped cluster, cycle again: values must travel
@@ -78,19 +62,3 @@ def test_negotiation_matrix_roundtrips(kind, advert, compression):
     space.swap_out(2)
     space.swap_in(2)
     assert chain_values(handle) == expected
-    assert stats.codec_fallbacks == 0  # nothing ever rejected a ship
-
-
-def test_matrix_never_leaks_binary_to_non_advertising_stores():
-    for kind in ("memory", "xml", "flaky"):
-        for advert in ("xml-only", "absent"):
-            store, inner = _make_store(kind, advert)
-            space = make_space(with_store=False)
-            space.manager.add_store(store)
-            space.manager.enable_fastpath(
-                FastPathConfig(codec="binary", serve_swap_in_from_cache=False)
-            )
-            space.ingest(build_chain(8), cluster_size=4, root_name="h")
-            space.swap_out(2)
-            assert _binary_at_rest(inner) == 0
-            assert space.manager.stats.codec_binary_ships == 0

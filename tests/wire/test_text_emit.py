@@ -16,7 +16,6 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.wire.binary import encode_cluster_binary
 from repro.wire.canonical import digest_of_canonical, serialize_element
 from repro.wire.delta import apply_cluster_delta, encode_cluster_delta
 from repro.wire.wrappers import emit_value, encode_value
@@ -249,18 +248,6 @@ def _delta_args(members, foreign, dirty, dead, base_epoch=1, epoch=2):
         member_oids=set(members) - set(dead),
     )
     return args
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 20))
-def test_canonical_and_binary_encoders_agree(seed, size):
-    members, foreign = _random_cluster(random.Random(seed), size)
-    text, digest = encode_cluster_canonical(**_codec_args(members, foreign))
-    btext, bdigest, _payload = encode_cluster_binary(
-        **_codec_args(members, foreign)
-    )
-    assert text == btext
-    assert digest == bdigest
 
 
 def _delta_round(rng, members, foreign, dead, dirty):

@@ -213,8 +213,8 @@ class DegradeLadder:
         space = self._space
         heap = space.heap
         reclaimable = 0
-        for cluster in space._clusters.values():
-            if cluster.swappable() and not cluster.dirty and cluster.oids:
+        for cluster in space._resident.values():
+            if not cluster.pins and not cluster.dirty and cluster.oids:
                 reclaimable += sum(
                     heap.size_of(oid)
                     for oid in cluster.oids

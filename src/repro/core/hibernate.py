@@ -154,7 +154,7 @@ def restore(
             cluster = space._clusters[ROOT_SID]
         else:
             cluster = SwapCluster(sid)
-            space._clusters[sid] = cluster
+            space._add_cluster(cluster)
         cluster.epoch = record["epoch"]
         cluster.cids = list(record["cids"])
         record["cluster"] = cluster

@@ -100,17 +100,15 @@ VictimSelector = Callable[["Any"], Optional[Sid]]
 FOREGROUND_PRIORITY = 2
 
 
-def lru_victim(space: Any) -> Optional[Sid]:
-    """Default victim policy: least-recently-crossed swappable cluster."""
-    best_sid: Optional[Sid] = None
-    best_tick = None
-    for sid, cluster in space._clusters.items():
-        if not cluster.swappable() or not cluster.oids:
-            continue
-        if best_tick is None or cluster.last_crossing_tick < best_tick:
-            best_tick = cluster.last_crossing_tick
-            best_sid = sid
-    return best_sid
+def _default_selector() -> VictimSelector:
+    """The default victim policy, :func:`repro.policy.victims.select_lru`.
+
+    Imported per call: ``repro.policy`` imports ``repro.core.restructure``,
+    so core takes nothing from it at module level.
+    """
+    from repro.policy.victims import select_lru
+
+    return select_lru
 
 
 @dataclass
@@ -191,7 +189,7 @@ class SwappingManager:
         #: copies, never a failed swap.
         self.replication_factor = 1
         #: Victim policy used by :meth:`ensure_room`.
-        self.victim_selector: VictimSelector = lru_victim
+        self.victim_selector: VictimSelector = _default_selector()
         #: When True, heap exhaustion automatically runs the victim loop.
         self.auto_swap = True
         #: When True, reloaded documents are structurally validated
@@ -325,7 +323,7 @@ class SwappingManager:
         the ladder had installed its own.
         """
         if self.ladder is not None and self.ladder.config.install_selector:
-            self.victim_selector = lru_victim
+            self.victim_selector = _default_selector()
         self.ladder = None
 
     # -- async scheduler ---------------------------------------------------------
@@ -1507,7 +1505,7 @@ class SwappingManager:
             replacement_oid, space.size_model.replacement_size(len(outbound))
         )
 
-        cluster.state = SwapClusterState.SWAPPED
+        space._set_cluster_state(cluster, SwapClusterState.SWAPPED)
         cluster.location = location
         cluster.replacement = replacement
         cluster.swap_out_count += 1
@@ -1661,7 +1659,7 @@ class SwappingManager:
                 proxy._obi_patch(document.objects[proxy._obi_target_oid])
 
             space.heap.free_oid(replacement.oid)
-            cluster.state = SwapClusterState.RESIDENT
+            space._set_cluster_state(cluster, SwapClusterState.RESIDENT)
             cluster.replacement = None
             cluster.location = None
             cluster.swap_in_count += 1

@@ -99,7 +99,7 @@ def merge_swap_clusters(space: Any, absorber_sid: Sid, absorbed_sid: Sid) -> Sid
     absorber.last_crossing_tick = max(
         absorber.last_crossing_tick, absorbed.last_crossing_tick
     )
-    space._clusters.pop(absorbed_sid, None)
+    space._pop_cluster(absorbed_sid)
     space._drop_proxy_bucket(absorbed_sid)
 
     space.bus.emit(

@@ -28,7 +28,7 @@ from weakref import ref as _ref
 from repro.clock import Clock, SimulatedClock
 from repro.core.clustering import group_clusters, resolve_strategy
 from repro.core.manager import SwappingManager
-from repro.core.swap_cluster import SwapCluster
+from repro.core.swap_cluster import SwapCluster, SwapClusterState
 from repro.errors import (
     AlreadyManagedError,
     ClusterNotResidentError,
@@ -102,6 +102,13 @@ class Space:
         self._objects: Dict[Oid, Any] = {}
         self._sid_by_oid: Dict[Oid, Sid] = {}
         self._clusters: Dict[Sid, SwapCluster] = {ROOT_SID: SwapCluster(ROOT_SID)}
+        #: The resident index: every resident swap-cluster except
+        #: swap-cluster-0, by sid.  Victim rankings scan it instead of
+        #: ``_clusters``, so their cost follows the residents, not every
+        #: cluster ever created.  Kept in step by :meth:`_add_cluster`,
+        #: :meth:`_pop_cluster` and :meth:`_set_cluster_state`; its order
+        #: changes on every swap-in, so no ranking may depend on it.
+        self._resident: Dict[Sid, SwapCluster] = {}
         #: The swap-cluster-proxy table: one weak bucket per *target*
         #: swap-cluster, mapping a key to a ``weakref.ref`` of a live
         #: proxy.  A canonical pair proxy is keyed ``(source_sid,
@@ -149,10 +156,31 @@ class Space:
         return dict(self._clusters)
 
     def new_swap_cluster(self) -> SwapCluster:
-        sid = self._ids.sids.next()
-        cluster = SwapCluster(sid, created_tick=self._tick)
-        self._clusters[sid] = cluster
+        cluster = SwapCluster(self._ids.sids.next(), created_tick=self._tick)
+        self._add_cluster(cluster)
         return cluster
+
+    def _add_cluster(self, cluster: SwapCluster) -> None:
+        """File ``cluster`` in the cluster table and, if resident, the
+        resident index."""
+        self._clusters[cluster.sid] = cluster
+        self._set_cluster_state(cluster, cluster.state)
+
+    def _pop_cluster(self, sid: Sid) -> Optional[SwapCluster]:
+        """Remove swap-cluster ``sid`` from the table and the index."""
+        self._resident.pop(sid, None)
+        return self._clusters.pop(sid, None)
+
+    def _set_cluster_state(
+        self, cluster: SwapCluster, state: SwapClusterState
+    ) -> None:
+        """Set ``cluster``'s residency and file it in or out of the
+        resident index to match."""
+        cluster.state = state
+        if state is SwapClusterState.RESIDENT and cluster.sid != ROOT_SID:
+            self._resident[cluster.sid] = cluster
+        else:
+            self._resident.pop(cluster.sid, None)
 
     def object_count(self) -> int:
         return len(self._objects)
@@ -280,7 +308,7 @@ class Space:
                 _object_setattr(obj, "_obi_oid", None)
                 _object_setattr(obj, "_obi_sid", None)
             for sid in created:
-                self._clusters.pop(sid, None)
+                self._pop_cluster(sid)
             raise
         for sid in created:
             for oid in list(self._clusters[sid].oids):
@@ -785,7 +813,7 @@ class Space:
 
     def _drop_cluster_record(self, sid: Sid) -> None:
         """Remove a collected cluster and tombstone any stale proxies."""
-        cluster = self._clusters.pop(sid, None)
+        cluster = self._pop_cluster(sid)
         if cluster is None:
             return
         tombstone = _CollectedTombstone(sid)
@@ -836,6 +864,18 @@ class Space:
                     problems.append(
                         f"swap-cluster {sid}: swapped without replacement/location"
                     )
+        indexed = {
+            sid: cluster
+            for sid, cluster in self._clusters.items()
+            if sid != ROOT_SID and cluster.is_resident
+        }
+        if self._resident.keys() != indexed.keys() or any(
+            self._resident[sid] is not cluster for sid, cluster in indexed.items()
+        ):
+            problems.append(
+                f"resident index {sorted(self._resident)} does not match the "
+                f"resident swap-clusters {sorted(indexed)}"
+            )
         if problems:
             raise IntegrityError("; ".join(problems))
 

@@ -12,7 +12,7 @@ from repro.core.degrade import (
     StallTracker,
 )
 from repro.core.fastpath import FastPathConfig
-from repro.core.manager import lru_victim
+from repro.policy.victims import select_lru
 from repro.devices import InMemoryStore
 from repro.errors import IntegrityError
 from repro.policy.pressure import classify
@@ -274,12 +274,12 @@ def test_unprotected_ladder_does_kill_foreground():
 
 def test_disable_restores_the_default_victim_selector():
     space = make_space("toggle")
-    assert space.manager.victim_selector is lru_victim
+    assert space.manager.victim_selector is select_lru
     space.manager.enable_degrade_ladder(DegradeLadderConfig())
-    assert space.manager.victim_selector is not lru_victim
+    assert space.manager.victim_selector is not select_lru
     space.manager.disable_degrade_ladder()
     assert space.manager.ladder is None
-    assert space.manager.victim_selector is lru_victim
+    assert space.manager.victim_selector is select_lru
 
 
 def test_enable_without_selector_keeps_the_current_one():
@@ -287,4 +287,4 @@ def test_enable_without_selector_keeps_the_current_one():
     space.manager.enable_degrade_ladder(
         DegradeLadderConfig(install_selector=False)
     )
-    assert space.manager.victim_selector is lru_victim
+    assert space.manager.victim_selector is select_lru

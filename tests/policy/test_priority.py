@@ -1,12 +1,7 @@
 """Responsiveness policy: priorities, working sets, victim ranking."""
 
-from repro.policy.priority import (
-    Priority,
-    hot_fraction,
-    rank_responsiveness,
-    working_set_bytes,
-)
-from repro.policy.victims import select_victims
+from repro.policy.priority import Priority, hot_fraction, working_set_bytes
+from repro.policy.victims import rank_responsiveness, select_victims
 from tests.helpers import build_chain, make_space
 
 

@@ -8,18 +8,14 @@ sized so only a handful of clusters fit at once.  Every few steps the
 walk crosses into a swapped cluster: a demand fetch plus (rf = 3) victim
 re-ships per fault, against five Bluetooth-class stores.
 
-Three scenarios on byte-identical workloads:
+Two scenarios on byte-identical workloads:
 
-* ``sync``   — the legacy blocking fault path: every fault stalls for
-  the victim ships *and* the demand fetch, serially;
+* ``sync``   — the blocking fault path (no scheduler): every fault
+  stalls for the victim ships *and* the demand fetch, serially;
 * ``async``  — the scheduler with one channel per store and prefetching
   on: victim write-back overlaps in-flight fetches, and the prefetcher
   keeps the next clusters warm, so the residual stall is the slice of
-  demand-transfer time nothing else could hide;
-* ``serial`` — the scheduler clamped to ``channels=1, prefetch=off``,
-  which must be **bit-identical** to ``sync`` (same stats, same clock,
-  same epochs, same heap) — the report carries a ``sync_equivalent``
-  flag CI asserts.
+  demand-transfer time nothing else could hide.
 
 Headline: p95 fault-stall reduction (simulated seconds an access was
 blocked on a reload), asserted ≥ 2x by CI across seeds, with the
@@ -135,8 +131,6 @@ class ScenarioResult:
     wall_s: float
     bytes_on_link: int
     link_seconds: float
-    #: sha256 over (clock, counters, epochs, heap) — byte-identity check
-    digest: str = ""
     # -- scheduler counters (zero for the sync scenario) --
     sched_demand_fetches: int = 0
     sched_prefetch_issued: int = 0
@@ -180,13 +174,6 @@ class AsyncBenchReport:
         fast = self.scenarios["async"].fault_stall_total_s
         return sync / fast if fast > 0 else float("inf")
 
-    @property
-    def sync_equivalent(self) -> bool:
-        """serial (channels=1, prefetch=off) bit-identical to sync."""
-        return (
-            self.scenarios["serial"].digest == self.scenarios["sync"].digest
-        )
-
     def to_json(self) -> str:
         payload = {
             "benchmark": "async_sched",
@@ -200,7 +187,6 @@ class AsyncBenchReport:
                 "mean_fault_stall": self.mean_stall_reduction,
                 "total_fault_stall": self.total_stall_reduction,
             },
-            "sync_equivalent": self.sync_equivalent,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -216,7 +202,7 @@ def _percentile(samples: List[float], fraction: float) -> float:
 def _build_space(config: AsyncBenchConfig) -> Tuple[Space, SimulatedClock, list]:
     """Space + stores + fully swapped-out ring, identical per scenario.
 
-    The prep phase runs entirely on the legacy path (the scheduler, when
+    The prep phase runs entirely on the blocking path (the scheduler, when
     a scenario uses one, is enabled only after), so every scenario
     starts the chase from the same simulated instant and store state.
     Resilience is on so placement spreads replicas across all five
@@ -260,23 +246,6 @@ def _chase_plan(config: AsyncBenchConfig) -> List[bool]:
     return [rng.random() < config.jump_fraction for _ in range(config.steps)]
 
 
-def _digest_of(space: Space, clock: SimulatedClock) -> str:
-    from repro.stats import counter_snapshot
-
-    payload = {
-        "clock": clock.now(),
-        "counters": counter_snapshot(space.manager.stats),
-        "epochs": {
-            str(sid): cluster.epoch
-            for sid, cluster in sorted(space._clusters.items())
-        },
-        "heap": space.heap.used,
-    }
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-
-
 def run_scenario(
     name: str,
     config: AsyncBenchConfig,
@@ -287,7 +256,7 @@ def run_scenario(
     obs_path: str | None = None,
     obs_append: bool = True,
 ) -> ScenarioResult:
-    """One chase.  ``channels=None`` means no scheduler (legacy path)."""
+    """One chase.  ``channels=None`` means no scheduler (blocking path)."""
     space, clock, links = _build_space(config)
     manager = space.manager
     obs = manager.enable_observability() if observe else None
@@ -335,7 +304,6 @@ def run_scenario(
         wall_s=wall_s,
         bytes_on_link=sum(link.stats.bytes_carried for link in links),
         link_seconds=sum(link.stats.seconds_charged for link in links),
-        digest=_digest_of(space, clock),
     )
     if sched is not None:
         sstats = sched.stats
@@ -362,14 +330,10 @@ def run_async_bench(
     observe: bool = False,
     obs_path: str | None = None,
 ) -> AsyncBenchReport:
-    """Run all three scenarios on byte-identical workloads."""
+    """Run both scenarios on byte-identical workloads."""
     config = config if config is not None else AsyncBenchConfig()
     report = AsyncBenchReport(config=config, observed=observe)
-    plans = [
-        ("sync", None, False),
-        ("async", config.channels, True),
-        ("serial", 1, False),
-    ]
+    plans = [("sync", None, False), ("async", config.channels, True)]
     for index, (name, channels, prefetch) in enumerate(plans):
         report.scenarios[name] = run_scenario(
             name,
@@ -409,8 +373,7 @@ def format_table(report: AsyncBenchReport) -> str:
     lines.append(
         f"reductions vs sync: p95 stall {report.p95_stall_reduction:.1f}x, "
         f"mean stall {report.mean_stall_reduction:.1f}x, total stall "
-        f"{report.total_stall_reduction:.1f}x; sync-equivalent serial: "
-        f"{report.sync_equivalent}"
+        f"{report.total_stall_reduction:.1f}x"
     )
     return "\n".join(lines)
 

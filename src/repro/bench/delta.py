@@ -1,22 +1,23 @@
 """Delta swap-out benchmark: object-granular deltas + pipelined fan-out.
 
-Measures what delta shipping (:mod:`repro.wire.delta`) and the
-multi-channel transfer scheduler (:mod:`repro.comm.pipeline`) buy on a
+Measures what delta shipping (:mod:`repro.wire.delta`) and the async
+scheduler's transfer channels (:mod:`repro.core.sched`) buy on a
 skewed-write workload — the paper's common case where a working set
 mutates a small fraction of each cluster between swap cycles:
 
 * ``fastpath_full`` — the PR 2 fast path exactly as shipped: dirty
   clusters re-encode and ship the *full* payload to every replica,
   serially, each cycle;
-* ``delta``         — delta shipping on (``delta=True``) plus three
-  pipelined link channels: after the first full ship, each cycle moves
-  only the dirtied objects (plus tombstones), and the replica fan-out
-  overlaps on independent channels.
+* ``delta``         — delta shipping on (``delta=True``) plus the async
+  scheduler with three channels and no speculation
+  (``enable_async_scheduler(channels=3, prefetch=False)``): after the
+  first full ship, each cycle moves only the dirtied objects (plus
+  tombstones), and the replica fan-out overlaps on independent channels.
 
 Both scenarios dirty the same ~10% of each cluster's members per cycle
 and replicate to the same ``replication_factor`` stores, so the
 comparison is apples-to-apples.  Reported per scenario: per-cycle
-simulated swap-out phase cost (the phase ends at ``scheduler.drain()``,
+simulated swap-out phase cost (the phase ends at ``sched.drain()``,
 so pipelined transfers are fully paid inside the measured window),
 bytes carried across every link, and the delta/pipeline counters.
 ``python -m repro.bench.delta`` writes ``BENCH_delta.json``.
@@ -88,7 +89,8 @@ class DeltaBenchConfig:
     blob_bytes: int = 128
     stores: int = 5
     replication_factor: int = 3
-    pipeline_channels: int = 3
+    #: async-scheduler transfer channels of the ``delta`` scenario
+    channels: int = 3
     heap_capacity: int = 32 << 20
     store_capacity: int = 32 << 20
 
@@ -236,11 +238,13 @@ def run_scenario(
 ) -> ScenarioResult:
     space, clock, links, sids = _build_space(config)
     manager = space.manager
-    manager.enable_fastpath(
-        FastPathConfig(
-            delta=delta,
-            pipeline_channels=config.pipeline_channels if delta else 0,
+    manager.enable_fastpath(FastPathConfig(delta=delta))
+    sched = (
+        manager.enable_async_scheduler(
+            channels=config.channels, prefetch=False
         )
+        if delta
+        else None
     )
     obs = manager.enable_observability() if observe else None
 
@@ -251,9 +255,8 @@ def run_scenario(
         start = clock.now()
         for sid in sids:
             manager.swap_out(sid)
-        scheduler = manager.fastpath.scheduler
-        if scheduler is not None:
-            scheduler.drain()
+        if sched is not None:
+            sched.drain()
         phase_costs.append(clock.now() - start)
         for sid in sids:
             manager.swap_in(sid)
@@ -266,7 +269,7 @@ def run_scenario(
             obs.export_jsonl(obs_path, label=f"delta:{name}", append=obs_append)
 
     stats = manager.stats
-    scheduler = manager.fastpath.scheduler
+    pipeline = sched.transfers.stats if sched is not None else None
     return ScenarioResult(
         name=name,
         cycles=config.cycles,
@@ -283,12 +286,8 @@ def run_scenario(
         delta_compactions=stats.fastpath_delta_compactions,
         delta_bytes_shipped=stats.delta_bytes_shipped,
         delta_bytes_saved=stats.delta_bytes_saved,
-        pipeline_transfers=(
-            scheduler.stats.transfers if scheduler is not None else 0
-        ),
-        pipeline_saved_s=(
-            scheduler.stats.saved_s if scheduler is not None else 0.0
-        ),
+        pipeline_transfers=pipeline.transfers if pipeline is not None else 0,
+        pipeline_saved_s=pipeline.saved_s if pipeline is not None else 0.0,
         phases=phases,
     )
 

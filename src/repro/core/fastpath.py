@@ -59,10 +59,6 @@ class FastPathConfig:
     #: Compaction threshold: cumulative delta bytes exceeding this
     #: fraction of the base payload size also force a full rewrite.
     delta_max_ratio: float = 1.0
-    #: Number of concurrent link channels for pipelined swap-out
-    #: (replica fan-out + encode/transfer overlap).  0 = serial
-    #: shipping exactly as before.
-    pipeline_channels: int = 0
 
 
 @dataclass
@@ -162,9 +158,6 @@ class FastPathState:
     negotiated: Dict[str, Optional[str]] = field(default_factory=dict)
     #: sid -> delta chain currently standing on the replica stores.
     chains: Dict[Sid, DeltaChain] = field(default_factory=dict)
-    #: Pipelined transfer scheduler (set by the manager when
-    #: ``config.pipeline_channels > 0``; None = serial shipping).
-    scheduler: Optional[object] = None
 
     def __post_init__(self) -> None:
         self.cache = PayloadCache(self.config.cache_budget_bytes)

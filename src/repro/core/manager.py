@@ -254,32 +254,19 @@ class SwappingManager:
         config: Optional[FastPathConfig] = None,
         *,
         delta: Optional[bool] = None,
-        pipeline_channels: Optional[int] = None,
     ) -> FastPathState:
         """Turn on the swap fast path (see :mod:`repro.core.fastpath`).
 
         Calling again replaces the state (fresh cache and retention
-        tables) with the new ``config``.  The keyword shortcuts overlay
-        the config: ``enable_fastpath(delta=True)`` turns on
-        object-granular delta swap-out, ``pipeline_channels=n`` attaches
-        a :class:`~repro.comm.pipeline.TransferScheduler` so replica
-        fan-out and encode/transfer overlap on ``n`` link channels.
+        tables) with the new ``config``.  ``enable_fastpath(delta=True)``
+        overlays the config to turn on object-granular delta swap-out.
+        Overlapped replica ships come from the async scheduler:
+        ``enable_async_scheduler(channels=n, prefetch=False)``.
         """
         config = config if config is not None else FastPathConfig()
-        overrides: Dict[str, Any] = {}
         if delta is not None:
-            overrides["delta"] = delta
-        if pipeline_channels is not None:
-            overrides["pipeline_channels"] = pipeline_channels
-        if overrides:
-            config = replace(config, **overrides)
+            config = replace(config, delta=delta)
         self.fastpath = FastPathState(config)
-        if config.pipeline_channels > 0:
-            from repro.comm.pipeline import TransferScheduler
-
-            self.fastpath.scheduler = TransferScheduler(
-                self._space.clock, config.pipeline_channels
-            )
         return self.fastpath
 
     def disable_fastpath(self) -> None:
@@ -343,10 +330,11 @@ class SwappingManager:
         in-flight work.
 
         The keyword shortcuts overlay the config:
-        ``enable_async_scheduler(channels=1, prefetch=False)`` is the
-        serial mode that is bit-identical to the legacy blocking path.
-        Calling again replaces the scheduler (fresh op ledger and
-        prefetch history) with the new config.
+        ``enable_async_scheduler(channels=1, prefetch=False)`` is one
+        transfer channel with no speculation; write-back and stale-copy
+        drops still ride that channel.  Calling again retires the old
+        scheduler as :meth:`disable_async_scheduler` does, then installs
+        a fresh one (new op ledger and prefetch history).
         """
         from repro.core.sched import AsyncSchedConfig, AsyncSwapScheduler
 
@@ -360,6 +348,7 @@ class SwappingManager:
             overrides["prefetch_depth"] = prefetch_depth
         if overrides:
             config = replace(config, **overrides)
+        self.disable_async_scheduler()
         self.sched = AsyncSwapScheduler(self, config)
         return self.sched
 
@@ -367,10 +356,11 @@ class SwappingManager:
         """Back to the blocking fault path.
 
         In-flight op windows are drained first, so simulated reality
-        owes nothing when the scheduler goes away.
+        owes nothing when the scheduler goes away; speculative payloads
+        still buffered count as prefetch waste.
         """
         if self.sched is not None:
-            self.sched.drain()
+            self.sched.close()
             self.sched = None
 
     # -- topology ----------------------------------------------------------------
@@ -1127,20 +1117,12 @@ class SwappingManager:
         return location
 
     def _channel(self, holder: Any, kind: str = "ship"):
-        """A scheduler channel for ``holder``'s link (no-op when serial).
-
-        With the async scheduler active the ship rides its channel pool
-        as a SHIP/DELTA-SHIP op (and, in serial mode, delegates back to
-        exactly the legacy behavior); otherwise the fast path's own
-        pipeline scheduler — or plain inline execution — applies.
-        """
+        """A scheduler channel for ``holder``'s link: with the async
+        scheduler active the ship rides its channel pool as a
+        SHIP/DELTA-SHIP op; without one it runs inline."""
         if self.sched is not None:
             return self.sched.ship_channel(holder, kind)
-        fastpath = self.fastpath
-        scheduler = fastpath.scheduler if fastpath is not None else None
-        if scheduler is None:
-            return nullcontext()
-        return scheduler.channel(getattr(holder, "_link", None))
+        return nullcontext()
 
     def _swap_out_full(
         self, cluster: SwapCluster, chosen: SwapStore | None
@@ -1539,10 +1521,6 @@ class SwappingManager:
             # open ones, then best history, then lowest link latency
             holders = self.resilience.rank_replicas(holders)
         fastpath = self.fastpath
-        if fastpath is not None and fastpath.scheduler is not None:
-            # simulated reality must catch up with every scheduled write
-            # before anything is read back from the stores
-            fastpath.scheduler.drain()
         cached: Optional[str] = None
         if fastpath is not None and fastpath.config.serve_swap_in_from_cache:
             # the canonical payload may still be held locally; its digest
@@ -1707,10 +1685,9 @@ class SwappingManager:
                     )
                     if location.key not in stale:
                         stale.insert(0, location.key)
-                    if self.sched is not None and self.sched.defer_drops(
-                        sid, stale, list(holders)
-                    ):
-                        pass  # invalidations ride the transfer channels
+                    if self.sched is not None:
+                        # invalidations ride the transfer channels
+                        self.sched.defer_drops(sid, stale, list(holders))
                     else:
                         for stale_key in stale:
                             for holder in holders:

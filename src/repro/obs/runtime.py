@@ -251,9 +251,9 @@ class Observability:
             self.metrics.gauge("fastpath.cache.hit_ratio").set(
                 hits / stats.swap_outs
             )
-        scheduler = getattr(fastpath, "scheduler", None)
-        if scheduler is not None:
-            pipeline = scheduler.stats
+        sched = getattr(self._manager, "sched", None)
+        if sched is not None:
+            pipeline = sched.transfers.stats
             self.metrics.counter("link.pipeline.transfers").set_to(
                 pipeline.transfers
             )
@@ -269,8 +269,6 @@ class Observability:
             self.metrics.gauge("link.pipeline.saved_s").set(
                 pipeline.saved_s
             )
-        sched = getattr(self._manager, "sched", None)
-        if sched is not None:
             sstats = sched.stats
             self.metrics.gauge("sched.queue.depth").set(len(sched.queue))
             self.metrics.counter("sched.queue.max_depth").set_to(

@@ -95,7 +95,7 @@ def test_delta_off_changes_nothing():
     assert stats.fastpath_delta_ships == 0
     assert stats.fastpath_delta_fallbacks == 0
     assert not space.manager.fastpath.chains
-    assert space.manager.fastpath.scheduler is None
+    assert space.manager.sched is None  # the fast path attaches no scheduler
     assert stats.encode_calls == 2  # dirty swap-out re-encoded, as before
 
 
@@ -237,27 +237,32 @@ def test_payload_cache_evicts_lru_under_budget_pressure():
 def test_pipelined_fanout_overlaps_replica_ships():
     clock = SimulatedClock()
     space = make_space(with_store=False, clock=clock)
-    for index in range(3):
+    links = [bluetooth_link(clock) for _ in range(3)]
+    for index, link in enumerate(links):
         space.manager.add_store(
-            XmlStoreDevice(
-                f"peer-{index}", capacity=1 << 20, link=bluetooth_link(clock)
-            )
+            XmlStoreDevice(f"peer-{index}", capacity=1 << 20, link=link)
         )
     space.manager.replication_factor = 3
+    # no cache hit: the swap-in must really fetch from a replica
     space.manager.enable_fastpath(
-        FastPathConfig(delta=True, pipeline_channels=3)
+        FastPathConfig(delta=True, serve_swap_in_from_cache=False)
     )
+    sched = space.manager.enable_async_scheduler(channels=3, prefetch=False)
     handle = _ingest(space)
 
     space.swap_out(2)
-    scheduler = space.manager.fastpath.scheduler
-    assert scheduler is not None
-    assert scheduler.stats.transfers == 3  # one ship per replica
-    assert scheduler.in_flight()
+    transfers = sched.transfers
+    assert transfers.stats.transfers == 3  # one ship per replica
+    assert transfers.in_flight()
+    ships_land = min(transfers.link_free_at(link) for link in links)
+    assert ships_land > clock.now()
 
-    _ = space.swap_in(2)  # drains the scheduler before any fetch
-    assert not scheduler.in_flight()
-    assert scheduler.stats.saved_s > 0.0  # the fan-out truly overlapped
+    _ = space.swap_in(2)
+    # the fetch queues behind its replica's ship: nothing is read back
+    # from a store before the ship to it has landed
+    assert clock.now() > ships_land
+    sched.drain()
+    assert transfers.stats.saved_s > 0.0  # the fan-out truly overlapped
 
     _mutate(space, 2)
     _cycle(space, 2)

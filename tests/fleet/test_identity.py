@@ -5,8 +5,9 @@ The fleet subsystem is strictly opt-in: ``manager.tenant`` is ``None``
 unless a registry binds one, and every fleet hook sits behind that
 check.  The strongest regression guard is replaying a scenario-bench
 run and comparing the *entire* scored result — stall distributions,
-counters, rung transitions — against the entry committed in
-``BENCH_scenarios.json`` before/alongside the fleet work.
+counters, rung transitions — against the tracked reference in
+``scenarios_seed1.json``: the seed-1 ``run_once`` results of
+``memory_spike`` and ``app_switch_storm`` with the ladder on and off.
 """
 
 from __future__ import annotations
@@ -19,18 +20,12 @@ import pytest
 from repro.bench.scenarios import build_script, run_once
 from repro.faults.scenarios import SCENARIOS
 
-BENCH_PATH = Path(__file__).resolve().parents[2] / "BENCH_scenarios.json"
+REFERENCE_PATH = Path(__file__).with_name("scenarios_seed1.json")
 
 
 @pytest.fixture(scope="module")
 def committed():
-    if not BENCH_PATH.exists():
-        pytest.skip(
-            "BENCH_scenarios.json not present (bench artifacts are "
-            "generated, not tracked) — run "
-            "`python -m repro.bench.scenarios` first"
-        )
-    return json.loads(BENCH_PATH.read_text())
+    return json.loads(REFERENCE_PATH.read_text())
 
 
 @pytest.mark.parametrize("scenario", ["memory_spike", "app_switch_storm"])
@@ -42,7 +37,7 @@ def test_single_tenant_run_matches_committed_bench(
     seed = 1
     result = run_once(spec, seed, build_script(spec, seed), ladder=ladder)
     mode = "ladder" if ladder else "baseline"
-    expected = committed["scenarios"][scenario]["seeds"][str(seed)][mode]
+    expected = committed[scenario][mode]
     assert result == expected
 
 

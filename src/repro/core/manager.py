@@ -103,8 +103,8 @@ FOREGROUND_PRIORITY = 2
 def _default_selector() -> VictimSelector:
     """The default victim policy, :func:`repro.policy.victims.select_lru`.
 
-    Imported per call: ``repro.policy`` imports ``repro.core.restructure``,
-    so core takes nothing from it at module level.
+    Imported per call, so importing core loads nothing from the policy
+    package (``repro.policy.tuning`` imports ``repro.core.restructure``).
     """
     from repro.policy.victims import select_lru
 

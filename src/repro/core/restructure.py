@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, List, Set
 
+from repro.core.swap_proxy import set_cluster, set_target_sid
 from repro.errors import ClusterNotResidentError, ClusterPinnedError, NotManagedError
 from repro.events import SwapClusterMergedEvent, SwapClusterSplitEvent
 from repro.ids import Oid, ROOT_SID, Sid
@@ -54,8 +55,8 @@ def _move_bucket_entries(
     for key, proxy in space.proxies_targeting(from_sid).items():
         if moved_oids is not None and proxy._obi_target_oid not in moved_oids:
             continue
-        _object_setattr(proxy, "_obi_target_sid", to_sid)
-        _object_setattr(proxy, "_obi_cluster", target_cluster)
+        set_target_sid(proxy, to_sid)
+        set_cluster(proxy, target_cluster)
         space._refile_proxy(proxy, from_sid, key, key)
         moved += 1
     return moved

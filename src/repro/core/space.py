@@ -29,6 +29,15 @@ from repro.clock import Clock, SimulatedClock
 from repro.core.clustering import group_clusters, resolve_strategy
 from repro.core.manager import SwappingManager
 from repro.core.swap_cluster import SwapCluster, SwapClusterState
+from repro.core.swap_proxy import (
+    set_assign_mode,
+    set_cluster,
+    set_source_sid,
+    set_space,
+    set_target,
+    set_target_oid,
+    set_target_sid,
+)
 from repro.errors import (
     AlreadyManagedError,
     ClusterNotResidentError,
@@ -49,6 +58,7 @@ from repro.runtime.classext import instance_fields
 from repro.runtime.registry import TypeRegistry, global_registry
 
 _object_setattr = object.__setattr__
+_new_object = object.__new__
 
 #: Types that can never be (or contain) managed references.
 _ATOMIC = frozenset(
@@ -120,9 +130,11 @@ class Space:
         #: paper's proxy finalizer; see :meth:`_register_proxy`.
         self._proxy_buckets: Dict[Sid, Dict[Any, "_ref[Any]"]] = {}
         self._roots: Dict[str, Any] = {}
-        #: class-name -> generated proxy class (bypasses the registry
-        #: lock on the invocation fast path)
-        self._proxy_class_cache: Dict[str, type] = {}
+        #: application class -> generated proxy class, filled by
+        #: :meth:`_mint` (bypasses the registry lock).  Every key is a
+        #: managed class: generated forwarders test a result's class
+        #: against it to mediate the result inline.
+        self._proxy_classes: Dict[type, type] = {}
         self._tick = 0
         #: Installed by a Replicator: resolves <extref> wire references
         #: (unreplicated frontier) when a swapped cluster reloads.
@@ -188,13 +200,6 @@ class Space:
     def _next_tick(self) -> int:
         self._tick += 1
         return self._tick
-
-    def _record_crossing(self, target_sid: Sid, source_sid: Sid) -> None:
-        self._tick += 1
-        cluster = self._clusters.get(target_sid)
-        if cluster is not None:
-            cluster.crossings += 1
-            cluster.last_crossing_tick = self._tick
 
     # ------------------------------------------------------------------ adoption
 
@@ -465,7 +470,7 @@ class Space:
                 return value
             if value_sid == to_sid:
                 return value
-            return self._proxy_for(to_sid, value._obi_oid)
+            return self._proxy_for(to_sid, value._obi_oid, value_sid, value)
         if getattr(cls, "_obi_is_proxy", False):
             if value._obi_space is not self:
                 raise NotManagedError(
@@ -528,12 +533,12 @@ class Space:
                 # optimisation): two slot writes per step, bucket move
                 # only on an actual swap-cluster boundary crossing
                 old_target_sid = proxy._obi_target_sid
-                _object_setattr(proxy, "_obi_target_oid", value._obi_oid)
-                _object_setattr(proxy, "_obi_target", value)
+                set_target_oid(proxy, value._obi_oid)
+                set_target(proxy, value)
                 if value_sid != old_target_sid:
                     self._move_patch_bucket(proxy, old_target_sid, value_sid)
                 return proxy
-            return self._proxy_for(to_sid, value._obi_oid)
+            return self._proxy_for(to_sid, value._obi_oid, value_sid, value)
         if getattr(cls, "_obi_is_proxy", False):
             target_sid = value._obi_target_sid
             if target_sid == to_sid:
@@ -579,14 +584,23 @@ class Space:
             old_bucket.pop(old_key, None)
         self._register_proxy(proxy, proxy._obi_target_sid, new_key)
 
-    def _proxy_for(self, source_sid: Sid, target_oid: Oid) -> Any:
+    def _proxy_for(
+        self,
+        source_sid: Sid,
+        target_oid: Oid,
+        target_sid: Optional[Sid] = None,
+        target: Any = None,
+    ) -> Any:
         """Reuse or mint the canonical swap-cluster-proxy for one pair.
 
         The target cluster's bucket is the reuse cache: the pair's proxy
         is filed there under ``(source_sid, target_oid)`` (registration
-        inlined from :meth:`_register_proxy`).
+        inlined from :meth:`_register_proxy`).  A caller that holds the
+        resident target object passes it and its sid; otherwise both are
+        looked up.
         """
-        target_sid = self._sid_by_oid[target_oid]
+        if target_sid is None:
+            target_sid = self._sid_by_oid[target_oid]
         key = (source_sid, target_oid)
         bucket = self._proxy_buckets.get(target_sid)
         if bucket is None:
@@ -597,24 +611,53 @@ class Space:
                 proxy = ref()
                 if proxy is not None:
                     return proxy
-        cluster = self._clusters[target_sid]
-        class_name = cluster.class_name_by_oid[target_oid]
-        proxy_class = self._proxy_class_cache.get(class_name)
-        if proxy_class is None:
-            proxy_class = self._registry.proxy_class_for(
-                self._registry.resolve(class_name)
-            )
-            self._proxy_class_cache[class_name] = proxy_class
-        proxy = proxy_class.__new__(proxy_class)
+        if target is None:
+            target = self._target_of(target_sid, target_oid)
+        proxy = self._mint(source_sid, target_sid, target_oid, target)
+        bucket[key] = _ref(proxy, _partial(bucket.pop, key))
+        return proxy
+
+    def _target_of(self, target_sid: Sid, target_oid: Oid) -> Any:
+        """What a new proxy to ``target_oid`` points at: the resident
+        object, or its swapped cluster's replacement-object."""
         target = self._objects.get(target_oid)
         if target is None:
-            target = cluster.replacement
+            target = self._clusters[target_sid].replacement
             if target is None:
                 raise IntegrityError(
                     f"object oid={target_oid} neither resident nor swapped"
                 )
-        proxy._obi_init(self, source_sid, target_sid, target_oid, target, cluster)
-        bucket[key] = _ref(proxy, _partial(bucket.pop, key))
+        return target
+
+    def _mint(
+        self, source_sid: Sid, target_sid: Sid, target_oid: Oid, target: Any
+    ) -> Any:
+        """Build a swap-cluster-proxy; the one place a proxy is made.
+
+        The caller files it in the proxy table.  The proxy class is
+        cached by application class, so a resident target finds it by
+        its own class.
+        """
+        proxy_class = self._proxy_classes.get(target.__class__)
+        if proxy_class is None:
+            # a replacement-object target, or a class not seen yet: the
+            # cluster's membership record names the class
+            cls = self._registry.resolve(
+                self._clusters[target_sid].class_name_by_oid[target_oid]
+            )
+            proxy_class = self._proxy_classes.get(cls)
+            if proxy_class is None:
+                proxy_class = self._proxy_classes[cls] = (
+                    self._registry.proxy_class_for(cls)
+                )
+        proxy = _new_object(proxy_class)
+        set_space(proxy, self)
+        set_source_sid(proxy, source_sid)
+        set_target_sid(proxy, target_sid)
+        set_target_oid(proxy, target_oid)
+        set_target(proxy, target)
+        set_cluster(proxy, self._clusters[target_sid])
+        set_assign_mode(proxy, False)
         return proxy
 
     def _retarget_proxy(
@@ -630,8 +673,8 @@ class Space:
         pair proxy (``SwapClusterUtils.assign`` re-keyed it once).
         """
         old_target_sid = proxy._obi_target_sid
-        _object_setattr(proxy, "_obi_target_oid", new_oid)
-        _object_setattr(proxy, "_obi_target", new_target)
+        set_target_oid(proxy, new_oid)
+        set_target(proxy, new_target)
         if new_target_sid != old_target_sid:
             self._move_patch_bucket(proxy, old_target_sid, new_target_sid)
 
@@ -639,8 +682,8 @@ class Space:
         self, proxy: Any, old_target_sid: Sid, new_target_sid: Sid
     ) -> None:
         """An assign-mode cursor crossed a boundary: re-file its entry."""
-        _object_setattr(proxy, "_obi_target_sid", new_target_sid)
-        _object_setattr(proxy, "_obi_cluster", self._clusters[new_target_sid])
+        set_target_sid(proxy, new_target_sid)
+        set_cluster(proxy, self._clusters[new_target_sid])
         self._refile_proxy(proxy, old_target_sid, id(proxy), id(proxy))
 
     def make_cursor(self, handle: Any) -> Any:
@@ -657,18 +700,9 @@ class Space:
 
         target_oid = SwapClusterUtils.oid_of(handle)
         target_sid = self._sid_by_oid[target_oid]
-        cluster = self._clusters[target_sid]
-        target_class = self._registry.resolve(cluster.class_name_by_oid[target_oid])
-        proxy_class = self._registry.proxy_class_for(target_class)
-        proxy = proxy_class.__new__(proxy_class)
-        target = self._objects.get(target_oid)
-        if target is None:
-            target = cluster.replacement
-            if target is None:
-                raise IntegrityError(
-                    f"object oid={target_oid} neither resident nor swapped"
-                )
-        proxy._obi_init(self, ROOT_SID, target_sid, target_oid, target, cluster)
+        proxy = self._mint(
+            ROOT_SID, target_sid, target_oid, self._target_of(target_sid, target_oid)
+        )
         self._register_proxy(proxy, target_sid, id(proxy))
         return proxy
 

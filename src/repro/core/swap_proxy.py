@@ -5,10 +5,11 @@ different swap-clusters.  Unlike replication proxies (discarded once the
 target is replicated), "a special proxy always remains in the way"
 (Section 1).  Generated subclasses (see
 :func:`repro.runtime.obicomp.compile_proxy_class`) add one forwarding
-method per public method of the application class; this base class
-implements the shared machinery the paper puts in ``SwapClusterUtils``
-and the generated "code excerpt that verifies references being passed as
-parameters and return values" (Section 4):
+method per public method of the application class, each compiled from
+the one interception template, the paper's generated "code excerpt that
+verifies references being passed as parameters and return values"
+(Section 4).  This base class holds the proxy's slots, field access and
+identity; with the template it implements:
 
 * resolve the target, transparently swapping the cluster back in when the
   proxy finds a replacement-object in the way;
@@ -28,10 +29,11 @@ parameters and return values" (Section 4):
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from types import MethodType
+from typing import Any
 
-from repro.core.replacement import ReplacementObject
-from repro.runtime.barrier import MUTABLE_CONTAINERS
+from repro.runtime.barrier import is_readonly_method
+from repro.runtime.obicomp import compile_forwarder
 
 _object_setattr = object.__setattr__
 
@@ -64,104 +66,22 @@ class SwapClusterProxyBase:
     def __init__(self) -> None:
         raise TypeError(
             "swap-cluster-proxies are created by the middleware "
-            "(Space._proxy_for), never directly"
+            "(Space._mint), never directly"
         )
-
-    # -- middleware construction (bypasses __init__) -------------------------
-
-    def _obi_init(
-        self,
-        space: Any,
-        source_sid: int,
-        target_sid: int,
-        target_oid: int,
-        target: Any,
-        cluster: Any = None,
-    ) -> None:
-        _object_setattr(self, "_obi_space", space)
-        _object_setattr(self, "_obi_source_sid", source_sid)
-        _object_setattr(self, "_obi_target_sid", target_sid)
-        _object_setattr(self, "_obi_target_oid", target_oid)
-        _object_setattr(self, "_obi_target", target)
-        if cluster is None:
-            cluster = space._clusters[target_sid]
-        _object_setattr(self, "_obi_cluster", cluster)
-        _object_setattr(self, "_obi_assign_mode", False)
 
     # -- ISwapClusterProxy ----------------------------------------------------
 
     def _obi_patch(self, new_target: Any) -> None:
         """Point at a new target instance (same oid: swap-in repatching)."""
-        _object_setattr(self, "_obi_target", new_target)
+        set_target(self, new_target)
 
     def _obi_detach(self, replacement: Any) -> None:
         """Detach from the live object; the replacement stands in."""
-        _object_setattr(self, "_obi_target", replacement)
+        set_target(self, replacement)
 
     def _obi_same_object(self, other: Any) -> bool:
         result = self.__eq__(other)
         return result is True
-
-    # -- invocation (the generated methods funnel here) -----------------------
-
-    def _obi_invoke(self, name: str, args: Tuple[Any, ...], kwargs: Dict[str, Any]) -> Any:
-        space = self._obi_space
-        target = self._obi_target
-        if target.__class__ is ReplacementObject:
-            space._manager.swap_in(self._obi_target_sid)
-            target = self._obi_target
-        target_sid = self._obi_target_sid
-        # inlined boundary-crossing bookkeeping (recency/frequency stats)
-        tick = space._tick + 1
-        space._tick = tick
-        cluster = self._obi_cluster
-        cluster.crossings += 1
-        cluster.last_crossing_tick = tick
-        if not cluster.dirty_all and not getattr(
-            getattr(target.__class__, name, None), "_obi_readonly", False
-        ):
-            # conservative dirty-tracking: a non-@readonly method may
-            # mutate the target cluster without any field write
-            cluster.mark_dirty()
-        if args or kwargs:
-            # a mutable container handed across the boundary may later be
-            # mutated by the callee: invalidate the *source* cluster too
-            for value in args if not kwargs else (*args, *kwargs.values()):
-                if value.__class__ in MUTABLE_CONTAINERS:
-                    source = space._clusters.get(self._obi_source_sid)
-                    if source is not None and not source.dirty_all:
-                        source.mark_dirty()
-                    break
-        if args:
-            args = tuple(space._translate(value, target_sid) for value in args)
-        if kwargs:
-            result = getattr(target, name)(
-                *args,
-                **{
-                    key: space._translate(value, target_sid)
-                    for key, value in kwargs.items()
-                },
-            )
-        else:
-            # exact-arity generated wrappers pass kwargs=None
-            result = getattr(target, name)(*args)
-        result_class = result.__class__
-        if result_class in _ATOMIC_RESULTS:
-            return result
-        if self._obi_assign_mode and getattr(result_class, "_obi_managed", False):
-            # inlined assign-mode fast path (paper §4, "Optimizing Code
-            # for Iterations"): patch this proxy to the returned
-            # reference and hand back a reference to ourselves
-            value_sid = getattr(result, "_obi_sid", None)
-            if value_sid is not None and result._obi_space is space:
-                if value_sid == self._obi_source_sid:
-                    return result
-                _object_setattr(self, "_obi_target_oid", result._obi_oid)
-                _object_setattr(self, "_obi_target", result)
-                if value_sid != target_sid:
-                    space._move_patch_bucket(self, target_sid, value_sid)
-                return self
-        return space._translate_return(result, self)
 
     # -- transparent field access ----------------------------------------------
 
@@ -178,16 +98,21 @@ class SwapClusterProxyBase:
         if getattr(target.__class__, "_obi_is_replacement", False):
             space._manager.swap_in(self._obi_target_sid)
             target = self._obi_target
-        space._record_crossing(self._obi_target_sid, self._obi_source_sid)
+        # boundary-crossing bookkeeping, as in every generated forwarder
+        tick = space._tick + 1
+        space._tick = tick
+        cluster = self._obi_cluster
+        cluster.crossings += 1
+        cluster.last_crossing_tick = tick
         value = getattr(target, name)
         if callable(value) and getattr(value, "__self__", None) is target:
-            # a non-public bound method: forward through the interception
-            # machinery so its arguments/results are still translated
-            def forwarder(*args: Any, **kwargs: Any) -> Any:
-                return self._obi_invoke(name, args, kwargs)
-
-            forwarder.__name__ = name
-            return forwarder
+            # a non-public bound method: hand out the generic forwarder
+            # bound to this proxy, so its arguments/results are still
+            # translated when it is called
+            forwarder = compile_forwarder(
+                name, None, is_readonly_method(target.__class__, name)
+            )
+            return MethodType(forwarder, self)
         return space._translate_return(value, self)
 
     def __setattr__(self, name: str, value: Any) -> None:
@@ -199,7 +124,11 @@ class SwapClusterProxyBase:
         if getattr(target.__class__, "_obi_is_replacement", False):
             space._manager.swap_in(self._obi_target_sid)
             target = self._obi_target
-        space._record_crossing(self._obi_target_sid, self._obi_source_sid)
+        tick = space._tick + 1
+        space._tick = tick
+        cluster = self._obi_cluster
+        cluster.crossings += 1
+        cluster.last_crossing_tick = tick
         setattr(target, name, space._translate(value, self._obi_target_sid))
 
     # -- identity (paper §4, "Enforcing Object Identity") ------------------------
@@ -236,3 +165,16 @@ class SwapClusterProxyBase:
             f"<swap-proxy {class_name} oid={self._obi_target_oid} "
             f"{self._obi_source_sid}->{self._obi_target_sid} {state}>"
         )
+
+
+# Slot setters: each slot's member descriptor ``__set__``, bound once.  A
+# slot write through one of these skips ``object.__setattr__``'s generic
+# attribute lookup; it is the only way the middleware writes a proxy slot.
+_SLOTS = SwapClusterProxyBase.__dict__
+set_space = _SLOTS["_obi_space"].__set__
+set_source_sid = _SLOTS["_obi_source_sid"].__set__
+set_target_sid = _SLOTS["_obi_target_sid"].__set__
+set_target_oid = _SLOTS["_obi_target_oid"].__set__
+set_target = _SLOTS["_obi_target"].__set__
+set_cluster = _SLOTS["_obi_cluster"].__set__
+set_assign_mode = _SLOTS["_obi_assign_mode"].__set__

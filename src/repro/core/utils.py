@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.core.swap_proxy import set_assign_mode
 from repro.errors import NotManagedError, PolicyError
 from repro.ids import ROOT_SID
 from repro.runtime.classext import is_managed, is_proxy
@@ -49,7 +50,7 @@ class SwapClusterUtils:
         key = (proxy._obi_source_sid, proxy._obi_target_oid)
         if space.proxies_targeting(target_sid).get(key) is proxy:
             space._refile_proxy(proxy, target_sid, key, id(proxy))
-        proxy._obi_assign_mode = True
+        set_assign_mode(proxy, True)
         return proxy
 
     @staticmethod
@@ -59,7 +60,7 @@ class SwapClusterUtils:
             raise NotManagedError(
                 f"unassign() needs a swap-cluster-proxy, got {type(proxy).__name__}"
             )
-        proxy._obi_assign_mode = False
+        set_assign_mode(proxy, False)
         return proxy
 
     @staticmethod

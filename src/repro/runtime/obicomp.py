@@ -18,7 +18,8 @@ cached per registry.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Optional, Type, TypeVar, overload
+import keyword
+from typing import Any, Callable, Optional, Tuple, Type, TypeVar, overload
 
 from repro.runtime.barrier import install_write_barrier, is_readonly_method
 from repro.runtime.classext import extract_schema
@@ -84,8 +85,9 @@ def _make_forwarding_method(cls: Type[Any], name: str) -> Callable[..., Any]:
 
     Like the paper's obicomp, the generated code matches the concrete
     method signature: a plain positional signature gets an exact-arity
-    wrapper (no *args/**kwargs packing on the invocation fast path); a
-    complex signature falls back to a generic wrapper.
+    forwarder (no *args/**kwargs packing on the invocation fast path); a
+    complex signature gets the generic ``*args, **kwargs`` forwarder.
+    Both are compiled from the same template.
     """
     import inspect
 
@@ -111,33 +113,42 @@ def _make_forwarding_method(cls: Type[Any], name: str) -> Callable[..., Any]:
                     break
                 exact_params.append(parameter.name)
 
-    safe_params = exact_params is not None and all(
-        parameter.isidentifier() and not parameter.startswith("_obi")
-        for parameter in exact_params
-    )
-    if safe_params and name.isidentifier() and not name.startswith("__"):
-        method = _compile_inline_forwarder(
-            name, exact_params, readonly=is_readonly_method(cls, name)
+    # the template's own locals all start with "_": a parameter that does
+    # too, or a dunder method, takes the generic forwarder
+    exact = (
+        exact_params is not None
+        and _is_plain_name(name)
+        and not name.startswith("__")
+        and all(
+            _is_plain_name(parameter) and not parameter.startswith("_")
+            for parameter in exact_params
         )
-    else:
-        def method(self: Any, *args: Any, **kwargs: Any) -> Any:
-            return self._obi_invoke(name, args, kwargs)
-
-    method.__name__ = name
-    method.__qualname__ = name
-    method.__doc__ = f"Generated swap-cluster-proxy forwarder for {name!r}."
-    return method
+    )
+    return compile_forwarder(
+        name,
+        tuple(exact_params) if exact else None,
+        is_readonly_method(cls, name),
+    )
 
 
-# The full interception body, generated per method exactly as the paper's
+def _is_plain_name(name: str) -> bool:
+    return name.isidentifier() and not keyword.iskeyword(name)
+
+
+# The one interception body, generated per method exactly as the paper's
 # obicomp emits "a similar code excerpt that verifies references being
 # passed as parameters and return values" into every proxy method:
 # resolve the target (transparently swapping the cluster back in), record
 # the boundary crossing, translate non-atomic arguments into the target
-# cluster, invoke the replica, and translate the result out — including
-# the assign-mode self-patch fast path.
-_INLINE_TEMPLATE = """\
-def {name}(self{params}):
+# cluster, invoke the replica, and translate the result out.  A result
+# whose class the space already has a proxy class for is a managed object
+# and is mediated inline: in assign mode the proxy patches itself to it
+# (paper §4, "Optimizing Code for Iterations"), otherwise it gets the
+# canonical pair proxy, minted from the value and sid in hand.  Every
+# other result goes through ``Space._translate_return``, which mediates
+# the same way.
+_FORWARDER_TEMPLATE = """\
+def {def_name}(self{params}):
     _space = self._obi_space
     _target = self._obi_target
     if _target.__class__ is _Replacement:
@@ -150,23 +161,34 @@ def {name}(self{params}):
     _cluster.last_crossing_tick = _tick
 {mark_dirty}\
 {arg_translations}\
-    _result = _target.{name}({args})
+    _result = {method}({args})
     _result_class = _result.__class__
     if _result_class in _ATOMIC:
         return _result
-    if self._obi_assign_mode and getattr(_result_class, "_obi_managed", False):
-        _value_sid = getattr(_result, "_obi_sid", None)
+    if self._obi_assign_mode:
+        if _result_class in _space._proxy_classes:
+            _value_sid = _getattr(_result, "_obi_sid", None)
+            if _value_sid is not None and _result._obi_space is _space:
+                if _value_sid == self._obi_source_sid:
+                    return _result
+                _set_target_oid(self, _result._obi_oid)
+                _set_target(self, _result)
+                if _value_sid != self._obi_target_sid:
+                    _space._move_patch_bucket(self, self._obi_target_sid, _value_sid)
+                return self
+    elif _result_class in _space._proxy_classes:
+        _value_sid = _getattr(_result, "_obi_sid", None)
         if _value_sid is not None and _result._obi_space is _space:
-            if _value_sid == self._obi_source_sid:
+            _source_sid = self._obi_source_sid
+            if _value_sid == _source_sid:
                 return _result
-            _setattr(self, "_obi_target_oid", _result._obi_oid)
-            _setattr(self, "_obi_target", _result)
-            if _value_sid != self._obi_target_sid:
-                _space._move_patch_bucket(self, self._obi_target_sid, _value_sid)
-            return self
+            return _space._proxy_for(
+                _source_sid, _result._obi_oid, _value_sid, _result
+            )
     return _space._translate_return(_result, self)
 """
 
+# Exact-arity argument translation, one block per parameter.
 _ARG_TRANSLATION = (
     "    if {arg}.__class__ not in _ATOMIC:\n"
     "        if {arg}.__class__ in _MUTABLE:\n"
@@ -175,6 +197,27 @@ _ARG_TRANSLATION = (
     "                _src.mark_dirty()\n"
     "        {arg} = _space._translate({arg}, self._obi_target_sid)\n"
 )
+
+# Generic argument translation.  A mutable container handed across the
+# boundary may later be mutated by the callee: invalidate the *source*
+# cluster too.
+_VARARGS_TRANSLATION = """\
+    if args or kwargs:
+        for _value in (*args, *kwargs.values()) if kwargs else args:
+            if _value.__class__ in _MUTABLE:
+                _src = _space._clusters.get(self._obi_source_sid)
+                if _src is not None and not _src.dirty_all:
+                    _src.mark_dirty()
+                break
+        _to_sid = self._obi_target_sid
+        if args:
+            args = tuple([_space._translate(_value, _to_sid) for _value in args])
+        if kwargs:
+            kwargs = {
+                _key: _space._translate(_value, _to_sid)
+                for _key, _value in kwargs.items()
+            }
+"""
 
 # Conservative dirty-tracking: a non-@readonly method may mutate its
 # target cluster; the write barrier catches field writes, this catches
@@ -185,31 +228,54 @@ _MARK_DIRTY = (
 )
 
 
-def _compile_inline_forwarder(
-    name: str, params: list, readonly: bool = False
+@functools.lru_cache(maxsize=None)
+def compile_forwarder(
+    name: str, params: Optional[Tuple[str, ...]], readonly: bool
 ) -> Callable[..., Any]:
+    """Compile the forwarder of method ``name``.
+
+    ``params`` names an exact-arity signature; ``None`` gives the generic
+    ``*args, **kwargs`` forwarder, which generated classes use for
+    complex signatures and ``__getattr__`` hands out for non-public
+    methods.  A ``readonly`` method does not mark its target dirty.
+    """
     from repro.core.replacement import ReplacementObject
-    from repro.core.swap_proxy import _ATOMIC_RESULTS
+    from repro.core.swap_proxy import _ATOMIC_RESULTS, set_target, set_target_oid
     from repro.runtime.barrier import MUTABLE_CONTAINERS
 
-    source = _INLINE_TEMPLATE.format(
-        name=name,
-        params="".join(f", {parameter}" for parameter in params),
-        args=", ".join(params),
-        mark_dirty="" if readonly else _MARK_DIRTY,
-        arg_translations="".join(
+    if params is None:
+        params_text, args, arg_translations = (
+            ", *args, **kwargs", "*args, **kwargs", _VARARGS_TRANSLATION
+        )
+    else:
+        params_text = "".join(f", {parameter}" for parameter in params)
+        args = ", ".join(params)
+        arg_translations = "".join(
             _ARG_TRANSLATION.format(arg=parameter) for parameter in params
-        ),
+        )
+    plain = _is_plain_name(name)
+    source = _FORWARDER_TEMPLATE.format(
+        def_name=name if plain else "forwarder",
+        params=params_text,
+        method=f"_target.{name}" if plain else f"_getattr(_target, {name!r})",
+        args=args,
+        mark_dirty="" if readonly else _MARK_DIRTY,
+        arg_translations=arg_translations,
     )
     namespace: dict[str, Any] = {
         "_Replacement": ReplacementObject,
         "_ATOMIC": _ATOMIC_RESULTS,
         "_MUTABLE": MUTABLE_CONTAINERS,
-        "_setattr": object.__setattr__,
-        "getattr": getattr,
+        "_set_target": set_target,
+        "_set_target_oid": set_target_oid,
+        "_getattr": getattr,
     }
     exec(source, namespace)  # noqa: S102 - generated forwarder, fixed template
-    return namespace[name]
+    method = namespace[name if plain else "forwarder"]
+    method.__name__ = name
+    method.__qualname__ = name
+    method.__doc__ = f"Generated swap-cluster-proxy forwarder for {name!r}."
+    return method
 
 
 def compile_proxy_class(cls: Type[Any]) -> Type[Any]:

@@ -189,8 +189,10 @@ def restore(
         space._ids.oids.reserve_above(max(instances))
 
     # -- pass 3: fill fields (proxies may now be built), account heap -------------
+    size_of = space.size_model.size_of
     for record in cluster_records:
         resolver = resolve(record["sid"])
+        sizes: Dict[int, int] = {}
         for oid, obj_el in record["members"]:
             instance = instances[oid]
             for field_el in obj_el:
@@ -201,7 +203,8 @@ def restore(
                     field_el.get("name"),
                     decode_value(field_el[0], resolver),
                 )
-            space.heap.allocate(oid, space.size_model.size_of(instance))
+            sizes[oid] = size_of(instance)
+        space.heap.allocate_cluster(sizes)
 
     # -- roots ----------------------------------------------------------------------
     roots_el = manifest.find("roots")

@@ -821,13 +821,11 @@ class SwappingManager:
             for oid in cluster.oids
             if heap.holds(oid)
         }
-        for oid in displaced:
-            heap.free_oid(oid)
+        heap.free_cluster(displaced)
         try:
             location = self._swap_out_full(cluster, fallback)
         except (StoreFullError, HeapExhaustedError):
-            for oid, size in displaced.items():
-                heap.allocate(oid, size)
+            heap.allocate_cluster(displaced)
             return None
         finally:
             self.auto_swap = previous_auto
@@ -1477,12 +1475,12 @@ class SwappingManager:
 
         # Release the members; they become eligible for local collection.
         # (compress-local pre-releases the accounting so the pool can
-        # displace the victim's own bytes — hence the ``holds`` guard)
-        bytes_freed = 0
+        # displace the victim's own bytes; ``free_cluster`` skips oids
+        # the heap no longer holds)
+        bytes_freed = space.heap.free_cluster(cluster.oids)
+        objects = space._objects
         for oid in cluster.oids:
-            if space.heap.holds(oid):
-                bytes_freed += space.heap.free_oid(oid)
-            del space._objects[oid]
+            del objects[oid]
         space.heap.allocate(
             replacement_oid, space.size_model.replacement_size(len(outbound))
         )
@@ -1613,11 +1611,13 @@ class SwappingManager:
                 )
 
             # Make room before adopting (the replacement's bytes come back
-            # once the reload succeeds).
-            sizes = {
-                oid: space.size_model.size_of(obj)
-                for oid, obj in document.objects.items()
+            # once the reload succeeds).  Replicas are sized afresh: a
+            # write through a proxy does not resize its target.
+            replicas = {
+                oid: document.objects[oid] for oid in sorted(document.objects)
             }
+            size_of = space.size_model.size_of
+            sizes = {oid: size_of(obj) for oid, obj in replicas.items()}
             total = sum(sizes.values())
             if not space.heap.would_fit(total):
                 self.ensure_room(total)
@@ -1627,14 +1627,12 @@ class SwappingManager:
                     f"{space.heap.free} free"
                 )
 
-            for oid in sorted(document.objects):
-                replica = document.objects[oid]
-                space._install_replica(replica, oid, sid)
-                space.heap.allocate(oid, sizes[oid])
+            space._install_replicas(sid, replicas)
+            space.heap.allocate_cluster(sizes)
 
             # Patch all inbound proxies back to the replicas.
             for proxy in space.proxies_targeting(sid).values():
-                proxy._obi_patch(document.objects[proxy._obi_target_oid])
+                proxy._obi_patch(replicas[proxy._obi_target_oid])
 
             space.heap.free_oid(replacement.oid)
             space._set_cluster_state(cluster, SwapClusterState.RESIDENT)
@@ -2234,8 +2232,7 @@ class SwappingManager:
             self.drop_swapped(cluster)
             freed += before - space.heap.used
         else:
-            for oid in list(cluster.oids):
-                freed += space._evict_object(oid)
+            freed += space._evict_cluster(cluster)
         # drops retained store copies too, via _on_cluster_collected
         space._drop_cluster_record(sid)
         self.stats.oom_kills += 1

@@ -239,14 +239,19 @@ class Space:
         self._objects[oid] = obj
         return oid
 
-    def _install_replica(self, obj: Any, oid: Oid, sid: Sid) -> None:
-        """Re-register a swapped-in replica under its original oid."""
-        _object_setattr(obj, "_obi_oid", oid)
-        _object_setattr(obj, "_obi_sid", sid)
-        _object_setattr(obj, "_obi_space", self)
-        self._objects[oid] = obj
-        self._sid_by_oid[oid] = sid
-        self._ids.oids.reserve_above(oid)
+    def _install_replicas(self, sid: Sid, replicas: Dict[Oid, Any]) -> None:
+        """Re-register a swapped-in cluster's replicas under their
+        original oids, in ``replicas``' order."""
+        objects = self._objects
+        sid_by_oid = self._sid_by_oid
+        for oid, obj in replicas.items():
+            _object_setattr(obj, "_obi_oid", oid)
+            _object_setattr(obj, "_obi_sid", sid)
+            _object_setattr(obj, "_obi_space", self)
+            objects[oid] = obj
+            sid_by_oid[oid] = sid
+        if replicas:
+            self._ids.oids.reserve_above(max(replicas))
 
     def _evict_object(self, oid: Oid) -> int:
         """Remove a collected object entirely (LGC sweep path)."""
@@ -257,6 +262,19 @@ class Space:
         if obj is not None:
             _object_setattr(obj, "_obi_space", None)
         return self.heap.free_oid(oid) if self.heap.holds(oid) else 0
+
+    def _evict_cluster(self, cluster: SwapCluster) -> int:
+        """Remove every member of a resident cluster that is collected or
+        OOM-killed: :meth:`_evict_object` for the whole cluster, with one
+        heap operation.  Returns the bytes freed."""
+        oids = list(cluster.oids)
+        for oid in oids:
+            obj = self._objects.pop(oid, None)
+            self._sid_by_oid.pop(oid, None)
+            cluster.remove_member(oid, collected=True)
+            if obj is not None:
+                _object_setattr(obj, "_obi_space", None)
+        return self.heap.free_cluster(oids)
 
     # ------------------------------------------------------------------ ingest
 

@@ -13,7 +13,7 @@ deciding to swap is the policy engine's job.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Collection, Dict, List, Mapping, Optional
 
 from repro.errors import HeapExhaustedError
 
@@ -130,8 +130,59 @@ class Heap:
         self._check_watermarks()
         return size
 
+    # -- whole swap-clusters ---------------------------------------------------
+    #
+    # A swap-in, a swap-out and a collected cluster move many allocations
+    # at once.  Each call below leaves exactly the state of the per-oid
+    # loop it stands for (``used``, ``peak``, ``allocations``, the sizes,
+    # and every callback with the ``used``/``ratio`` it saw).  When no
+    # step of that loop could fire a callback, it updates the totals once
+    # and checks no watermark: ``used`` moves monotonically through the
+    # batch, so its end points bound every ratio in between.  Otherwise
+    # (a watermark in reach, or an allocation that does not fit) it runs
+    # the per-oid loop.
+
+    def allocate_cluster(self, sizes: Mapping[int, int]) -> None:
+        """Allocate every ``oid -> size`` of ``sizes``, in its order, as
+        ``allocate`` would one by one."""
+        start = self._used
+        end = start + sum(sizes.values())
+        if (
+            end > self.capacity
+            or not self._quiet(start, end)
+            or not self._sizes.keys().isdisjoint(sizes)
+            or (sizes and min(sizes.values()) < 0)
+        ):
+            for oid, size in sizes.items():
+                self.allocate(oid, size)
+            return
+        self._sizes.update(sizes)
+        self._used = end
+        self._allocations += len(sizes)
+        if end > self._peak:
+            self._peak = end
+
+    def free_cluster(self, oids: Collection[int]) -> int:
+        """Free those of ``oids`` the heap holds, in order, as
+        ``free_oid`` would one by one; returns the bytes freed.
+
+        Oids it does not hold are skipped: the compress-local rung
+        releases a victim's accounting before its detach runs.
+        """
+        sizes = self._sizes
+        freed = sum(sizes[oid] for oid in oids if oid in sizes)
+        if not self._quiet(self._used, self._used - freed):
+            return sum(self.free_oid(oid) for oid in oids if oid in sizes)
+        pop = sizes.pop
+        for oid in oids:
+            pop(oid, None)
+        self._used -= freed
+        return freed
+
     def resize(self, oid: int, new_size: int) -> None:
         """Adjust an existing allocation (object grew or shrank)."""
+        if new_size < 0:
+            raise ValueError("allocation size must be non-negative")
         old = self._sizes[oid]
         delta = new_size - old
         if delta > 0 and self._used + delta > self.capacity:
@@ -155,6 +206,13 @@ class Heap:
         return max(0, self._used - target)
 
     # -- internals ------------------------------------------------------------
+
+    def _quiet(self, start: int, end: int) -> bool:
+        """Whether moving ``used`` monotonically from ``start`` to ``end``
+        crosses no watermark, so no check on the way would fire."""
+        if self._above_high:
+            return min(start, end) / self.capacity > self.low_watermark
+        return max(start, end) / self.capacity < self.high_watermark
 
     def _check_watermarks(self) -> None:
         ratio = self.ratio

@@ -24,7 +24,7 @@ decisions between invocations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Tuple
+from typing import Any, Iterable
 
 from repro.ids import ROOT_SID
 from repro.memory.reachability import mark_from, space_roots
@@ -60,25 +60,7 @@ class LocalCollector:
         # all, and the kept members anchor their own outgoing references
         # (otherwise a conservatively-preserved object could hold a proxy
         # into a cluster the sweep just collected).
-        expanded_clusters: set = set()
-
-        def expand_object(oid: int):
-            sid = space._sid_by_oid.get(oid)
-            if sid is None or sid == ROOT_SID or sid in expanded_clusters:
-                return ()
-            cluster = space._clusters.get(sid)
-            if cluster is None or not cluster.is_resident:
-                return ()
-            expanded_clusters.add(sid)
-            return [
-                space._objects[member_oid]
-                for member_oid in cluster.oids
-                if member_oid in space._objects
-            ]
-
-        reachable = mark_from(
-            space_roots(space, extra_roots), expand_object=expand_object
-        )
+        reachable = mark_from(space_roots(space, extra_roots), space)
 
         objects_collected = 0
         clusters_collected = 0
@@ -110,16 +92,12 @@ class LocalCollector:
                         objects_collected += 1
                 continue
 
-            any_reachable = any(
-                reachable.is_object_reachable(oid) for oid in cluster.oids
-            )
-            if any_reachable or not cluster.oids:
+            if sid in reachable.cluster_sids or not cluster.oids:
                 # conservative whole-cluster rule: internal garbage is
                 # preserved as long as any member is reachable
                 continue
-            for oid in list(cluster.oids):
-                bytes_freed += space._evict_object(oid)
-                objects_collected += 1
+            objects_collected += len(cluster.oids)
+            bytes_freed += space._evict_cluster(cluster)
             space._drop_cluster_record(sid)
             clusters_collected += 1
 

@@ -39,7 +39,7 @@ from repro.replication.cluster import ObjectCluster
 from repro.runtime.registry import TypeRegistry, global_registry
 from repro.wire.canonical import serialize_element
 from repro.wire.wrappers import decode_value
-from repro.wire.xmlcodec import encode_cluster
+from repro.wire.xmlcodec import encode_cluster_canonical
 
 _object_setattr = object.__setattr__
 
@@ -170,7 +170,7 @@ class ObjectServer:
                 frontier.append((graph.cid_by_soid[soid], soid))
             return index
 
-        body = encode_cluster(
+        body, _digest = encode_cluster_canonical(
             sid=cid,
             space=self.name,
             epoch=0,

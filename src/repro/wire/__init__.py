@@ -19,7 +19,6 @@ from repro.wire.xmlcodec import (
     ClusterDocument,
     OutRef,
     LocalRef,
-    encode_cluster,
     encode_cluster_canonical,
     encode_cluster_stream,
     decode_cluster,
@@ -47,7 +46,6 @@ __all__ = [
     "ClusterDocument",
     "OutRef",
     "LocalRef",
-    "encode_cluster",
     "encode_cluster_canonical",
     "encode_cluster_stream",
     "decode_cluster",

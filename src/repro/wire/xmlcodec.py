@@ -53,7 +53,7 @@ class OutRef:
     index: int
 
 
-def encode_cluster(
+def encode_cluster_canonical(
     *,
     sid: int,
     space: str,
@@ -62,8 +62,9 @@ def encode_cluster(
     oid_of: Callable[[Any], int],
     outbound_index_of: Callable[[Any], int],
     foreign_index_of: Callable[[Any], int] | None = None,
-) -> str:
-    """Serialize a swap-cluster to XML text.
+) -> Tuple[str, str]:
+    """Serialize a swap-cluster to XML text; returns the text and its
+    digest.
 
     ``objects`` maps oid -> managed instance (all must belong to the
     cluster).  ``oid_of`` returns the oid of a raw managed object;
@@ -76,36 +77,11 @@ def encode_cluster(
     raw foreign reference raises :class:`IntegrityError`: on a device
     such an edge should have been a swap-cluster-proxy.
 
-    The returned text is *canonical* (see :mod:`repro.wire.canonical`):
-    re-hashing it raw equals its :func:`~repro.wire.canonical.
-    payload_digest`, with no parse/re-serialize round trip.
-    """
-    text, _digest = encode_cluster_canonical(
-        sid=sid,
-        space=space,
-        epoch=epoch,
-        objects=objects,
-        oid_of=oid_of,
-        outbound_index_of=outbound_index_of,
-        foreign_index_of=foreign_index_of,
-    )
-    return text
-
-
-def encode_cluster_canonical(
-    *,
-    sid: int,
-    space: str,
-    epoch: int,
-    objects: Dict[int, Any],
-    oid_of: Callable[[Any], int],
-    outbound_index_of: Callable[[Any], int],
-    foreign_index_of: Callable[[Any], int] | None = None,
-) -> Tuple[str, str]:
-    """One-pass encode: canonical text plus its digest.
-
-    The members are written straight as canonical text (no element
-    tree); the joined text is hashed once.
+    The members are written straight as canonical text (see
+    :mod:`repro.wire.canonical`; no element tree), and the joined text
+    is hashed once: re-hashing it raw equals its
+    :func:`~repro.wire.canonical.payload_digest`, with no
+    parse/re-serialize round trip.
     """
     text = "".join(
         encode_cluster_stream(
@@ -247,9 +223,9 @@ def encode_cluster_stream(
     per member object, closing tag.
 
     Each chunk is canonical text written directly, with no element tree.
-    Chunks concatenate to exactly :func:`encode_cluster`'s output, so a
-    transport can frame/ship them without ever materializing the whole
-    document alongside a second serialized copy.
+    Chunks concatenate to exactly :func:`encode_cluster_canonical`'s
+    text, so a transport can frame/ship them without ever materializing
+    the whole document alongside a second serialized copy.
     """
     classify = make_classifier(
         sid=sid,

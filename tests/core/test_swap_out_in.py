@@ -226,3 +226,19 @@ def test_reload_failure_when_nothing_evictable():
     assert space.clusters()[2].is_swapped
     space.verify_integrity()
     assert chain_values(handle) == list(range(20))  # works once unpinned
+
+
+def test_proxy_write_is_charged_to_the_heap_at_the_next_swap_in(space):
+    # DESIGN.md section 5, invariant 6: member sizes are refreshed at
+    # adopt, attach and swap-in.  A write through a proxy does not resize
+    # its target, so the heap learns of the growth only when the
+    # cluster's replicas are sized on reload.
+    handle = space.ingest(build_chain(2), cluster_size=2, root_name="h")
+    before = space.heap.used
+    handle.set_value("x" * 1000)
+    assert space.heap.used == before
+    sid = space.sid_of(handle)
+    space.swap_out(sid)
+    space.swap_in(sid)
+    assert space.heap.used == before - 8 + 1000  # int payload -> str payload
+    space.verify_integrity()

@@ -92,6 +92,15 @@ def test_resize_grow_and_shrink():
     assert heap.used == 10
 
 
+def test_resize_to_negative_size_rejected():
+    heap = Heap(100)
+    heap.allocate(1, 40)
+    with pytest.raises(ValueError):
+        heap.resize(1, -5)
+    assert heap.used == 40
+    assert heap.size_of(1) == 40
+
+
 def test_resize_over_capacity_raises():
     heap = Heap(100)
     heap.allocate(1, 40)
@@ -130,3 +139,23 @@ def test_stats():
 def test_negative_allocation_rejected():
     with pytest.raises(ValueError):
         Heap(100).allocate(1, -5)
+
+
+def test_cluster_calls_fire_watermarks_where_the_per_oid_loop_does():
+    heap = Heap(100, high_watermark=0.8, low_watermark=0.5)
+    seen = []
+    heap.on_high(lambda h, n: seen.append(("high", h.used)))
+    heap.on_low(lambda h, n: seen.append(("low", h.used)))
+    heap.allocate_cluster({1: 30, 2: 60, 3: 5})  # crosses high at oid 2
+    assert seen == [("high", 90)]
+    assert heap.used == 95 and heap.stats().allocations == 3
+    assert heap.free_cluster([3, 2, 9]) == 65  # oid 9 is not held
+    assert seen == [("high", 90), ("low", 30)]
+
+
+def test_cluster_allocation_that_does_not_fit_keeps_the_prefix():
+    heap = Heap(100)
+    with pytest.raises(HeapExhaustedError):
+        heap.allocate_cluster({1: 60, 2: 30, 3: 20})
+    assert heap.used == 90
+    assert heap.holds(2) and not heap.holds(3)

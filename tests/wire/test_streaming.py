@@ -15,7 +15,6 @@ from repro.wire.canonical import (
 )
 from repro.wire.xmlcodec import (
     decode_cluster,
-    encode_cluster,
     encode_cluster_canonical,
     encode_cluster_stream,
 )
@@ -66,7 +65,7 @@ def _rich_members():
 def test_stream_chunks_concatenate_to_encode_cluster():
     members = _rich_members()
     streamed = "".join(encode_cluster_stream(**_codec_args(members)))
-    assert streamed == encode_cluster(**_codec_args(members))
+    assert streamed == encode_cluster_canonical(**_codec_args(members))[0]
 
 
 def test_stream_yields_one_chunk_per_object_plus_frame():
@@ -92,7 +91,7 @@ def test_empty_cluster_streams_self_closing():
     text = "".join(encode_cluster_stream(**_codec_args({})))
     assert text.endswith("/>")
     assert ET.fromstring(text).tag == "swap-cluster"
-    assert text == encode_cluster(**_codec_args({}))
+    assert text == encode_cluster_canonical(**_codec_args({}))[0]
 
 
 # -- digests --------------------------------------------------------------
@@ -108,7 +107,7 @@ def test_incremental_digest_matches_posthoc_digest():
 
 def test_encoder_output_is_already_canonical():
     members = _rich_members()
-    text = encode_cluster(**_codec_args(members))
+    text, _digest = encode_cluster_canonical(**_codec_args(members))
     assert canonical_text(text) == text
 
 

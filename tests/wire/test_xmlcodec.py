@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import CodecError, IntegrityError
 from repro.runtime.registry import global_registry
-from repro.wire.xmlcodec import decode_cluster, encode_cluster
+from repro.wire.xmlcodec import decode_cluster, encode_cluster_canonical
 from tests.helpers import Holder, Node, Pair
 
 
@@ -26,7 +26,7 @@ def _encode(members, outbound=None, **kwargs):
             outbound.append(proxy)
         return outbound.index(proxy)
 
-    return encode_cluster(
+    xml, _digest = encode_cluster_canonical(
         sid=5,
         space="test",
         epoch=1,
@@ -35,6 +35,7 @@ def _encode(members, outbound=None, **kwargs):
         outbound_index_of=outbound_index_of,
         **kwargs,
     )
+    return xml
 
 
 def _decode(xml, resolve_out=None):
@@ -96,7 +97,7 @@ def test_foreign_index_of_allows_server_frontier():
     object.__setattr__(outside, "_test_oid", 99)
     frontier = []
 
-    xml = encode_cluster(
+    xml, _digest = encode_cluster_canonical(
         sid=1,
         space="server",
         epoch=0,
@@ -114,7 +115,7 @@ def test_unmanaged_member_raises():
         pass
 
     with pytest.raises(CodecError):
-        encode_cluster(
+        encode_cluster_canonical(
             sid=1, space="s", epoch=0, objects={1: Plain()},
             oid_of=lambda o: 1, outbound_index_of=lambda p: 0,
         )
@@ -206,7 +207,7 @@ def test_outbound_proxies_by_index():
             outbound.append(proxy)
         return len(outbound) - 1
 
-    xml = encode_cluster(
+    xml, _digest = encode_cluster_canonical(
         sid=1, space="t", epoch=1, objects=members,
         oid_of=lambda o: o._obi_oid, outbound_index_of=outbound_index_of,
     )

@@ -18,8 +18,7 @@ persists at 100% swap-out.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
-from xml.etree import ElementTree as ET
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.clustering import walk_graph
 from repro.core.interfaces import SwapStore
@@ -29,7 +28,9 @@ from repro.memory.heap import Heap
 from repro.memory.sizemodel import DEFAULT_SIZE_MODEL, SizeModel
 from repro.runtime.classext import instance_fields
 from repro.runtime.registry import TypeRegistry, global_registry
-from repro.wire.wrappers import decode_value, encode_value
+from repro.wire.canonical import canonical_element
+from repro.wire.scan import read_document, read_fields, scan_once
+from repro.wire.wrappers import emit_fields
 
 _object_setattr = object.__setattr__
 
@@ -204,28 +205,29 @@ class NaiveRuntime:
         return None
 
     def _encode(self, oid: int, obj: Any) -> str:
-        schema = type(obj)._obi_schema
-        root = ET.Element("naive-object", {"oid": str(oid), "class": schema.name})
-        for name, value in instance_fields(obj).items():
-            field_el = ET.SubElement(root, "field", {"name": name})
-            field_el.append(encode_value(value, self._classify))
-        return ET.tostring(root, encoding="unicode")
+        fields: List[str] = []
+        emit_fields(fields, instance_fields(obj), self._classify)
+        return canonical_element(
+            "naive-object",
+            {"oid": str(oid), "class": type(obj)._obi_schema.name},
+            "".join(fields),
+        )
 
     def _decode(self, text: str) -> Any:
-        root = ET.fromstring(text)
-        oid = int(root.get("oid"))
-        cls = self._registry.resolve(root.get("class", ""))
-        obj = object.__new__(cls)
-        _object_setattr(obj, "_nv_oid", oid)
-
         def resolve(kind: str, ident: Any) -> Any:
             if kind != "local":
                 raise CodecError("naive documents only carry proxy references")
             return self._proxies[ident]
 
-        for field_el in root:
-            name = field_el.get("name")
-            _object_setattr(obj, name, decode_value(field_el[0], resolve))
+        def read(candidate: str) -> Tuple[Dict[str, str], Dict[str, Any]]:
+            attrs, body = read_document(candidate, "naive-object")
+            return attrs, read_fields(body, resolve)
+
+        attrs, fields = scan_once(text, "naive object", read)
+        obj = object.__new__(self._registry.resolve(attrs.get("class", "")))
+        _object_setattr(obj, "_nv_oid", int(attrs["oid"]))
+        for name, value in fields.items():
+            _object_setattr(obj, name, value)
         return obj
 
     # -- reporting -------------------------------------------------------------------------

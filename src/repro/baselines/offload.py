@@ -17,8 +17,7 @@ are measured, not asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
-from xml.etree import ElementTree as ET
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.comm.transport import Link, LoopbackLink
 from repro.core.clustering import walk_graph
@@ -28,7 +27,9 @@ from repro.memory.heap import Heap
 from repro.memory.sizemodel import DEFAULT_SIZE_MODEL, SizeModel
 from repro.runtime.classext import instance_fields
 from repro.runtime.registry import TypeRegistry, global_registry
-from repro.wire.wrappers import decode_value, encode_value
+from repro.wire.canonical import canonical_element
+from repro.wire.scan import read_document, read_fields, scan_once
+from repro.wire.wrappers import emit_fields
 
 _object_setattr = object.__setattr__
 
@@ -254,20 +255,15 @@ class OffloadRuntime:
         return None
 
     def _encode(self, oid: int, obj: Any) -> str:
-        schema = type(obj)._obi_schema
-        root = ET.Element("offload-object", {"oid": str(oid), "class": schema.name})
-        for name, value in instance_fields(obj).items():
-            field_el = ET.SubElement(root, "field", {"name": name})
-            field_el.append(encode_value(value, self._classify))
-        return ET.tostring(root, encoding="unicode")
+        fields: List[str] = []
+        emit_fields(fields, instance_fields(obj), self._classify)
+        return canonical_element(
+            "offload-object",
+            {"oid": str(oid), "class": type(obj)._obi_schema.name},
+            "".join(fields),
+        )
 
     def _decode(self, text: str) -> Any:
-        root = ET.fromstring(text)
-        oid = int(root.get("oid"))
-        cls = self._registry.resolve(root.get("class", ""))
-        obj = object.__new__(cls)
-        _object_setattr(obj, "_ol_oid", oid)
-
         def resolve(kind: str, ident: Any) -> Any:
             if kind != "local":
                 raise CodecError("offload documents only carry oid references")
@@ -280,10 +276,15 @@ class OffloadRuntime:
                 self._surrogates[ident] = surrogate
             return surrogate
 
-        for field_el in root:
-            _object_setattr(
-                obj, field_el.get("name"), decode_value(field_el[0], resolve)
-            )
+        def read(candidate: str) -> Tuple[Dict[str, str], Dict[str, Any]]:
+            attrs, body = read_document(candidate, "offload-object")
+            return attrs, read_fields(body, resolve)
+
+        attrs, fields = scan_once(text, "offload object", read)
+        obj = object.__new__(self._registry.resolve(attrs.get("class", "")))
+        _object_setattr(obj, "_ol_oid", int(attrs["oid"]))
+        for name, value in fields.items():
+            _object_setattr(obj, name, value)
         return obj
 
     def memory_report(self) -> Dict[str, int]:

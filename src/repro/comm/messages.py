@@ -1,6 +1,6 @@
 """XML request/response envelopes for the web-service bridge.
 
-Wire shape::
+Wire shape (canonical text, see :mod:`repro.wire.canonical`)::
 
     <envelope op="store">
       <param name="key"><str>pda/sc-3/e1</str></param>
@@ -8,16 +8,25 @@ Wire shape::
     </envelope>
 
     <response status="ok"><result><none/></result></response>
-    <response status="error" kind="UnknownKeyError">message</response>
+    <response kind="UnknownKeyError" status="error">message</response>
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
-from xml.etree import ElementTree as ET
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import CodecError
-from repro.wire.wrappers import decode_value, encode_value
+from repro.wire.canonical import _escape_text, canonical_element
+from repro.wire.scan import (
+    NotCanonical,
+    leading_element,
+    read_document,
+    read_fields,
+    read_text,
+    read_value,
+    scan_once,
+)
+from repro.wire.wrappers import emit_fields, emit_value
 
 
 def _no_refs(_value: Any) -> None:
@@ -29,63 +38,54 @@ def _fail_refs(kind: str, _ident: int) -> Any:
 
 
 def build_request(op: str, params: Dict[str, Any]) -> str:
-    root = ET.Element("envelope", {"op": op})
-    for name, value in params.items():
-        param = ET.SubElement(root, "param", {"name": name})
-        param.append(encode_value(value, _no_refs))
-    return ET.tostring(root, encoding="unicode")
+    parts: List[str] = []
+    emit_fields(parts, params, _no_refs, tag="param")
+    return canonical_element("envelope", {"op": op}, "".join(parts))
 
 
 def parse_request(text: str) -> Tuple[str, Dict[str, Any]]:
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise CodecError(f"malformed request envelope: {exc}") from exc
-    if root.tag != "envelope":
-        raise CodecError(f"expected <envelope>, got <{root.tag}>")
-    op = root.get("op", "")
-    if not op:
-        raise CodecError("envelope without op")
-    params: Dict[str, Any] = {}
-    for param in root:
-        if param.tag != "param" or len(param) != 1:
-            raise CodecError("malformed <param>")
-        name = param.get("name", "")
-        params[name] = decode_value(param[0], _fail_refs)
-    return op, params
+    def read(candidate: str) -> Tuple[str, Dict[str, Any]]:
+        attrs, body = read_document(candidate, "envelope")
+        op = attrs.get("op", "")
+        if not op:
+            raise CodecError("envelope without op")
+        return op, read_fields(body, _fail_refs, tag="param")
+
+    return scan_once(text, "request envelope", read)
 
 
 def build_response(result: Any = None, error: BaseException | None = None) -> str:
     if error is not None:
-        root = ET.Element(
-            "response", {"status": "error", "kind": type(error).__name__}
+        return canonical_element(
+            "response",
+            {"status": "error", "kind": type(error).__name__},
+            _escape_text(str(error)),
         )
-        root.text = str(error)
-        return ET.tostring(root, encoding="unicode")
-    root = ET.Element("response", {"status": "ok"})
-    holder = ET.SubElement(root, "result")
-    holder.append(encode_value(result, _no_refs))
-    return ET.tostring(root, encoding="unicode")
+    parts = ["<result>"]
+    emit_value(parts, result, _no_refs)
+    parts.append("</result>")
+    return canonical_element("response", {"status": "ok"}, "".join(parts))
 
 
 def parse_response(text: str) -> Any:
     """Return the result value, or raise the transported error."""
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise CodecError(f"malformed response envelope: {exc}") from exc
-    if root.tag != "response":
-        raise CodecError(f"expected <response>, got <{root.tag}>")
-    if root.get("status") == "error":
-        from repro import errors as errors_module
 
-        kind = root.get("kind", "ObiError")
-        message = root.text or ""
-        error_cls = getattr(errors_module, kind, errors_module.ObiError)
-        if not isinstance(error_cls, type) or not issubclass(error_cls, BaseException):
-            error_cls = errors_module.ObiError
-        raise error_cls(message)
-    holder = root.find("result")
-    if holder is None or len(holder) != 1:
-        raise CodecError("response without result")
-    return decode_value(holder[0], _fail_refs)
+    def read(candidate: str) -> Tuple[bool, Any]:
+        attrs, body = read_document(candidate, "response")
+        if attrs.get("status") == "error":
+            return False, (attrs.get("kind", "ObiError"), read_text(body))
+        result, rest = leading_element(body, "result")
+        if rest:
+            raise NotCanonical("text after <result>")
+        return True, read_value(result, _fail_refs)
+
+    ok, outcome = scan_once(text, "response envelope", read)
+    if ok:
+        return outcome
+    from repro import errors as errors_module
+
+    kind, message = outcome
+    error_cls = getattr(errors_module, kind, errors_module.ObiError)
+    if not isinstance(error_cls, type) or not issubclass(error_cls, BaseException):
+        error_cls = errors_module.ObiError
+    raise error_cls(message)

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
-from xml.etree import ElementTree as ET
 
 from repro.core.replacement import SwapLocation
 from repro.errors import CodecError, SwapStoreUnavailableError, TransportError, UnknownKeyError
 from repro.events import SwapOutEvent
 from repro.ids import Sid
-from repro.wire.canonical import payload_digest
-from repro.wire.wrappers import decode_value
+from repro.wire.canonical import verify_payload
+from repro.wire.scan import member_fields, read_fields, scan_once, top_level
 
 
 @dataclass(frozen=True)
@@ -91,19 +90,8 @@ class SwapArchive:
 
     def fetch_xml(self, record: ArchivedEpoch) -> str:
         """The archived XML text, verified against the recorded digest."""
-        failures = []
-        for holder in self._holders.get(record.key, []):
-            try:
-                text = holder.fetch(record.key)
-            except (TransportError, UnknownKeyError) as exc:
-                failures.append(f"{holder.device_id}: {exc}")
-                continue
-            if payload_digest(text) != record.digest:
-                failures.append(f"{holder.device_id}: digest mismatch")
-                continue
-            return text
-        raise SwapStoreUnavailableError(
-            f"no holder can produce {record.key}: {'; '.join(failures) or 'no holders'}"
+        return fetch_verified(
+            self._holders.get(record.key, []), record.key, record.digest
         )
 
     def inspect(self, record: ArchivedEpoch) -> Dict[int, Dict[str, Any]]:
@@ -113,11 +101,6 @@ class SwapArchive:
         ``("ref", oid)``, boundary references ``("outref", index)`` /
         ``("extref", …)``.
         """
-        text = self.fetch_xml(record)
-        try:
-            root = ET.fromstring(text)
-        except ET.ParseError as exc:
-            raise CodecError(f"archived XML is malformed: {exc}") from exc
 
         def symbolic(kind: str, ident: Any) -> Any:
             if kind == "local":
@@ -126,14 +109,16 @@ class SwapArchive:
                 return ("extref", dict(ident))
             return ("outref", ident)
 
-        snapshot: Dict[int, Dict[str, Any]] = {}
-        for obj_el in root:
-            oid = int(obj_el.get("oid"))
-            fields: Dict[str, Any] = {}
-            for field_el in obj_el:
-                fields[field_el.get("name")] = decode_value(field_el[0], symbolic)
-            snapshot[oid] = fields
-        return snapshot
+        def read(text: str) -> Dict[int, Dict[str, Any]]:
+            _attrs, events = top_level(text, "swap-cluster")
+            snapshot: Dict[int, Dict[str, Any]] = {}
+            for tag, oid, span, _class_name in events:
+                if tag != "object":
+                    raise CodecError(f"unexpected element <{tag}> in swap-cluster")
+                snapshot[oid] = read_fields(member_fields(span), symbolic)
+            return snapshot
+
+        return scan_once(self.fetch_xml(record), "archived", read)
 
     def diff(
         self, older: ArchivedEpoch, newer: ArchivedEpoch
@@ -179,3 +164,26 @@ class SwapArchive:
             for records in self._epochs.values()
             for record in records
         )
+
+
+def fetch_verified(holders: List[Any], key: str, digest: str) -> str:
+    """The first holder's copy of ``key`` whose canonical form matches
+    ``digest``, read without swapping anything in.
+
+    A holder that cannot produce the key, or whose copy is altered,
+    truncated or not XML at all, is skipped for the next one; with none
+    left, raises :class:`SwapStoreUnavailableError` naming each failure.
+    """
+    failures = []
+    for holder in holders:
+        try:
+            text = holder.fetch(key)
+        except (TransportError, UnknownKeyError) as exc:
+            failures.append(f"{holder.device_id}: {exc}")
+            continue
+        if verify_payload(text, digest):
+            return text
+        failures.append(f"{holder.device_id}: digest mismatch")
+    raise SwapStoreUnavailableError(
+        f"no holder can produce {key}: {'; '.join(failures) or 'no holders'}"
+    )

@@ -3,13 +3,14 @@
 Holds master copies of published object graphs, partitioned into
 replication clusters of adaptable size, and serves them cluster-by-
 cluster as XML replica documents.  The wire format wraps the shared
-cluster codec with a frontier table::
+cluster codec with a frontier table, all of it canonical text written
+without an element tree (shown indented)::
 
-    <replica-cluster root="album" cid="4">
+    <replica-cluster cid="4" root="album" version="1">
       <frontier>
-        <entry index="0" cid="5" oid="123"/>
+        <entry cid="5" index="0" oid="123"/>
       </frontier>
-      <swap-cluster space="server" sid="4" epoch="0" count="20">…</swap-cluster>
+      <swap-cluster count="20" epoch="0" sid="4" space="server">…</swap-cluster>
     </replica-cluster>
 
 ``<outref index=…/>`` elements inside the cluster body point into the
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Protocol, Tuple
-from xml.etree import ElementTree as ET
 
 from repro.comm.webservice import WebServiceClient, WebServiceEndpoint
 from repro.core.clustering import partition_sequential, walk_graph
@@ -37,9 +37,17 @@ from repro.errors import CodecError, ReplicationError, SyncConflictError, SyncEr
 from repro.ids import IdAllocator
 from repro.replication.cluster import ObjectCluster
 from repro.runtime.registry import TypeRegistry, global_registry
-from repro.wire.canonical import serialize_element
-from repro.wire.wrappers import decode_value
-from repro.wire.xmlcodec import encode_cluster_canonical
+from repro.wire.canonical import canonical_element
+from repro.wire.scan import (
+    empty_elements,
+    leading_element,
+    member_fields,
+    read_document,
+    read_fields,
+    scan_once,
+    top_level,
+)
+from repro.wire.xmlcodec import encode_cluster_stream
 
 _object_setattr = object.__setattr__
 
@@ -170,36 +178,37 @@ class ObjectServer:
                 frontier.append((graph.cid_by_soid[soid], soid))
             return index
 
-        body, _digest = encode_cluster_canonical(
-            sid=cid,
-            space=self.name,
-            epoch=0,
-            objects=members,
-            oid_of=lambda obj: obj._obi_soid,
-            outbound_index_of=lambda proxy: (_ for _ in ()).throw(
-                ReplicationError("master graphs must not contain proxies")
-            ),
-            foreign_index_of=foreign_index_of,
+        body = "".join(
+            encode_cluster_stream(
+                sid=cid,
+                space=self.name,
+                epoch=0,
+                objects=members,
+                oid_of=lambda obj: obj._obi_soid,
+                outbound_index_of=lambda proxy: (_ for _ in ()).throw(
+                    ReplicationError("master graphs must not contain proxies")
+                ),
+                foreign_index_of=foreign_index_of,
+            )
         )
-
-        root = ET.Element(
+        entries = "".join(
+            canonical_element(
+                "entry",
+                {"index": str(index), "cid": str(frontier_cid), "oid": str(soid)},
+                "",
+            )
+            for index, (frontier_cid, soid) in enumerate(frontier)
+        )
+        self.clusters_served += 1
+        return canonical_element(
             "replica-cluster",
             {
                 "root": root_name,
                 "cid": str(cid),
                 "version": str(graph.versions.get(cid, 1)),
             },
+            canonical_element("frontier", {}, entries) + body,
         )
-        frontier_el = ET.SubElement(root, "frontier")
-        for index, (frontier_cid, soid) in enumerate(frontier):
-            ET.SubElement(
-                frontier_el,
-                "entry",
-                {"index": str(index), "cid": str(frontier_cid), "oid": str(soid)},
-            )
-        root.append(ET.fromstring(body))
-        self.clusters_served += 1
-        return ET.tostring(root, encoding="unicode")
 
     def cluster_ids(self, root_name: str) -> List[int]:
         return sorted(self._graph(root_name).clusters)
@@ -221,80 +230,77 @@ class ObjectServer:
         refused with the current version so the device can pull and
         retry (loosely-coupled reintegration).
         """
+
+        def read(text: str) -> Tuple[Any, Any]:
+            """``(None, refusal)`` for a stale push, else ``((versions,
+            cid, device), updates)``: every update read and validated
+            before anything is mutated."""
+            attrs, events = top_level(text, "push-cluster", id_attr="soid")
+            root_name = attrs.get("root", "")
+            cid = int(attrs.get("cid", "-1"))
+            base_version = int(attrs.get("base_version", "-1"))
+            graph = self._graph(root_name)
+            if cid not in graph.clusters:
+                raise SyncError(f"root {root_name!r} has no cluster {cid}")
+            current = graph.versions[cid]
+            if base_version != current:
+                return None, PushResult(
+                    accepted=False,
+                    version=current,
+                    message=(
+                        f"conflict: master at version {current}, "
+                        f"push based on {base_version}"
+                    ),
+                )
+            member_soids = {obj._obi_soid for obj in graph.clusters[cid].members}
+
+            def resolve(kind: str, ident: Any) -> Any:
+                if kind == "local":
+                    soid = int(ident)
+                elif kind == "ext":
+                    soid = int(ident["soid"])
+                else:
+                    raise SyncError("push documents must not contain <outref>")
+                target = graph.soid_to_object.get(soid)
+                if target is None:
+                    raise SyncError(f"push references unknown soid {soid}")
+                return target
+
+            updates = []
+            for tag, soid, span, class_name in events:
+                if tag != "object":
+                    raise SyncError(f"unexpected <{tag}> in push document")
+                if soid not in member_soids:
+                    raise SyncError(
+                        f"soid {soid} is not a member of cluster {cid} "
+                        f"(structural growth is not supported by push)"
+                    )
+                master = graph.soid_to_object[soid]
+                expected_class = type(master)._obi_schema.name
+                if class_name != expected_class:
+                    raise SyncError(
+                        f"soid {soid}: class mismatch "
+                        f"({class_name} vs {expected_class})"
+                    )
+                updates.append((master, read_fields(member_fields(span), resolve)))
+            return (graph.versions, cid, attrs.get("device", "?")), updates
+
         try:
-            root = ET.fromstring(xml_text)
-        except ET.ParseError as exc:
+            accepted, updates = scan_once(xml_text, "push", read)
+        except CodecError as exc:
             raise SyncError(f"malformed push document: {exc}") from exc
-        if root.tag != "push-cluster":
-            raise SyncError(f"expected <push-cluster>, got <{root.tag}>")
-        root_name = root.get("root", "")
-        cid = int(root.get("cid", "-1"))
-        base_version = int(root.get("base_version", "-1"))
-        device = root.get("device", "?")
-        graph = self._graph(root_name)
-        if cid not in graph.clusters:
-            raise SyncError(f"root {root_name!r} has no cluster {cid}")
-        current = graph.versions[cid]
-        if base_version != current:
-            return PushResult(
-                accepted=False,
-                version=current,
-                message=(
-                    f"conflict: master at version {current}, "
-                    f"push based on {base_version}"
-                ),
-            )
-
-        member_soids = {obj._obi_soid for obj in graph.clusters[cid].members}
-
-        def resolve(kind: str, ident: Any) -> Any:
-            if kind == "local":
-                soid = int(ident)
-            elif kind == "ext":
-                soid = int(ident["soid"])
-            else:
-                raise SyncError("push documents must not contain <outref>")
-            target = graph.soid_to_object.get(soid)
-            if target is None:
-                raise SyncError(f"push references unknown soid {soid}")
-            return target
-
-        # validate fully before mutating anything
-        updates = []
-        for obj_el in root:
-            if obj_el.tag != "object":
-                raise SyncError(f"unexpected <{obj_el.tag}> in push document")
-            soid = int(obj_el.get("soid", "-1"))
-            if soid not in member_soids:
-                raise SyncError(
-                    f"soid {soid} is not a member of cluster {cid} "
-                    f"(structural growth is not supported by push)"
-                )
-            master = graph.soid_to_object[soid]
-            expected_class = type(master)._obi_schema.name
-            if obj_el.get("class") != expected_class:
-                raise SyncError(
-                    f"soid {soid}: class mismatch "
-                    f"({obj_el.get('class')} vs {expected_class})"
-                )
-            fields = {}
-            for field_el in obj_el:
-                if field_el.tag != "field" or len(field_el) != 1:
-                    raise SyncError(f"soid {soid}: malformed <field>")
-                fields[field_el.get("name")] = decode_value(field_el[0], resolve)
-            updates.append((master, fields))
-
+        if accepted is None:
+            return updates
         for master, fields in updates:
             for name in list(vars(master)):
                 if not name.startswith("_obi_"):
                     object.__delattr__(master, name)
             for name, value in fields.items():
                 _object_setattr(master, name, value)
-        graph.versions[cid] = current + 1
+        versions, cid, device = accepted
+        versions[cid] += 1
         return PushResult(
-            accepted=True,
-            version=graph.versions[cid],
-            message=f"accepted from {device}",
+            accepted=True, version=versions[cid], message=f"accepted from {device}"
         )
 
     # -- DGC-lite: replica reference listing -----------------------------------
@@ -466,21 +472,26 @@ class WsServerClient:
 def parse_replica_document(
     text: str,
 ) -> Tuple[int, List[Tuple[int, int]], str, int]:
-    """Split a replica document into (cid, frontier, body_xml, version)."""
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise CodecError(f"malformed replica document: {exc}") from exc
-    if root.tag != "replica-cluster":
-        raise CodecError(f"expected <replica-cluster>, got <{root.tag}>")
-    cid = int(root.get("cid", "-1"))
-    version = int(root.get("version", "1"))
-    frontier_el = root.find("frontier")
-    body_el = root.find("swap-cluster")
-    if frontier_el is None or body_el is None:
-        raise CodecError("replica document missing <frontier> or <swap-cluster>")
-    frontier: List[Tuple[int, int]] = []
-    for entry in frontier_el:
-        frontier.append((int(entry.get("cid")), int(entry.get("oid"))))
-    # canonical, so replica decode reads it without a canonicalize pass
-    return cid, frontier, serialize_element(body_el), version
+    """Split a replica document into (cid, frontier, body_xml, version).
+
+    The body is sliced out of the canonical document as it stands, so it
+    is the server's canonical ``<swap-cluster>`` text byte for byte.
+    """
+
+    def read(candidate: str) -> Tuple[int, List[Tuple[int, int]], str, int]:
+        attrs, content = read_document(candidate, "replica-cluster")
+        entries, body = leading_element(content, "frontier")
+        if not body.startswith("<swap-cluster"):
+            raise CodecError("replica document missing <frontier> or <swap-cluster>")
+        frontier = [
+            (int(entry["cid"]), int(entry["oid"]))
+            for entry in empty_elements(entries, "entry")
+        ]
+        return (
+            int(attrs.get("cid", "-1")),
+            frontier,
+            body,
+            int(attrs.get("version", "1")),
+        )
+
+    return scan_once(text, "replica document", read, screen=True)

@@ -27,14 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
-from xml.etree import ElementTree as ET
 
 from repro.errors import SyncConflictError, SyncError
 from repro.events import ClusterReplicatedEvent
 from repro.replication.server import PushResult, parse_replica_document
 from repro.runtime.classext import instance_fields
-from repro.wire.canonical import element_digest
-from repro.wire.wrappers import encode_value
+from repro.wire.canonical import canonical_element, digest_of_canonical
+from repro.wire.scan import member_fields, read_fields, scan_once, top_level
+from repro.wire.wrappers import emit_fields
 
 _object_setattr = object.__setattr__
 
@@ -145,24 +145,23 @@ class ReplicaSync:
                 )
             return self._repl._resolve_extern(ident, sid)
 
-        body_root = ET.fromstring(body)
-        updates = []
-        for obj_el in body_root:
-            soid = int(obj_el.get("oid"))
-            local_oid = self._repl._oid_by_soid.get(soid)
-            if local_oid is None:
-                raise SyncError(
-                    f"pull of cluster {cid}: master gained object soid={soid}; "
-                    f"re-replication required"
-                )
-            replica = space._objects[local_oid]
-            fields = {}
-            for field_el in obj_el:
-                from repro.wire.wrappers import decode_value
+        def read(text: str) -> List[Any]:
+            _attrs, events = top_level(text, "swap-cluster")
+            updates = []
+            for tag, soid, span, _class_name in events:
+                if tag != "object":
+                    raise SyncError(f"unexpected <{tag}> in replica of cluster {cid}")
+                local_oid = self._repl._oid_by_soid.get(soid)
+                if local_oid is None:
+                    raise SyncError(
+                        f"pull of cluster {cid}: master gained object "
+                        f"soid={soid}; re-replication required"
+                    )
+                replica = space._objects[local_oid]
+                updates.append((replica, read_fields(member_fields(span), resolve)))
+            return updates
 
-                fields[field_el.get("name")] = decode_value(field_el[0], resolve)
-            updates.append((replica, fields))
-
+        updates = scan_once(body, "replica body", read)
         for replica, fields in updates:
             for name in list(vars(replica)):
                 if not name.startswith("_obi_"):
@@ -198,7 +197,9 @@ class ReplicaSync:
             self._space.manager.swap_in(sid)
         return sid
 
-    def _object_elements(self, cid: int) -> List[ET.Element]:
+    def _objects_text(self, cid: int) -> str:
+        """The cluster's replicas as canonical ``<object soid=…>``
+        elements, in soid order."""
         space = self._space
         self._ensure_resident(cid)
         member_soids = set(self._repl._soids_by_cid.get(cid, ()))
@@ -213,19 +214,19 @@ class ReplicaSync:
                 return self._extern_of(value._obi_oid, member_soids)
             return None
 
-        elements = []
+        objects = []
         for soid in sorted(member_soids):
-            local_oid = self._repl._oid_by_soid[soid]
-            replica = space._objects[local_oid]
-            obj_el = ET.Element(
-                "object",
-                {"soid": str(soid), "class": type(replica)._obi_schema.name},
+            replica = space._objects[self._repl._oid_by_soid[soid]]
+            fields: List[str] = []
+            emit_fields(fields, instance_fields(replica), classify)
+            objects.append(
+                canonical_element(
+                    "object",
+                    {"soid": str(soid), "class": type(replica)._obi_schema.name},
+                    "".join(fields),
+                )
             )
-            for name, value in instance_fields(replica).items():
-                field_el = ET.SubElement(obj_el, "field", {"name": name})
-                field_el.append(encode_value(value, classify))
-            elements.append(obj_el)
-        return elements
+        return "".join(objects)
 
     def _extern_of(self, local_oid: int, member_soids: set) -> Any:
         soid = self._repl._soid_by_oid.get(local_oid)
@@ -242,14 +243,14 @@ class ReplicaSync:
         return ("ext", {"cid": cid, "soid": soid})
 
     def _digest(self, cid: int) -> str:
-        body = ET.Element("push-body", {"cid": str(cid)})
-        for element in self._object_elements(cid):
-            body.append(element)
-        # hash the tree directly: no serialize -> parse -> re-serialize pass
-        return element_digest(body)
+        """Hash of the cluster's ``<push-body>``: its bytes are pinned,
+        since a baseline taken earlier is compared against it."""
+        return digest_of_canonical(
+            canonical_element("push-body", {"cid": str(cid)}, self._objects_text(cid))
+        )
 
     def _build_push_document(self, root_name: str, cid: int) -> str:
-        document = ET.Element(
+        return canonical_element(
             "push-cluster",
             {
                 "root": root_name,
@@ -257,10 +258,8 @@ class ReplicaSync:
                 "base_version": str(self._repl._version_by_cid.get(cid, 0)),
                 "device": self._space.name,
             },
+            self._objects_text(cid),
         )
-        for element in self._object_elements(cid):
-            document.append(element)
-        return ET.tostring(document, encoding="unicode")
 
     def _on_replicated(self, event: Any) -> None:
         if event.space != self._space.name:

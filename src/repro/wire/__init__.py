@@ -5,14 +5,17 @@ plain XML text: "the receiving device needs no other infrastructure ...
 other than being able to receive XML data and store it".  This package
 implements the object-graph ⇄ XML codec:
 
-* :mod:`repro.wire.wrappers` — scalar/container value encoding;
+* :mod:`repro.wire.wrappers` — scalar/container values written as
+  canonical text;
 * :mod:`repro.wire.xmlcodec` — whole swap-cluster encoding, with
   intra-cluster references by oid and outbound references as indexes into
   the cluster's replacement-object array;
 * :mod:`repro.wire.canonical` — canonical text + digests for
   store-and-return integrity checks;
-* :mod:`repro.wire.scan` — reads canonical swap text without an XML
-  parser (swap-in decode, delta splice, stores' epoch read).
+* :mod:`repro.wire.scan` — reads canonical text without an XML parser
+  (swap-in decode, delta splice, stores' epoch read, and every other
+  document: hibernation images, archives, envelopes, replica and push
+  documents).
 """
 
 from repro.wire.xmlcodec import (
@@ -28,11 +31,11 @@ from repro.wire.delta import (
     encode_cluster_delta,
     encode_cluster_delta_stream,
 )
-from repro.wire.wrappers import emit_value, encode_value, decode_value
+from repro.wire.wrappers import emit_fields, emit_value
+from repro.wire.scan import read_fields
 from repro.wire.canonical import (
     canonical_text,
     digest_of_canonical,
-    element_digest,
     payload_digest,
     verify_payload,
 )
@@ -53,11 +56,10 @@ __all__ = [
     "encode_cluster_delta_stream",
     "apply_cluster_delta",
     "emit_value",
-    "encode_value",
-    "decode_value",
+    "emit_fields",
+    "read_fields",
     "canonical_text",
     "digest_of_canonical",
-    "element_digest",
     "payload_digest",
     "verify_payload",
     "ensure_valid_cluster",

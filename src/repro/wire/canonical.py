@@ -45,16 +45,6 @@ def digest_of_canonical(canonical: str) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def element_digest(element: ET.Element) -> str:
-    """Digest of an element tree without the serialize/parse round trip.
-
-    Strips insignificant whitespace in place (idempotent, semantics-
-    preserving), then hashes the canonical serialization.
-    """
-    _strip_whitespace(element)
-    return hashlib.sha256(_serialize(element).encode("utf-8")).hexdigest()
-
-
 def verify_payload(xml_text: str, expected_digest: str) -> bool:
     """Check ``xml_text`` against ``expected_digest``, cheaply when possible.
 
@@ -82,17 +72,13 @@ def canonical_open_tag(tag: str, attrib: dict) -> str:
     return f"<{tag}{attributes}>"
 
 
-def serialize_element(element: ET.Element) -> str:
-    """Serialize one element in canonical form (sorted attributes).
-
-    For callers that hold an element tree, such as the replica document
-    parser (:func:`repro.replication.server.parse_replica_document`).  It
-    is the reference the direct text encoder
-    (:func:`repro.wire.wrappers.emit_value`) must match byte for byte.
-    ``canonical_text(serialize_element(e))`` is the identity for
-    whitespace-free trees.
-    """
-    return _serialize(element)
+def canonical_element(tag: str, attrib: dict, content: str) -> str:
+    """One element in canonical form around ``content``, which must be
+    canonical already: self-closing when ``content`` is empty."""
+    head = canonical_open_tag(tag, attrib)
+    if not content:
+        return head[:-1] + "/>"
+    return f"{head}{content}</{tag}>"
 
 
 def _strip_whitespace(element: ET.Element) -> None:

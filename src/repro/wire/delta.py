@@ -34,7 +34,7 @@ import hashlib
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Set, Tuple
 
 from repro.errors import CodecError
-from repro.wire.canonical import canonical_open_tag
+from repro.wire.canonical import canonical_element, canonical_open_tag
 from repro.wire.scan import Event, scan_once, top_level
 from repro.wire.xmlcodec import encode_object_element, make_classifier
 
@@ -84,7 +84,7 @@ def encode_cluster_delta_stream(
         "dead": str(len(tombstones)),
     }
     if not objects and not tombstones:
-        yield canonical_open_tag("swap-delta", attrib)[:-1] + "/>"
+        yield canonical_element("swap-delta", attrib, "")
         return
     yield canonical_open_tag("swap-delta", attrib)
     local_oids = {id(obj): oid for oid, obj in objects.items()}
@@ -200,7 +200,7 @@ def apply_cluster_delta(base_text: str, delta_text: str) -> str:
         "count": str(len(members)),
     }
     if not members:
-        return canonical_open_tag("swap-cluster", attrib)[:-1] + "/>"
+        return canonical_element("swap-cluster", attrib, "")
     spans = "<object ".join(members[oid] for oid in sorted(members))
     root = canonical_open_tag("swap-cluster", attrib)
     return f"{root}<object {spans}</swap-cluster>"

@@ -1,9 +1,11 @@
-"""Reading canonical swap text without an XML parser.
+"""Reading canonical XML text without an XML parser.
 
 Every payload on the swap path is *canonical* text (see
 :mod:`repro.wire.canonical`): the encoders write it directly, stores hand
 it back, and the delta splice rebuilds it from the spans of canonical
-documents.  Canonical text has one spelling per document:
+documents.  So is every other document the package writes: hibernation
+images, envelopes, replica and push documents.  Canonical text has one
+spelling per document:
 
 * attributes sorted by name, double-quoted, one space before each;
 * no whitespace between elements, empty elements self-closing;
@@ -13,7 +15,8 @@ documents.  Canonical text has one spelling per document:
 So the swap path reads it with ``str.split``/``find`` and anchored
 regexes instead of building an element tree: a document splits into its
 root attributes and one span per member ``<object>``, and member fields
-are read straight from those spans (:func:`decode_members`).
+are read straight from those spans (:func:`decode_members` on the swap
+path, :func:`read_fields` for any run of named values).
 
 **Canonicalize once.**  The readers here accept exactly the canonical
 form and raise :class:`NotCanonical` on anything else.
@@ -195,11 +198,11 @@ def _read_root(
     is ``text[start:end]`` (empty for a self-closing root).  Another root
     tag raises ``CodecError("expected <root>, got <tag>")``.
     """
-    pattern, names = _ROOTS[root]
-    match = pattern.match(text)
+    known = _ROOTS.get(root)
+    match = known[0].match(text) if known is not None else None
     if match is not None:
         *values, closed = match.groups()
-        attrs = dict(zip(names, values))
+        attrs = dict(zip(known[1], values))
     else:
         match = _OPEN_TAG.match(text)
         if match is None:
@@ -237,6 +240,42 @@ def document_epoch(text: str) -> int:
         raise CodecError(f"unreadable payload epoch: {exc}") from exc
 
 
+def read_document(text: str, root: str) -> Tuple[Dict[str, str], str]:
+    """Root attributes and body text of a canonical ``<root>`` document."""
+    attrs, start, end = _read_root(text, root)
+    return attrs, text[start:end]
+
+
+def leading_element(text: str, tag: str) -> Tuple[str, str]:
+    """Content of the attribute-less ``<tag>`` element that opens
+    ``text``, and the text after it.
+
+    For wrappers that never nest inside themselves (``<frontier>``,
+    ``<roots>``, ``<result>``): the first ``</tag>`` closes the element,
+    since canonical text holds no raw ``<`` outside markup.
+    """
+    if text.startswith(f"<{tag}/>"):
+        return "", text[len(tag) + 3 :]
+    close = text.find(f"</{tag}>")
+    if not text.startswith(f"<{tag}>") or close < 0:
+        raise NotCanonical(f"expected a <{tag}> element")
+    return text[len(tag) + 2 : close], text[close + len(tag) + 3 :]
+
+
+def empty_elements(run: str, tag: str) -> List[Dict[str, str]]:
+    """Attributes of each element of a run of self-closing ``<tag …/>``
+    elements, in order."""
+    found = []
+    pos = 0
+    while pos < len(run):
+        match = _OPEN_TAG.match(run, pos)
+        if match is None or match.group(1) != tag or not match.group(3):
+            raise NotCanonical(f"expected a run of empty <{tag}> elements")
+        found.append(_parse_attrs(match.group(2)))
+        pos = match.end()
+    return found
+
+
 # Events of a document's top level, in document order, keyed by tag:
 #   ("object", oid, span, class)  span: the member's text after "<object "
 #   ("tombstone", oid, "", "")
@@ -244,24 +283,33 @@ def document_epoch(text: str) -> int:
 #                                 is an error
 Event = Tuple[str, Optional[int], str, str]
 
-_OBJECT_HEAD = re.compile(rf'class="({_AVAL})" oid="(-?\d+)"(/?)>')
+#: an ``<object>`` head after "<object ", by the name of its id attribute
+#: (push documents identify members by ``soid``)
+_OBJECT_HEADS = {
+    id_attr: re.compile(rf'class="({_AVAL})" {id_attr}="(-?\d+)"(/?)>')
+    for id_attr in ("oid", "soid")
+}
 _TOMBSTONE = re.compile(r'<tombstone oid="(-?\d+)"/>')
 
 
-def top_level(text: str, root: str) -> Tuple[Dict[str, str], List[Event]]:
+def top_level(
+    text: str, root: str, id_attr: str = "oid"
+) -> Tuple[Dict[str, str], List[Event]]:
     """Root attributes and the top-level events of a canonical document.
 
     Scanning stops at the first element that is neither an ``<object>``
     nor a ``<tombstone>``.  Member spans are not tokenized: callers that
-    copy them screen the text first (``scan_once(..., screen=True)``).
+    copy them screen the text first (``scan_once(..., screen=True)``);
+    callers that read them do so inside the same :func:`scan_once`.
     """
+    object_head = _OBJECT_HEADS[id_attr]
     attrs, start, end = _read_root(text, root)
     events: List[Event] = []
     parts = text[start:end].split("<object ")
     if parts[0] and not _other_events(parts[0], events):
         return attrs, events
     for part in parts[1:]:
-        match = _OBJECT_HEAD.match(part)
+        match = object_head.match(part)
         if match is None:
             raise NotCanonical("malformed <object> tag")
         class_name, oid, closed = match.groups()
@@ -342,8 +390,9 @@ def decode_members(
         if cls is None:
             cls = classes[class_name] = resolve_class(class_name)
         instance = instances[oid] = object.__new__(cls)
-        if span[-9:] == "</object>":
-            filled.append((oid, instance, span[span.find('">') + 2 : -9]))
+        fields = member_fields(span)
+        if fields:
+            filled.append((oid, instance, fields))
 
     if declared_count is not None and int(declared_count) != len(instances):
         raise CodecError(
@@ -370,8 +419,6 @@ def decode_members(
 
     names = _FIELD_NAMES
     for oid, instance, fields in filled:
-        if not fields:
-            continue
         if fields[:13] != _FIELD_OPEN or fields[-8:] != "</field>":
             raise NotCanonical(f"malformed <field> run in object oid={oid}")
         slots = instance.__dict__
@@ -433,6 +480,58 @@ def decode_members(
     return instances
 
 
+def member_fields(span: str) -> str:
+    """The ``<field>`` run of a member span from :func:`top_level`
+    (empty for a self-closing member)."""
+    if span[-9:] != "</object>":
+        return ""
+    return span[span.find('">') + 2 : -9]
+
+
+def read_fields(run: str, resolve: Resolve, tag: str = "field") -> Dict[str, Any]:
+    """Values of a run of ``<tag name="…">value</tag>`` elements, by name
+    in document order; the inverse of
+    :func:`~repro.wire.wrappers.emit_fields`.
+
+    ``resolve(kind, ident)`` maps ``<ref>`` (``"local"``, oid),
+    ``<outref>`` (``"out"``, index) and ``<extref>`` (``"ext"``,
+    attributes).  Raises :class:`NotCanonical` on text outside the
+    canonical form, so callers read inside :func:`scan_once`.
+    """
+    values: Dict[str, Any] = {}
+    head = f'<{tag} name="'
+    pos = 0
+    while pos < len(run):
+        stop = run.find('">', pos)
+        raw = run[pos + len(head) : stop]
+        if (
+            stop < 0
+            or not run.startswith(head, pos)
+            or _AVAL_OK.fullmatch(raw) is None
+        ):
+            raise NotCanonical(f"malformed <{tag}> tag")
+        value, pos = _read_value(run, stop + 2, resolve)
+        pos = _expect_close(run, pos, tag)
+        values[unescape(raw)] = value
+    return values
+
+
+def read_value(text: str, resolve: Resolve) -> Any:
+    """The one wire value that ``text`` holds (see :func:`read_fields`)."""
+    value, end = _read_value(text, 0, resolve)
+    if end != len(text):
+        raise NotCanonical("text after the value")
+    return value
+
+
+def read_text(content: str) -> str:
+    """Character data of canonical element content that holds no
+    elements."""
+    if _TEXT_OK.fullmatch(content) is None:
+        raise NotCanonical("non-canonical character data")
+    return unescape(content)
+
+
 def _field_name(raw: str, sep: str) -> str:
     """Check and cache the raw name of a ``<field name="…">`` tag."""
     if not sep or not raw or _AVAL_OK.fullmatch(raw) is None:
@@ -459,8 +558,7 @@ Resolve = Callable[[str, Any], Any]
 def _read_value(text: str, pos: int, resolve: Resolve) -> Tuple[Any, int]:
     """Read the one wire value at ``text[pos:]``; return it and the end.
 
-    Handles every tag of :mod:`repro.wire.wrappers` with the semantics
-    of :func:`~repro.wire.wrappers.decode_value`; ``resolve(kind,
+    Handles every tag :mod:`repro.wire.wrappers` writes; ``resolve(kind,
     ident)`` maps ``local``/``out``/``ext`` references.
     """
     match = _OPEN_TAG.match(text, pos)

@@ -6,11 +6,10 @@ layer: scalars, containers, and the two reference kinds.  References are
 delegated to a *classifier* callback supplied by the cluster codec so the
 value layer stays independent of the swapping core.
 
-There are two encoders with the same output.  :func:`emit_value`
-writes canonical text straight into a list of chunks; swap-out uses it.
-:func:`encode_value` builds an element, for callers that append values
-into larger ElementTree documents (hibernation images, messages,
-replication sync).
+Every document is written with :func:`emit_value`, which appends a
+value's canonical text (see :mod:`repro.wire.canonical`) to a list of
+chunks, and :func:`emit_fields`, which writes a run of named values.
+:mod:`repro.wire.scan` reads them back (``read_fields``).
 
 Wire tags::
 
@@ -27,8 +26,7 @@ from __future__ import annotations
 
 import base64
 import re
-from typing import Any, Callable, List, Optional
-from xml.etree import ElementTree as ET
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import CodecError
 from repro.wire.canonical import _escape_attr, _escape_text
@@ -64,86 +62,12 @@ def _str_element(value: str) -> str:
 # None means "not a reference, encode as a plain value".
 Classifier = Callable[[Any], Optional[tuple]]
 
-# A resolver maps ("local", oid) / ("out", index) back to live objects.
-Resolver = Callable[[str, int], Any]
-
-
-def encode_value(value: Any, classify: Classifier) -> ET.Element:
-    """Encode one Python value into an XML element."""
-    ref = classify(value)
-    if ref is not None:
-        kind, ident = ref
-        if kind == "local":
-            return ET.Element("ref", {"oid": str(ident)})
-        if kind == "out":
-            return ET.Element("outref", {"index": str(ident)})
-        if kind == "ext":
-            return ET.Element(
-                "extref", {key: str(val) for key, val in ident.items()}
-            )
-        raise CodecError(f"classifier returned unknown kind {kind!r}")
-
-    if value is None:
-        return ET.Element("none")
-    if value is True:
-        return ET.Element("true")
-    if value is False:
-        return ET.Element("false")
-    if isinstance(value, int):
-        element = ET.Element("int")
-        element.text = str(value)
-        return element
-    if isinstance(value, float):
-        element = ET.Element("float")
-        element.text = repr(value)
-        return element
-    if isinstance(value, str):
-        element = ET.Element("str")
-        if value and not _xml_safe(value):
-            element.set("enc", "b64")
-            element.text = base64.b64encode(
-                value.encode("utf-8", errors="surrogatepass")
-            ).decode("ascii")
-            return element
-        element.text = value
-        # ElementTree drops the distinction between "" and no text
-        if value == "":
-            element.set("empty", "1")
-        return element
-    if isinstance(value, (bytes, bytearray)):
-        element = ET.Element("bytes")
-        element.text = base64.b64encode(bytes(value)).decode("ascii")
-        return element
-    if isinstance(value, list):
-        return _encode_sequence("list", value, classify)
-    if isinstance(value, tuple):
-        return _encode_sequence("tuple", value, classify)
-    if isinstance(value, set):
-        return _encode_sequence("set", _stable_order(value), classify)
-    if isinstance(value, frozenset):
-        return _encode_sequence("fset", _stable_order(value), classify)
-    if isinstance(value, dict):
-        element = ET.Element("dict")
-        for key, item in value.items():
-            entry = ET.SubElement(element, "entry")
-            key_el = ET.SubElement(entry, "k")
-            key_el.append(encode_value(key, classify))
-            value_el = ET.SubElement(entry, "v")
-            value_el.append(encode_value(item, classify))
-        return element
-    raise CodecError(
-        f"cannot encode value of type {type(value).__name__}: not a managed "
-        f"reference and not a supported primitive/container"
-    )
-
 
 def emit_value(parts: List[str], value: Any, classify: Classifier) -> None:
     """Append the canonical text of one value to ``parts``.
 
-    The chunks join to exactly ``serialize_element(encode_value(value,
-    classify))``, without building an element.  Exact scalar types are
-    written before the classifier runs: a plain int, str, float, bool or
-    None is never a reference.
+    Exact scalar types are written before the classifier runs: a plain
+    int, str, float, bool or None is never a reference.
     """
     kind = type(value)
     if kind is int:
@@ -179,7 +103,7 @@ def emit_value(parts: List[str], value: Any, classify: Classifier) -> None:
             raise CodecError(f"classifier returned unknown kind {ref_kind!r}")
         return
 
-    # subclasses and containers, in encode_value's order
+    # subclasses and containers
     if isinstance(value, int):
         parts.append(_text_element("int", str(value)))
     elif isinstance(value, float):
@@ -216,6 +140,21 @@ def emit_value(parts: List[str], value: Any, classify: Classifier) -> None:
         )
 
 
+def emit_fields(
+    parts: List[str],
+    values: Dict[str, Any],
+    classify: Classifier,
+    tag: str = "field",
+) -> None:
+    """Append a run of ``<tag name="…">value</tag>`` elements, one per
+    item of ``values`` in order: an object's fields, an envelope's
+    params, a hibernation image's roots."""
+    for name, value in values.items():
+        parts.append(f'<{tag} name="{_escape_attr(name)}">')
+        emit_value(parts, value, classify)
+        parts.append(f"</{tag}>")
+
+
 def _text_element(tag: str, text: str) -> str:
     if not text:
         return f"<{tag}/>"
@@ -232,62 +171,6 @@ def _emit_sequence(
     for item in items:
         emit_value(parts, item, classify)
     parts.append(f"</{tag}>")
-
-
-def decode_value(element: ET.Element, resolve: Resolver) -> Any:
-    """Decode one XML element back into a Python value."""
-    tag = element.tag
-    if tag == "ref":
-        return resolve("local", int(element.get("oid")))
-    if tag == "outref":
-        return resolve("out", int(element.get("index")))
-    if tag == "extref":
-        return resolve("ext", dict(element.attrib))
-    if tag == "none":
-        return None
-    if tag == "true":
-        return True
-    if tag == "false":
-        return False
-    if tag == "int":
-        return int(element.text or "0")
-    if tag == "float":
-        return float(element.text or "0")
-    if tag == "str":
-        if element.get("enc") == "b64":
-            return base64.b64decode(element.text or "").decode(
-                "utf-8", errors="surrogatepass"
-            )
-        if element.get("empty") == "1":
-            return ""
-        return element.text if element.text is not None else ""
-    if tag == "bytes":
-        return base64.b64decode(element.text or "")
-    if tag == "list":
-        return [decode_value(child, resolve) for child in element]
-    if tag == "tuple":
-        return tuple(decode_value(child, resolve) for child in element)
-    if tag == "set":
-        return {decode_value(child, resolve) for child in element}
-    if tag == "fset":
-        return frozenset(decode_value(child, resolve) for child in element)
-    if tag == "dict":
-        result = {}
-        for entry in element:
-            if entry.tag != "entry" or len(entry) != 2:
-                raise CodecError("malformed <dict> entry")
-            key = decode_value(entry[0][0], resolve)
-            value = decode_value(entry[1][0], resolve)
-            result[key] = value
-        return result
-    raise CodecError(f"unknown wire tag <{tag}>")
-
-
-def _encode_sequence(tag: str, items: Any, classify: Classifier) -> ET.Element:
-    element = ET.Element(tag)
-    for item in items:
-        element.append(encode_value(item, classify))
-    return element
 
 
 def _stable_order(items: Any) -> list:

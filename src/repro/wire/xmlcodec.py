@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, Iterator, Tuple
 from repro.errors import CodecError, IntegrityError
 from repro.runtime.classext import instance_fields, is_managed, is_proxy
 from repro.runtime.registry import TypeRegistry
-from repro.wire.canonical import _escape_attr, canonical_open_tag
+from repro.wire.canonical import _escape_attr, canonical_element, canonical_open_tag
 from repro.wire.scan import decode_members, scan_once, top_level
 from repro.wire.wrappers import emit_value
 
@@ -242,8 +242,7 @@ def encode_cluster_stream(
         "count": str(len(objects)),
     }
     if not objects:
-        # canonical form of an empty element is self-closing
-        yield canonical_open_tag("swap-cluster", attrib)[:-1] + "/>"
+        yield canonical_element("swap-cluster", attrib, "")
         return
     yield canonical_open_tag("swap-cluster", attrib)
     local_oids = {id(obj): oid for oid, obj in objects.items()}

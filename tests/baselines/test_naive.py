@@ -110,3 +110,21 @@ def test_identity_between_proxies():
     assert handle == runtime.proxy_of(handle._nv_oid)
     assert handle != handle.get_next()
     assert hash(handle) == hash(runtime.proxy_of(handle._nv_oid))
+
+
+def test_swapped_object_is_canonical_text_and_reads_back():
+    from repro.wire.canonical import canonical_text
+
+    runtime = NaiveRuntime(heap_capacity=1 << 20)
+    store = InMemoryStore("server")
+    runtime.attach_store(store)
+    handle = runtime.ingest(build_chain(3))
+    runtime.swap_out(2)
+    (key,) = store.keys()
+    text = store.fetch(key)
+    assert text == canonical_text(text)
+    assert text.startswith('<naive-object class="Node" oid="2">')
+    # a copy in another spelling reads the same
+    store.store(key, text.replace("/>", " />").replace("><", ">\n<"))
+    assert handle.next.value == 1
+    assert handle.next.next.value == 2

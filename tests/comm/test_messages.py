@@ -64,3 +64,44 @@ def test_payload_cannot_carry_references():
     hacked = text.replace("<int>1</int>", '<ref oid="5"/>')
     with pytest.raises(CodecError):
         parse_request(hacked)
+
+
+def test_envelopes_are_canonical_text():
+    from repro.wire.canonical import canonical_text
+
+    for text in (
+        build_request("store", {"key": "k", "text": "<x/>", "n": None}),
+        build_request("ping", {}),
+        build_response({"used": 12, "none": None}),
+        build_response(error=UnknownKeyError('no key <x> & "y"')),
+    ):
+        assert text == canonical_text(text)
+    assert build_request("store", {"n": None}).endswith("<none/></param></envelope>")
+
+
+# spelled as ElementTree.tostring wrote them: "<none />", attributes in
+# insertion order
+ETREE_REQUEST = (
+    '<envelope op="store"><param name="key"><str>pda/sc-3/e1</str></param>'
+    '<param name="text"><str>&lt;x/&gt;</str></param>'
+    '<param name="n"><none /></param></envelope>'
+)
+ETREE_RESPONSE = (
+    '<response status="ok"><result><dict><entry><k><str>used</str></k>'
+    "<v><int>12</int></v></entry><entry><k><str>none</str></k><v><none /></v>"
+    "</entry></dict></result></response>"
+)
+ETREE_ERROR = (
+    '<response status="error" kind="UnknownKeyError">'
+    'no key &lt;x&gt; &amp; "y"</response>'
+)
+
+
+def test_elementtree_spelled_envelopes_still_parse():
+    assert parse_request(ETREE_REQUEST) == (
+        "store",
+        {"key": "pda/sc-3/e1", "text": "<x/>", "n": None},
+    )
+    assert parse_response(ETREE_RESPONSE) == {"used": 12, "none": None}
+    with pytest.raises(UnknownKeyError, match='no key <x> & "y"'):
+        parse_response(ETREE_ERROR)

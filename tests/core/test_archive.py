@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.archive import SwapArchive
+from repro.devices import InMemoryStore
 from repro.errors import SwapStoreUnavailableError
 from tests.helpers import build_chain, chain_values, make_space
 
@@ -115,3 +116,45 @@ def test_archived_bytes(archived):
     space, archive, handle = archived
     space.swap_out(2)
     assert archive.archived_bytes() == archive.latest(2).xml_bytes
+
+
+def _mirrored_archive():
+    space = make_space(with_store=False)
+    for index in range(2):
+        space.manager.add_store(InMemoryStore(f"s{index + 1}"))
+    space.manager.replication_factor = 2
+    archive = SwapArchive(space)
+    space.ingest(build_chain(10), cluster_size=5, root_name="h")
+    space.swap_out(2)
+    return space, archive, archive.latest(2)
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda text: text[: len(text) // 2],
+        lambda text: text.replace("<int>7</int>", "<int>70</int>"),
+        lambda text: "not xml at all",
+    ],
+    ids=["truncated", "altered", "garbage"],
+)
+def test_fetch_xml_skips_a_bad_copy(spoil):
+    space, archive, record = _mirrored_archive()
+    first, second = space.manager.bindings_for(2)
+    good = first.fetch(record.key)
+    first.store(record.key, spoil(good))
+    assert archive.fetch_xml(record) == good
+    assert archive.inspect(record)[8]["value"] == 7
+    second.store(record.key, spoil(good))
+    with pytest.raises(SwapStoreUnavailableError, match="digest mismatch"):
+        archive.fetch_xml(record)
+
+
+def test_inspect_reads_a_holders_own_spelling(archived):
+    space, archive, handle = archived
+    space.swap_out(2)
+    record = archive.latest(2)
+    store = space.manager.available_stores()[0]
+    canonical = archive.inspect(record)
+    store.store(record.key, store.fetch(record.key).replace("><", ">\n  <"))
+    assert archive.inspect(record) == canonical

@@ -1,10 +1,13 @@
 """Persistence: hibernate / restore."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.core.hibernate import hibernate, restore
 from repro.devices import InMemoryStore
-from repro.errors import CodecError
+from repro.errors import CodecError, SwapStoreUnavailableError
+from repro.wire.canonical import canonical_text
 from tests.helpers import Holder, Node, build_chain, chain_values, make_space
 
 
@@ -134,3 +137,83 @@ def test_double_hibernate_is_deterministic(populated, tmp_path):
     first = (tmp_path / "one" / "cluster-1.xml").read_text()
     second = (tmp_path / "two" / "cluster-1.xml").read_text()
     assert first == second
+
+
+# -- a directory written by the ElementTree encoder -------------------------------
+# fixtures/hibernated_etree was written by ``hibernate`` when it built
+# ElementTree documents: attributes in insertion order, ``<none />``,
+# ``<ref oid="6" />``.  Cluster 2 was swapped out at the time; the manifest
+# holds a root dict and a root list.
+
+FIXTURE = Path(__file__).parent / "fixtures" / "hibernated_etree"
+
+
+def test_restores_a_directory_written_by_elementtree():
+    revived = restore(FIXTURE)
+    assert revived.name == "fixture"
+    assert chain_values(revived.get_root("h")) == [99] + list(range(1, 12))
+    assert revived.clusters()[2].epoch == 1
+    holder = revived.get_root("holder")
+    assert [holder.item_at(index) for index in range(holder.count())] == [
+        "", "a&b<c>", None, 2.5, b"\x00b", (1, "t")
+    ]
+    assert holder.get("k") == {1, 2}
+    assert revived.get_root("config") == {
+        "retries": 3, "tags": ["a", "b"], "none": None, "empty": ""
+    }
+    assert revived.get_root("order") == [1, "two", None]
+    revived.verify_integrity()
+
+
+def test_rehibernating_the_fixture_writes_its_canonical_form(tmp_path):
+    hibernate(restore(FIXTURE), tmp_path)
+    for path in sorted(FIXTURE.iterdir()):
+        written = (tmp_path / path.name).read_text(encoding="utf-8")
+        assert written == canonical_text(path.read_text(encoding="utf-8")), path.name
+
+
+# -- the stored copy of a swapped cluster is verified ----------------------------
+
+
+def _mirrored(tmp_path, holders=2):
+    space = make_space(with_store=False)
+    stores = [InMemoryStore(f"store-{index}") for index in range(holders)]
+    for store in stores:
+        space.manager.add_store(store)
+    space.manager.replication_factor = holders
+    space.ingest(build_chain(20), cluster_size=5, root_name="h")
+    location = space.swap_out(2)
+    return space, space.manager.bindings_for(2), location.key
+
+
+def test_hibernate_rejects_an_altered_only_copy(tmp_path):
+    space, (holder,), key = _mirrored(tmp_path, holders=1)
+    holder.store(key, holder.fetch(key).replace("<int>7</int>", "<int>9999</int>"))
+    with pytest.raises(SwapStoreUnavailableError, match="digest mismatch"):
+        hibernate(space, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda holder, key: holder.store(
+            key, holder.fetch(key).replace("<int>7</int>", "<int>9999</int>")
+        ),
+        lambda holder, key: holder.store(key, holder.fetch(key)[:-9]),
+        lambda holder, key: holder.drop(key),
+    ],
+    ids=["altered", "truncated", "missing"],
+)
+def test_hibernate_fails_over_past_a_bad_copy(tmp_path, spoil):
+    space, (first, second), key = _mirrored(tmp_path)
+    spoil(first, key)
+    hibernate(space, tmp_path)
+    revived = restore(tmp_path)
+    assert chain_values(revived.get_root("h")) == list(range(20))
+
+
+def test_hibernate_reads_a_holders_own_spelling(tmp_path):
+    space, (holder,), key = _mirrored(tmp_path, holders=1)
+    holder.store(key, holder.fetch(key).replace("><", ">\n  <"))
+    hibernate(space, tmp_path)
+    assert chain_values(restore(tmp_path).get_root("h")) == list(range(20))

@@ -2,8 +2,11 @@
 
 import pytest
 
+import hashlib
+
 from repro.comm import LoopbackLink, WebServiceClient
-from repro.errors import ReplicationError
+from repro.errors import CodecError, ReplicationError
+from repro.replication import Replicator
 from repro.replication.server import (
     DirectServerClient,
     ObjectServer,
@@ -11,7 +14,7 @@ from repro.replication.server import (
     parse_replica_document,
 )
 from repro.wire.canonical import canonical_text
-from tests.helpers import Holder, Node, Pair, build_chain
+from tests.helpers import Holder, Node, Pair, build_chain, make_space
 
 
 def test_publish_and_describe():
@@ -108,3 +111,58 @@ def test_clusters_served_counter():
     for cid in server.cluster_ids("list"):
         server.fetch_cluster("list", cid)
     assert server.clusters_served == 2
+
+
+# -- pinned replica body --------------------------------------------------------
+# Recorded when the server re-serialized the body through an ElementTree
+# round trip.  A device's replica decode reads these bytes, so they must
+# never drift.
+
+PINNED_RICH_BODY_DIGEST = (
+    "542b664bfa537eb4fc69ee81bae36d6a4e8b34f70aff81943349e7645734472f"
+)
+
+
+def rich_replica():
+    """A published holder whose fields use every wire tag, replicated
+    onto a device: ``(server, descriptor, space, replicator)``."""
+    server = ObjectServer()
+    holder = Holder()
+    holder.items.extend(
+        ["a&b<c>", "", None, 2.5, -0.0, b"\x00bytes", (1, "t"), 'q"uote', "\r\x01", 2**70]
+    )
+    holder.index["k"] = Node(7)
+    holder.index[("t", 1)] = frozenset({"x", "y"})
+    holder.fixed = (True, False, {3, 1, 2})
+    descriptor = server.publish("holder", holder, cluster_size=1)
+    space = make_space("device")
+    replicator = Replicator(space, DirectServerClient(server))
+    handle = replicator.replicate("holder")
+    handle.get("k").get_value()  # materialize the frontier cluster
+    return server, descriptor, space, replicator
+
+
+def test_replica_body_is_pinned():
+    server, descriptor, _space, _replicator = rich_replica()
+    text = server.fetch_cluster("holder", descriptor.root_cid)
+    _, frontier, body, _ = parse_replica_document(text)
+    assert hashlib.sha256(body.encode("utf-8")).hexdigest() == PINNED_RICH_BODY_DIGEST
+    assert len(frontier) == 1
+    assert text == canonical_text(text)
+
+
+def test_foreign_replica_document_reads_like_its_canonical_form():
+    server = ObjectServer()
+    descriptor = server.publish("list", build_chain(10), cluster_size=5)
+    text = server.fetch_cluster("list", descriptor.root_cid)
+    pretty = text.replace("><", ">\n  <")
+    assert parse_replica_document(pretty) == parse_replica_document(text)
+
+
+def test_malformed_replica_document():
+    server = ObjectServer()
+    descriptor = server.publish("list", build_chain(10), cluster_size=5)
+    text = server.fetch_cluster("list", descriptor.root_cid)
+    for broken in (text[:-5], text.replace("<frontier>", "<frontier x=\"1\">"), "<nope/>"):
+        with pytest.raises(CodecError):
+            parse_replica_document(broken)

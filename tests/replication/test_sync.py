@@ -186,3 +186,39 @@ def test_push_all():
     assert len(results) == 2
     assert all(result.accepted for result in results.values())
     assert sync.dirty_clusters() == []
+
+
+# -- pinned digests -----------------------------------------------------------
+# Recorded when sync hashed an ElementTree element tree.  Dirty tracking
+# compares against baselines taken earlier in a device's life, so the
+# hashed text must never drift.
+
+PINNED_CHAIN_DIGESTS = {
+    1: "16c70b4df7fbcf4c3d6a81c0861dfc73ca368a0e84dbc08e5c15e880e3297232",
+    2: "9c8ecc17d381b8b9189fb07f1c8f26f8c481c1d2be1723a83a7237c31ebc7e40",
+    3: "d1f35433fa1dc8efb4320a1bf66a3a01af195cacae5073a1acc1995939d660c1",
+}
+PINNED_DIRTY_ROOT_DIGEST = (
+    "4c4d30f6416f5a09f2491085dd9b9e48c460db5e729a26e4a358c8ae1566ef38"
+)
+PINNED_RICH_DIGEST = (
+    "b86723a7d0298763b45e779d22e7cf99543226a1daefa53830d23702aa931dfd"
+)
+
+
+def test_sync_digest_is_pinned():
+    server, master, space, replicator, handle, sync = _setup()
+    assert {
+        cid: sync._digest(cid) for cid in sorted(replicator._soids_by_cid)
+    } == PINNED_CHAIN_DIGESTS
+    handle.set_value(999)
+    root_cid = server.describe_root("data").root_cid
+    assert sync._digest(root_cid) == PINNED_DIRTY_ROOT_DIGEST
+
+
+def test_sync_digest_of_every_wire_tag_is_pinned():
+    from tests.replication.test_server import rich_replica
+
+    server, descriptor, space, replicator = rich_replica()
+    sync = ReplicaSync(replicator)
+    assert sync._digest(descriptor.root_cid) == PINNED_RICH_DIGEST

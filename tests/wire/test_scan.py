@@ -22,16 +22,23 @@ from hypothesis import strategies as st
 
 from repro.errors import CodecError
 from repro.runtime.registry import TypeRegistry, global_registry
-from repro.wire.canonical import canonical_open_tag, serialize_element
+from repro.wire.canonical import canonical_open_tag
 from repro.wire.delta import apply_cluster_delta, encode_cluster_delta
-from repro.wire.scan import document_epoch, looks_foreign, unescape
-from repro.wire.wrappers import decode_value
+from repro.wire.wrappers import emit_fields
+from repro.wire.scan import (
+    NotCanonical,
+    document_epoch,
+    looks_foreign,
+    read_fields,
+    unescape,
+)
 from repro.wire.xmlcodec import (
     ClusterDocument,
     decode_cluster,
     encode_cluster_canonical,
 )
 from tests.helpers import Holder, Node, Pair
+from tests.wire.etree_reference import decode_value, serialize_element
 
 # -- the ElementTree references -----------------------------------------------
 
@@ -448,6 +455,84 @@ FOREIGN = [_pretty, _retold, _reordered, _end_tags, _char_refs, _cdata]
 
 
 # -- decode -------------------------------------------------------------------
+
+
+# -- field runs: read_fields against decode_value ------------------------------
+
+#: field, param and root names: attribute text without line breaks
+_NAME_CHARS = "ab&<>\"' 5;#"
+_NO_BREAKS = str.maketrans("", "", "\r\n\t")
+
+
+def _field_run(seed, size, tag):
+    """A random run of named values: ``(text, members)``."""
+    rng = random.Random(seed)
+    members = [Node(index) for index in range(3)]
+    values = {
+        _random_text(rng, _NAME_CHARS) + str(index): _random_value(
+            rng, members, members
+        )
+        for index in range(size)
+    }
+    oids = {id(member): oid for oid, member in enumerate(members)}
+
+    def classify(value):
+        if id(value) in oids:
+            return ("local", oids[id(value)])
+        if isinstance(value, Extern):
+            # a parser normalizes breaks in attribute values: text that
+            # holds them raw is not canonical, and only scan_once reads it
+            return ("ext", {k: v.translate(_NO_BREAKS) for k, v in value.attrs.items()})
+        return None
+
+    parts = []
+    emit_fields(parts, values, classify, tag=tag)
+    return "".join(parts), values
+
+
+def _symbolic(kind, ident):
+    return (kind, tuple(sorted(ident.items())) if kind == "ext" else ident)
+
+
+def reference_read_fields(run, tag):
+    root = ET.fromstring(f"<run>{run}</run>")
+    values = {}
+    for element in root:
+        assert element.tag == tag and len(element) == 1
+        values[element.get("name")] = decode_value(element[0], _symbolic)
+    return values
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(0, 6),
+    tag=st.sampled_from(["field", "param", "root"]),
+)
+def test_read_fields_matches_reference(seed, size, tag):
+    run, _values = _field_run(seed, size, tag)
+    ours = read_fields(run, _symbolic, tag=tag)
+    ref = reference_read_fields(run, tag)
+    assert list(ours) == list(ref)
+    assert _shape(ours, {}) == _shape(ref, {})
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        '<field name="a"><int>1</int></field>x',
+        '<field name="a"><int>1</int>',
+        '<field name="a"/>',
+        '<field  name="a"><int>1</int></field>',
+        '<field name="a" x="1"><int>1</int></field>',
+        '<field name="a"><int>1</int><int>2</int></field>',
+        '<param name="a"><int>1</int></param>',
+        '<field name="a"><none /></field>',
+    ],
+)
+def test_read_fields_rejects_other_spellings(run):
+    with pytest.raises(NotCanonical):
+        read_fields(run, _symbolic)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

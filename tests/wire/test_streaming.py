@@ -8,9 +8,7 @@ from repro.wire.canonical import (
     canonical_open_tag,
     canonical_text,
     digest_of_canonical,
-    element_digest,
     payload_digest,
-    serialize_element,
     verify_payload,
 )
 from repro.wire.xmlcodec import (
@@ -19,6 +17,7 @@ from repro.wire.xmlcodec import (
     encode_cluster_stream,
 )
 from tests.helpers import Holder, Node, Pair
+from tests.wire.etree_reference import serialize_element
 
 
 def _oid_of(obj):
@@ -109,13 +108,6 @@ def test_encoder_output_is_already_canonical():
     members = _rich_members()
     text, _digest = encode_cluster_canonical(**_codec_args(members))
     assert canonical_text(text) == text
-
-
-def test_element_digest_matches_text_digest():
-    element = ET.fromstring('<doc b="2" a="1"><child>x</child></doc>')
-    assert element_digest(element) == payload_digest(
-        ET.tostring(element, encoding="unicode")
-    )
 
 
 # -- verification ---------------------------------------------------------

@@ -1,8 +1,11 @@
-"""ElementTree stays off the swap path.
+"""ElementTree stays off the swap path, and out of every codec user.
 
 Delta apply and the stores read payload text with :mod:`repro.wire.scan`;
 an ``xml.etree`` import in either module, at any level, means a parser
-crept back onto swap I/O.
+crept back onto swap I/O.  Across ``src/``, only three modules may parse
+XML with ElementTree: the canonicalizer for foreign text, the structural
+validator and the policy-file reader.  Every other document is written
+with the text writer and read with the scanner.
 """
 
 import ast
@@ -46,3 +49,16 @@ def test_the_guard_sees_nested_imports(tmp_path):
         encoding="utf-8",
     )
     assert [line for line, _name in _etree_imports(probe)] == [2, 3, 4]
+
+
+#: the only ``src/repro`` modules allowed to import ``xml.etree``
+ETREE_MODULES = {"wire/canonical.py", "wire/schema.py", "policy/xmlpolicy.py"}
+
+
+def test_only_three_modules_import_elementtree():
+    importing = {
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py")
+        if _etree_imports(path)
+    }
+    assert importing == ETREE_MODULES

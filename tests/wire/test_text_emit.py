@@ -1,26 +1,28 @@
 """The direct canonical-text encoder against the ElementTree reference.
 
-Swap-out writes canonical XML straight into string chunks.  The
-ElementTree path it replaced — build an element with
-:func:`~repro.wire.wrappers.encode_value`, then serialize it with
-:func:`~repro.wire.canonical.serialize_element` — is kept here as the
-reference: every digest a store holds was computed over that text, so
-the two must agree byte for byte.
+Every document is written as canonical XML straight into string chunks.
+The ElementTree path it replaced — build an element with
+``encode_value``, then serialize it with ``serialize_element`` — is kept
+in ``tests/wire/etree_reference.py`` as the reference: every digest a
+store holds was computed over that text, so the two must agree byte for
+byte.
 """
 
 from __future__ import annotations
 
 import enum
 import random
+from xml.etree import ElementTree as ET
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.wire.canonical import digest_of_canonical, serialize_element
+from repro.wire.canonical import digest_of_canonical
 from repro.wire.delta import apply_cluster_delta, encode_cluster_delta
-from repro.wire.wrappers import emit_value, encode_value
+from repro.wire.wrappers import emit_fields, emit_value
 from repro.wire.xmlcodec import encode_cluster_canonical
 from tests.helpers import Holder, Node, Pair
+from tests.wire.etree_reference import encode_value, serialize_element
 
 
 class Level(enum.IntEnum):
@@ -118,6 +120,26 @@ values = st.recursive(
 @given(value=values)
 def test_emitter_matches_elementtree_reference(value):
     assert _emitted(value) == _reference(value)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    fields=st.dictionaries(texts, values, max_size=4),
+    tag=st.sampled_from(["field", "param", "root"]),
+)
+def test_emit_fields_matches_elementtree_reference(fields, tag):
+    parts = []
+    emit_fields(parts, fields, _classify, tag=tag)
+    reference = []
+    for name, value in fields.items():
+        element = ET.Element(tag, {"name": name})
+        element.append(encode_value(value, _classify))
+        reference.append(serialize_element(element))
+    assert "".join(parts) == "".join(reference)
 
 
 def test_emitter_edge_cases_match_reference():

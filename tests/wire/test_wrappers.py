@@ -1,4 +1,10 @@
-"""Value wrapping, including property-based round-trips."""
+"""Value wrapping, including property-based round-trips.
+
+Values are written with :func:`~repro.wire.wrappers.emit_value` and read
+back with :func:`~repro.wire.scan.read_value`, the pair every document
+uses; ``tests/wire/etree_reference.py`` keeps the ElementTree codec they
+replaced as a reference.
+"""
 
 import math
 
@@ -7,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CodecError
-from repro.wire.wrappers import decode_value, encode_value
+from repro.wire.scan import read_value
+from repro.wire.wrappers import emit_value
+from tests.wire.etree_reference import decode_value, encode_value, serialize_element
 
 
 def _no_refs(_value):
@@ -18,8 +26,16 @@ def _no_resolve(kind, ident):
     raise AssertionError("no references expected")
 
 
+def _emit(value, classify=_no_refs):
+    parts = []
+    emit_value(parts, value, classify)
+    return "".join(parts)
+
+
 def roundtrip(value):
-    return decode_value(encode_value(value, _no_refs), _no_resolve)
+    text = _emit(value)
+    assert text == serialize_element(encode_value(value, _no_refs))
+    return read_value(text, _no_resolve)
 
 
 @pytest.mark.parametrize(
@@ -83,7 +99,7 @@ def test_unencodable_type_raises():
         pass
 
     with pytest.raises(CodecError):
-        encode_value(Strange(), _no_refs)
+        _emit(Strange())
 
 
 def test_classifier_local_reference():
@@ -92,28 +108,26 @@ def test_classifier_local_reference():
     def classify(value):
         return ("local", 42) if value is sentinel else None
 
-    element = encode_value(sentinel, classify)
-    assert element.tag == "ref" and element.get("oid") == "42"
-    resolved = decode_value(element, lambda kind, ident: ("got", kind, ident))
+    text = _emit(sentinel, classify)
+    assert text == '<ref oid="42"/>'
+    resolved = read_value(text, lambda kind, ident: ("got", kind, ident))
     assert resolved == ("got", "local", 42)
 
 
 def test_classifier_out_reference():
     sentinel = object()
-    element = encode_value(
-        sentinel, lambda v: ("out", 3) if v is sentinel else None
-    )
-    assert element.tag == "outref"
-    assert decode_value(element, lambda k, i: (k, i)) == ("out", 3)
+    text = _emit(sentinel, lambda v: ("out", 3) if v is sentinel else None)
+    assert text == '<outref index="3"/>'
+    assert read_value(text, lambda k, i: (k, i)) == ("out", 3)
 
 
 def test_classifier_ext_reference():
     sentinel = object()
-    element = encode_value(
-        sentinel, lambda v: ("ext", {"cid": 1, "soid": 2}) if v is sentinel else None
+    text = _emit(
+        sentinel, lambda v: ("ext", {"soid": 2, "cid": 1}) if v is sentinel else None
     )
-    assert element.tag == "extref"
-    kind_attrs = decode_value(element, lambda k, a: (k, a))
+    assert text == '<extref cid="1" soid="2"/>'
+    kind_attrs = read_value(text, lambda k, a: (k, a))
     assert kind_attrs == ("ext", {"cid": "1", "soid": "2"})
 
 
@@ -123,17 +137,18 @@ def test_references_inside_containers():
     def classify(value):
         return ("local", 7) if value is sentinel else None
 
-    element = encode_value([1, sentinel, {"k": sentinel}], classify)
-    decoded = decode_value(element, lambda k, i: f"obj-{i}")
+    text = _emit([1, sentinel, {"k": sentinel}], classify)
+    decoded = read_value(text, lambda k, i: f"obj-{i}")
     assert decoded == [1, "obj-7", {"k": "obj-7"}]
+    reference = decode_value(
+        encode_value([1, sentinel, {"k": sentinel}], classify),
+        lambda k, i: f"obj-{i}",
+    )
+    assert decoded == reference
 
 
 def test_set_encoding_deterministic():
-    import xml.etree.ElementTree as ET
-
-    first = ET.tostring(encode_value({3, 1, 2}, _no_refs))
-    second = ET.tostring(encode_value({2, 3, 1}, _no_refs))
-    assert first == second
+    assert _emit({3, 1, 2}) == _emit({2, 3, 1}) == "<set><int>1</int><int>2</int><int>3</int></set>"
 
 
 # -- property-based -----------------------------------------------------------

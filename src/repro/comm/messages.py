@@ -9,10 +9,15 @@ Wire shape (canonical text, see :mod:`repro.wire.canonical`)::
 
     <response status="ok"><result><none/></result></response>
     <response kind="UnknownKeyError" status="error">message</response>
+
+An error message XML cannot carry as text (control characters, ``\r``,
+lone surrogates) travels base64-encoded under ``enc="b64"``, as a
+``<str enc="b64">`` value does.
 """
 
 from __future__ import annotations
 
+import base64
 from typing import Any, Dict, List, Tuple
 
 from repro.errors import CodecError
@@ -26,7 +31,7 @@ from repro.wire.scan import (
     read_value,
     scan_once,
 )
-from repro.wire.wrappers import emit_fields, emit_value
+from repro.wire.wrappers import _xml_safe, emit_fields, emit_value
 
 
 def _no_refs(_value: Any) -> None:
@@ -56,11 +61,17 @@ def parse_request(text: str) -> Tuple[str, Dict[str, Any]]:
 
 def build_response(result: Any = None, error: BaseException | None = None) -> str:
     if error is not None:
-        return canonical_element(
-            "response",
-            {"status": "error", "kind": type(error).__name__},
-            _escape_text(str(error)),
-        )
+        message = str(error)
+        attrs = {"status": "error", "kind": type(error).__name__}
+        if _xml_safe(message):
+            body = _escape_text(message)
+        else:
+            # XML cannot carry it as text: base64, as a <str enc="b64">
+            attrs["enc"] = "b64"
+            body = base64.b64encode(
+                message.encode("utf-8", errors="surrogatepass")
+            ).decode("ascii")
+        return canonical_element("response", attrs, body)
     parts = ["<result>"]
     emit_value(parts, result, _no_refs)
     parts.append("</result>")
@@ -73,7 +84,12 @@ def parse_response(text: str) -> Any:
     def read(candidate: str) -> Tuple[bool, Any]:
         attrs, body = read_document(candidate, "response")
         if attrs.get("status") == "error":
-            return False, (attrs.get("kind", "ObiError"), read_text(body))
+            message = read_text(body)
+            if attrs.get("enc") == "b64":
+                message = base64.b64decode(message).decode(
+                    "utf-8", errors="surrogatepass"
+                )
+            return False, (attrs.get("kind", "ObiError"), message)
         result, rest = leading_element(body, "result")
         if rest:
             raise NotCanonical("text after <result>")

@@ -40,9 +40,8 @@ link-saturation input can exclude them (see
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.clock import SimulatedClock
 from repro.comm.transport import SimulatedLink
@@ -78,7 +77,7 @@ class PipelineStats:
         return max(0.0, self.serial_s - self.pipelined_s)
 
 
-@dataclass
+@dataclass(slots=True)
 class ChannelSlot:
     """The simulated-time window one channel operation occupied."""
 
@@ -142,74 +141,18 @@ class TransferScheduler:
         already is) — the admission point for backpressure pacing."""
         return max(self.clock.now(), min(self._channel_free))
 
-    @contextmanager
-    def channel(
-        self, link: Any, not_before: float = 0.0
-    ) -> Iterator[ChannelSlot]:
+    def channel(self, link: Any, not_before: float = 0.0) -> "_Booking":
         """Run the enclosed link operations concurrently on a free channel.
 
         The operations execute immediately (results and failures are
         synchronous as ever); only their *time* is scheduled onto the
         channel instead of the global clock.  Links the scheduler cannot
-        model (loopback, no link at all) simply run inline.  The yielded
-        :class:`ChannelSlot` carries the operation's scheduled window;
-        ``not_before`` delays the window start (sequencing failover
-        attempts of one logical op across different links).
+        model (loopback, no link at all) simply run inline.  The context
+        yields a :class:`ChannelSlot` carrying the operation's scheduled
+        window; ``not_before`` delays the window start (sequencing
+        failover attempts of one logical op across different links).
         """
-        slot = ChannelSlot()
-        target = self._underlying(link)
-        if target is None or target.clock is not self.clock:
-            # unknown link, or one already running on a shadow clock
-            # (nested channel) — run inline rather than double-schedule
-            slot.start_s = self.clock.now()
-            try:
-                yield slot
-            except BaseException:
-                slot.end_s = self.clock.now()
-                slot.failed = True
-                raise
-            slot.end_s = self.clock.now()
-            return
-        index = min(
-            range(self.channels), key=lambda i: self._channel_free[i]
-        )
-        slot.channel_index = index
-        start = max(
-            self.clock.now(),
-            not_before,
-            self._channel_free[index],
-            self._link_free.get(id(target), 0.0),
-        )
-        shadow = SimulatedClock(start)
-        target.clock = shadow
-        slot.start_s = start
-        charged_before = target.stats.seconds_charged
-        failed = False
-        try:
-            yield slot
-        except BaseException:
-            failed = True
-            raise
-        finally:
-            target.clock = self.clock
-            end = shadow.now()
-            slot.end_s = end
-            slot.failed = failed
-            self.stats.transfers += 1
-            self._channel_free[index] = end
-            self._link_free[id(target)] = end
-            if failed:
-                # the radio was busy until the failure, but the window
-                # is waste, not useful serial work: account it apart and
-                # mirror the charged seconds so saturation readings can
-                # exclude them
-                self.stats.failed_transfers += 1
-                self.stats.failed_s += end - start
-                target.stats.seconds_failed += (
-                    target.stats.seconds_charged - charged_before
-                )
-            else:
-                self.stats.serial_s += end - start
+        return _Booking(self, link, not_before)
 
     def cancel_remainder(self, link: Any, slot: ChannelSlot, at: float) -> float:
         """Abort the unelapsed tail of a booked window at time ``at``.
@@ -265,3 +208,79 @@ class TransferScheduler:
             self.stats.pipelined_s += waited
         self._link_free.clear()
         return waited
+
+
+class _Booking:
+    """One :meth:`TransferScheduler.channel` window as a context manager.
+
+    Entering picks the earliest-free channel (lowest index on ties),
+    starts the window at the latest of now, ``not_before``, the
+    channel's and the physical link's free times, and points the link at
+    a shadow clock; exiting restores the link's clock and books the
+    window, as failed waste when the body raised.  Unmodelable links
+    (loopback, none, or one already on a shadow clock — a nested
+    channel) run inline on the global clock.
+    """
+
+    __slots__ = (
+        "_owner", "_link", "_not_before", "_slot", "_target", "_shadow",
+        "_charged",
+    )
+
+    def __init__(
+        self, owner: TransferScheduler, link: Any, not_before: float
+    ) -> None:
+        self._owner = owner
+        self._link = link
+        self._not_before = not_before
+
+    def __enter__(self) -> ChannelSlot:
+        owner = self._owner
+        clock = owner.clock
+        target = owner._underlying(self._link)
+        if target is None or target.clock is not clock:
+            self._target = None
+            self._slot = slot = ChannelSlot(clock.now())
+            return slot
+        free = owner._channel_free
+        index = free.index(min(free))
+        start = max(
+            clock.now(),
+            self._not_before,
+            free[index],
+            owner._link_free.get(id(target), 0.0),
+        )
+        self._target = target
+        self._slot = slot = ChannelSlot(start, 0.0, False, index)
+        self._charged = target.stats.seconds_charged
+        target.clock = self._shadow = SimulatedClock(start)
+        return slot
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        owner = self._owner
+        slot = self._slot
+        failed = exc_type is not None
+        target = self._target
+        if target is None:
+            slot.end_s = owner.clock.now()
+            slot.failed = failed
+            return
+        target.clock = owner.clock
+        end = self._shadow.now()
+        slot.end_s = end
+        slot.failed = failed
+        stats = owner.stats
+        stats.transfers += 1
+        owner._channel_free[slot.channel_index] = end
+        owner._link_free[id(target)] = end
+        if failed:
+            # the radio was busy until the failure, but the window is
+            # waste, not useful serial work: account it apart and mirror
+            # the charged seconds so saturation readings can exclude them
+            stats.failed_transfers += 1
+            stats.failed_s += end - slot.start_s
+            target.stats.seconds_failed += (
+                target.stats.seconds_charged - self._charged
+            )
+        else:
+            stats.serial_s += end - slot.start_s

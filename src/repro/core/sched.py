@@ -38,14 +38,16 @@ from __future__ import annotations
 
 import enum
 import heapq
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.comm.pipeline import TransferScheduler
+from repro.core.swap_cluster import SwapClusterState
 from repro.errors import TransportError, UnknownKeyError
 from repro.ids import Sid
 from repro.wire.canonical import verify_payload
+
+_SWAPPED = SwapClusterState.SWAPPED
 
 
 class SwapOpKind(enum.Enum):
@@ -70,7 +72,7 @@ class SwapOpState(enum.Enum):
     CANCELLED = "cancelled"
 
 
-@dataclass
+@dataclass(slots=True)
 class SwapOp:
     """One resumable swap operation on the simulated timeline.
 
@@ -287,34 +289,50 @@ class Prefetcher:
         costs O(out-degree), not a scan of every live proxy.
         """
         clusters = self._space._clusters
-
-        def swapped(sid: Sid) -> bool:
-            cluster = clusters.get(sid)
-            return (
-                cluster is not None
-                and cluster.is_swapped
-                and cluster.location is not None
-            )
-
         ranked: List[Sid] = []
-        history = self._successors.get(source, {})
-        for sid, _count in sorted(
-            history.items(), key=lambda item: (-item[1], item[0])
-        ):
-            if swapped(sid):
-                ranked.append(sid)
-        targets = {
-            proxy._obi_target_sid
-            for proxy in clusters[source].replacement._outbound
-            if proxy._obi_source_sid == source
-        }
-        edges: List[Tuple[int, Sid]] = [
-            (-clusters[target_sid].last_crossing_tick, target_sid)
-            for target_sid in targets
-            if target_sid not in history and swapped(target_sid)
-        ]
-        ranked.extend(sid for _tick, sid in sorted(edges))
+        history = self._successors.get(source)
+        if history:
+            rows = (
+                sorted(history.items(), key=_by_count)
+                if len(history) > 1
+                else history.items()
+            )
+            for sid, _count in rows:
+                cluster = clusters.get(sid)
+                if (
+                    cluster is not None
+                    and cluster.state is _SWAPPED
+                    and cluster.location is not None
+                ):
+                    ranked.append(sid)
+        else:
+            history = {}
+        edges: List[Tuple[int, Sid]] = []
+        seen = set()
+        for proxy in clusters[source].replacement._outbound:
+            if proxy._obi_source_sid != source:
+                continue
+            target = proxy._obi_target_sid
+            if target in seen:
+                continue
+            seen.add(target)
+            if target in history:
+                continue
+            cluster = clusters.get(target)
+            if (
+                cluster is not None
+                and cluster.state is _SWAPPED
+                and cluster.location is not None
+            ):
+                edges.append((-cluster.last_crossing_tick, target))
+        edges.sort()
+        ranked.extend(sid for _tick, sid in edges)
         return ranked
+
+
+def _by_count(item: Tuple[Sid, int]) -> Tuple[int, Sid]:
+    """History rank: most observed successions first, then sid."""
+    return -item[1], item[0]
 
 
 class AsyncSwapScheduler:
@@ -350,25 +368,36 @@ class AsyncSwapScheduler:
     def clock(self) -> Any:
         return self.transfers.clock
 
-    def _new_op(self, kind: SwapOpKind, sid: Sid, **kw: Any) -> SwapOp:
+    def _new_op(
+        self,
+        kind: SwapOpKind,
+        sid: Sid,
+        key: str = "",
+        device_id: str = "",
+        speculative: bool = False,
+    ) -> SwapOp:
         self._seq += 1
-        op = SwapOp(
-            seq=self._seq, kind=kind, sid=sid,
-            issued_s=self.clock.now(), **kw,
-        )
         self.stats.ops_issued += 1
-        return op
+        return SwapOp(
+            self._seq, kind, sid, key, speculative, SwapOpState.PENDING,
+            device_id, self.transfers.clock.now(),
+        )
 
     def _enqueue(self, op: SwapOp) -> None:
         op.state = SwapOpState.IN_FLIGHT
-        self.queue.push(op)
-        self.stats.max_queue_depth = max(
-            self.stats.max_queue_depth, len(self.queue)
-        )
+        heap = self.queue._heap
+        heapq.heappush(heap, (op.complete_s, op.seq, op))
+        stats = self.stats
+        if len(heap) > stats.max_queue_depth:
+            stats.max_queue_depth = len(heap)
 
     def retire_due(self) -> List[SwapOp]:
         """Retire every op whose completion time the clock has passed."""
-        done = self.queue.pop_due(self.clock.now())
+        heap = self.queue._heap
+        now = self.transfers.clock.now()
+        if not heap or heap[0][0] > now:
+            return []
+        done = self.queue.pop_due(now)
         for op in done:
             if op.state is SwapOpState.IN_FLIGHT:
                 op.state = SwapOpState.DONE
@@ -641,18 +670,18 @@ class AsyncSwapScheduler:
         location = cluster.location
         if manager.resilience is not None and len(holders) > 1:
             holders = manager.resilience.rank_replicas(holders)
-        # least-loaded link first among the ranked replicas, so the
-        # speculative transfer lands on an idle radio when one exists
-        holder = min(
-            enumerate(holders),
-            key=lambda item: (
-                self.transfers.link_free_at(getattr(item[1], "_link", None)),
-                item[0],
-            ),
-        )[1]
-        free_at = self.transfers.link_free_at(
-            getattr(holder, "_link", None)
-        )
+        # least-loaded link first among the ranked replicas (the first
+        # ranked on ties), so the speculative transfer lands on an idle
+        # radio when one exists
+        link_free_at = self.transfers.link_free_at
+        holder = holders[0]
+        link = getattr(holder, "_link", None)
+        free_at = link_free_at(link)
+        for other in holders[1:]:
+            other_link = getattr(other, "_link", None)
+            other_free = link_free_at(other_link)
+            if other_free < free_at:
+                holder, link, free_at = other, other_link, other_free
         if free_at > when:
             # even the least-loaded replica's radio is booked past the
             # stall window: queuing speculation behind that backlog
@@ -676,11 +705,7 @@ class AsyncSwapScheduler:
             self._cancel_slot(oldest)
             self.stats.prefetch_demoted += 1
         op = self._new_op(
-            SwapOpKind.FETCH,
-            cluster.sid,
-            key=location.key,
-            speculative=True,
-            device_id=holder.device_id,
+            SwapOpKind.FETCH, cluster.sid, location.key, holder.device_id, True
         )
         self.stats.prefetch_issued += 1
         text: Optional[str] = None
@@ -691,9 +716,7 @@ class AsyncSwapScheduler:
             # itself belongs to demand traffic, and a speculative
             # transfer pushed past it delays the link by at most one
             # payload before the radio is contended again
-            with self.transfers.channel(
-                getattr(holder, "_link", None), not_before=when
-            ) as slot:
+            with self.transfers.channel(link, when) as slot:
                 try:
                     candidate = holder.fetch(location.key)
                 except (TransportError, UnknownKeyError) as exc:
@@ -715,9 +738,7 @@ class AsyncSwapScheduler:
             return
         op.payload = text
         self._speculative[cluster.sid] = op
-        self._spec_slots[cluster.sid] = (
-            getattr(holder, "_link", None), slot
-        )
+        self._spec_slots[cluster.sid] = (link, slot)
         self._enqueue(op)
 
     def _cancel_slot(self, sid: Sid) -> None:
@@ -768,34 +789,13 @@ class AsyncSwapScheduler:
 
     # -- write-back --------------------------------------------------------
 
-    @contextmanager
-    def ship_channel(self, holder: Any, kind: str = "ship") -> Iterator[None]:
+    def ship_channel(self, holder: Any, kind: str = "ship") -> "_ShipWindow":
         """A scheduled window for one victim/mirror ship.
 
         A ship that raises is marked FAILED and re-raised unchanged —
         the caller's failover logic is none the wiser.
         """
-        op_kind = (
-            SwapOpKind.DELTA_SHIP if kind == "delta" else SwapOpKind.SHIP
-        )
-        op = self._new_op(op_kind, -1, device_id=holder.device_id)
-        try:
-            with self.transfers.channel(
-                getattr(holder, "_link", None)
-            ) as slot:
-                yield
-        except BaseException:
-            op.state = SwapOpState.FAILED
-            op.start_s = slot.start_s
-            op.complete_s = slot.end_s
-            op.busy_s = slot.duration_s
-            raise
-        op.start_s = slot.start_s
-        op.complete_s = slot.end_s
-        op.busy_s = slot.duration_s
-        self.stats.writebacks += 1
-        self._enqueue(op)
-        self.retire_due()
+        return _ShipWindow(self, holder, kind)
 
     def defer_drops(
         self, sid: Sid, keys: List[str], holders: List[Any]
@@ -810,18 +810,15 @@ class AsyncSwapScheduler:
         in-flight fetch from the same store, the faulting thread never
         waits.
         """
+        channel = self.transfers.channel
+        links = [getattr(holder, "_link", None) for holder in holders]
         for key in keys:
-            for holder in holders:
+            for holder, link in zip(holders, links):
                 op = self._new_op(
-                    SwapOpKind.INVALIDATE,
-                    sid,
-                    key=key,
-                    device_id=holder.device_id,
+                    SwapOpKind.INVALIDATE, sid, key, holder.device_id
                 )
                 op.attempts = 1
-                with self.transfers.channel(
-                    getattr(holder, "_link", None)
-                ) as slot:
+                with channel(link) as slot:
                     try:
                         holder.drop(key)
                     except (TransportError, UnknownKeyError) as exc:
@@ -841,10 +838,55 @@ class AsyncSwapScheduler:
 
     def note_reload(self, sid: Sid) -> None:
         """Record the RELOAD-VERIFY stage (decode + install + proxy
-        patch) as a completed op.  Pure CPU: zero simulated cost, so it
-        completes at the current instant and retires immediately."""
-        op = self._new_op(SwapOpKind.RELOAD_VERIFY, sid)
-        op.start_s = op.complete_s = self.clock.now()
-        self.stats.reloads += 1
-        self._enqueue(op)
+        patch) as an instant op.  Pure CPU: zero simulated cost, so it
+        completes at the current instant and would retire in the same
+        call — it is counted (issued, reloads, queue depth) without
+        building or queueing an op."""
+        self._seq += 1
+        stats = self.stats
+        stats.ops_issued += 1
+        stats.reloads += 1
+        # the queue depth the op would have reached for that instant
+        stats.max_queue_depth = max(stats.max_queue_depth, len(self.queue) + 1)
         self.retire_due()
+
+
+class _ShipWindow:
+    """:meth:`AsyncSwapScheduler.ship_channel` as a context manager: a
+    SHIP/DELTA-SHIP op booked on a transfer channel for the body."""
+
+    __slots__ = ("_sched", "_holder", "_kind", "_op", "_booking", "_slot")
+
+    def __init__(self, sched: AsyncSwapScheduler, holder: Any, kind: str) -> None:
+        self._sched = sched
+        self._holder = holder
+        self._kind = kind
+
+    def __enter__(self) -> None:
+        sched = self._sched
+        holder = self._holder
+        self._op = sched._new_op(
+            SwapOpKind.DELTA_SHIP if self._kind == "delta" else SwapOpKind.SHIP,
+            -1,
+            "",
+            holder.device_id,
+        )
+        self._booking = booking = sched.transfers.channel(
+            getattr(holder, "_link", None)
+        )
+        self._slot = booking.__enter__()
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        self._booking.__exit__(exc_type, exc, tb)
+        slot = self._slot
+        op = self._op
+        op.start_s = slot.start_s
+        op.complete_s = slot.end_s
+        op.busy_s = slot.duration_s
+        if exc_type is not None:
+            op.state = SwapOpState.FAILED
+            return
+        sched = self._sched
+        sched.stats.writebacks += 1
+        sched._enqueue(op)
+        sched.retire_due()

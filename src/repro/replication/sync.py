@@ -95,18 +95,31 @@ class ReplicaSync:
         replica's base version — pull first, then push again.
         """
         root_name = self._require_replicated(cid)
-        document = self._build_push_document(root_name, cid)
+        return self._push(cid, root_name, self._objects_text(cid))
+
+    def push_all(self) -> Dict[int, PushResult]:
+        dirty = []
+        for cid in sorted(self._baseline):
+            objects = self._objects_text(cid)
+            if self._digest_of(cid, objects) != self._baseline[cid]:
+                dirty.append((cid, objects))
+        return {
+            cid: self._push(cid, self._require_replicated(cid), objects)
+            for cid, objects in dirty
+        }
+
+    def _push(self, cid: int, root_name: str, objects: str) -> PushResult:
+        """Push ``objects`` (the cluster's text, written once) and take
+        the new baseline from that same text."""
+        document = self._build_push_document(root_name, cid, objects)
         result = self._client.apply_push(document)
         if not result.accepted:
             raise SyncConflictError(
                 f"cluster {cid}: {result.message}; pull before pushing"
             )
         self._repl._version_by_cid[cid] = result.version
-        self._baseline[cid] = self._digest(cid)
+        self._baseline[cid] = self._digest_of(cid, objects)
         return result
-
-    def push_all(self) -> Dict[int, PushResult]:
-        return {cid: self.push(cid) for cid in self.dirty_clusters()}
 
     # -- pull ------------------------------------------------------------------------
 
@@ -243,13 +256,18 @@ class ReplicaSync:
         return ("ext", {"cid": cid, "soid": soid})
 
     def _digest(self, cid: int) -> str:
-        """Hash of the cluster's ``<push-body>``: its bytes are pinned,
-        since a baseline taken earlier is compared against it."""
+        return self._digest_of(cid, self._objects_text(cid))
+
+    @staticmethod
+    def _digest_of(cid: int, objects: str) -> str:
+        """Hash of the cluster's ``<push-body>`` around ``objects`` text:
+        its bytes are pinned, since a baseline taken earlier is compared
+        against it."""
         return digest_of_canonical(
-            canonical_element("push-body", {"cid": str(cid)}, self._objects_text(cid))
+            canonical_element("push-body", {"cid": str(cid)}, objects)
         )
 
-    def _build_push_document(self, root_name: str, cid: int) -> str:
+    def _build_push_document(self, root_name: str, cid: int, objects: str) -> str:
         return canonical_element(
             "push-cluster",
             {
@@ -258,7 +276,7 @@ class ReplicaSync:
                 "base_version": str(self._repl._version_by_cid.get(cid, 0)),
                 "device": self._space.name,
             },
-            self._objects_text(cid),
+            objects,
         )
 
     def _on_replicated(self, event: Any) -> None:

@@ -27,7 +27,7 @@ from repro.events import (
 from repro.resilience.health import HealthRegistry
 from repro.resilience.journal import SwapJournal
 from repro.resilience.placement import PlacementMap, health_rank
-from repro.resilience.retry import RetryPolicy, run_with_retry
+from repro.resilience.retry import RetryPolicy, retry_after_failure
 from repro.resilience.scrub import Scrubber
 
 
@@ -147,23 +147,25 @@ class Resilience:
         lowest-latency link wins.
         """
         now = self.clock.now()
-
-        def rank(holder: Any) -> Tuple:
-            device_id = holder.device_id
-            record = self.health.of(device_id)
+        of = self.health.of
+        ranked = []
+        for index, holder in enumerate(holders):
+            record = of(holder.device_id)
             link = getattr(holder, "link", None)
             latency = getattr(link, "latency_s", 0.0) if link is not None else 0.0
             # health_rank is the shared failure-rate key, matching
             # plan_placement: a net-success score would rank busy stores
             # above quiet healthy ones and scramble the stable holder
-            # order the bindings establish
-            return (
+            # order the bindings establish; the index keeps ties stable
+            ranked.append((
                 0 if record.admits(now) else 1,
                 *health_rank(record),
                 latency,
-            )
-
-        return sorted(holders, key=rank)
+                index,
+                holder,
+            ))
+        ranked.sort()
+        return [entry[-1] for entry in ranked]
 
     def _on_journal_truncated(self, dropped: int) -> None:
         self._manager.stats.journal_truncated += dropped
@@ -192,6 +194,30 @@ class Resilience:
         exhausting retries (reachability failures only) counts one
         failure toward its circuit breaker.
         """
+        started = self.clock.now()
+        try:
+            result = operation()
+        except retry_on as exc:
+            return self._retry(
+                operation, exc, started, sid, device_id, op_name, retry_on
+            )
+        # the common case: one attempt, no retry machinery
+        self._observe_attempts(1)
+        self.record_success(device_id)
+        return result
+
+    def _retry(
+        self,
+        operation: Callable[[], Any],
+        error: BaseException,
+        started: float,
+        sid: int,
+        device_id: str,
+        op_name: str,
+        retry_on: Tuple[Type[BaseException], ...],
+    ) -> Any:
+        """:meth:`run` after a failed first attempt: backoff, events and
+        spans per retry, health bookkeeping at the end."""
         space = self._space
         attempts = 1
 
@@ -201,7 +227,7 @@ class Resilience:
             self._manager.stats.retries += 1
             obs = getattr(self._manager, "obs", None)
             if obs is not None:
-                # run_with_retry advances the clock by exactly ``delay``
+                # the retry loop advances the clock by exactly ``delay``
                 # right after this callback, so the backoff span's window
                 # is known now: [now, now + delay]
                 now = self.clock.now()
@@ -228,8 +254,10 @@ class Resilience:
             )
 
         try:
-            result = run_with_retry(
+            result = retry_after_failure(
                 operation,
+                error,
+                started,
                 policy=self.config.retry,
                 clock=self.clock,
                 rng=self._rng,

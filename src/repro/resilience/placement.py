@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import TransportError
@@ -338,20 +339,18 @@ def plan_placement(
             rank = (0, 0.0)
         free = getattr(store, "free", None)
         admitted.append(((rank, -(free if free is not None else 1 << 62)), store))
-    admitted.sort(key=lambda item: item[0])
+    admitted.sort(key=itemgetter(0))
 
     chosen: List[Any] = []
     used_groups: set = set()
-    remaining = [store for _, store in admitted]
+    remaining = [(placement_group_of(store), store) for _, store in admitted]
     while remaining and len(chosen) < count:
-        pick = None
-        for store in remaining:
-            if placement_group_of(store) not in used_groups:
-                pick = store
+        position = 0  # every free group exhausted: co-locate as a last resort
+        for index, (group, _store) in enumerate(remaining):
+            if group not in used_groups:
+                position = index
                 break
-        if pick is None:  # every free group exhausted: co-locate as a last resort
-            pick = remaining[0]
+        group, pick = remaining.pop(position)
         chosen.append(pick)
-        used_groups.add(placement_group_of(pick))
-        remaining.remove(pick)
+        used_groups.add(group)
     return chosen

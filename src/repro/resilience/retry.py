@@ -78,25 +78,59 @@ def run_with_retry(
     chained) when attempts or the deadline run out.
     """
     started = clock.now()
+    try:
+        return operation()
+    except retry_on as exc:
+        return retry_after_failure(
+            operation,
+            exc,
+            started,
+            policy=policy,
+            clock=clock,
+            rng=rng,
+            retry_on=retry_on,
+            on_retry=on_retry,
+            describe=describe,
+        )
+
+
+def retry_after_failure(
+    operation: Callable[[], Any],
+    error: BaseException,
+    started: float,
+    *,
+    policy: RetryPolicy,
+    clock: Clock,
+    rng: Optional[random.Random] = None,
+    retry_on: Tuple[Type[BaseException], ...] = (TransportError,),
+    on_retry: Optional[RetryObserver] = None,
+    describe: str = "operation",
+) -> Any:
+    """:func:`run_with_retry` from its first failure on: ``error`` is
+    what attempt 1 (begun at ``started``) raised.  Callers that make the
+    first attempt themselves pay for the retry machinery only when it
+    fails."""
     attempt = 1
+    exc = error
     while True:
+        if attempt >= policy.max_attempts:
+            raise RetryExhaustedError(
+                f"{describe}: {attempt} attempt(s) exhausted; last: {exc}"
+            ) from exc
+        delay = policy.delay_for(attempt, rng)
+        if (
+            policy.deadline_s is not None
+            and clock.now() + delay - started > policy.deadline_s
+        ):
+            raise RetryExhaustedError(
+                f"{describe}: deadline of {policy.deadline_s}s would be "
+                f"exceeded after attempt {attempt}; last: {exc}"
+            ) from exc
+        if on_retry is not None:
+            on_retry(attempt, delay, exc)
+        clock.advance(delay)
+        attempt += 1
         try:
             return operation()
-        except retry_on as exc:
-            if attempt >= policy.max_attempts:
-                raise RetryExhaustedError(
-                    f"{describe}: {attempt} attempt(s) exhausted; last: {exc}"
-                ) from exc
-            delay = policy.delay_for(attempt, rng)
-            if (
-                policy.deadline_s is not None
-                and clock.now() + delay - started > policy.deadline_s
-            ):
-                raise RetryExhaustedError(
-                    f"{describe}: deadline of {policy.deadline_s}s would be "
-                    f"exceeded after attempt {attempt}; last: {exc}"
-                ) from exc
-            if on_retry is not None:
-                on_retry(attempt, delay, exc)
-            clock.advance(delay)
-            attempt += 1
+        except retry_on as next_error:
+            exc = next_error

@@ -105,3 +105,22 @@ def test_elementtree_spelled_envelopes_still_parse():
     assert parse_response(ETREE_RESPONSE) == {"used": 12, "none": None}
     with pytest.raises(UnknownKeyError, match='no key <x> & "y"'):
         parse_response(ETREE_ERROR)
+
+
+@pytest.mark.parametrize(
+    "message",
+    ["key \x01x", "bell\x07 and nul\x00", "line\r\nbreak\r", "lone \ud800 half"],
+)
+def test_unsafe_error_messages_round_trip_typed(message):
+    text = build_response(error=UnknownKeyError(message))
+    assert 'enc="b64"' in text
+    with pytest.raises(UnknownKeyError) as raised:
+        parse_response(text)
+    assert str(raised.value) == message
+
+
+def test_safe_error_envelopes_are_unchanged():
+    assert build_response(error=UnknownKeyError('no key <x> & "y"')) == (
+        '<response kind="UnknownKeyError" status="error">'
+        'no key &lt;x&gt; &amp; "y"</response>'
+    )

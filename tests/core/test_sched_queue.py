@@ -78,6 +78,25 @@ def test_retire_due_promotes_in_flight_ops_and_spares_terminal_ones():
     assert failed.state is SwapOpState.FAILED
 
 
+def test_reload_counts_as_an_instant_op_on_the_queue():
+    from repro.core.sched import AsyncSchedConfig, AsyncSwapScheduler
+
+    clock = SimulatedClock()
+    space = Space("reload", heap_capacity=1 << 20, clock=clock)
+    sched = AsyncSwapScheduler(space.manager, AsyncSchedConfig(channels=2))
+    later = _op(1, 5.0)
+    later.state = SwapOpState.IN_FLIGHT
+    sched.queue.push(later)
+    sched._seq = 1
+    sched.note_reload(7)
+    # issued, counted, and for its instant the queue held it beside the
+    # op still in flight; then it retired at once
+    assert (sched.stats.ops_issued, sched.stats.reloads) == (1, 1)
+    assert sched.stats.max_queue_depth == 2
+    assert sched._seq == 2
+    assert sched.queue.pop_due(float("inf")) == [later]
+
+
 # -- whole-workload determinism --------------------------------------------
 
 

@@ -188,6 +188,40 @@ def test_push_all():
     assert sync.dirty_clusters() == []
 
 
+def _count_object_texts(sync):
+    calls = []
+    write = sync._objects_text
+
+    def counted(cid):
+        calls.append(cid)
+        return write(cid)
+
+    sync._objects_text = counted
+    return calls
+
+
+def test_push_writes_the_cluster_text_once():
+    server, master, space, replicator, handle, sync = _setup()
+    handle.set_value(999)
+    root_cid = server.describe_root("data").root_cid
+    calls = _count_object_texts(sync)
+    sync.push(root_cid)
+    # the pushed document and the new baseline share one write
+    assert calls == [root_cid]
+    assert not sync.dirty(root_cid)
+
+
+def test_push_all_writes_each_cluster_text_once():
+    server, master, space, replicator, handle, sync = _setup()
+    handle.set_value(1)
+    root_cid = server.describe_root("data").root_cid
+    calls = _count_object_texts(sync)
+    results = sync.push_all()
+    assert list(results) == [root_cid]
+    # one write per cluster for the dirty check, reused by the push
+    assert sorted(calls) == sorted(replicator._soids_by_cid)
+
+
 # -- pinned digests -----------------------------------------------------------
 # Recorded when sync hashed an ElementTree element tree.  Dirty tracking
 # compares against baselines taken earlier in a device's life, so the

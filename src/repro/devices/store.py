@@ -54,15 +54,11 @@ class InMemoryStore:
     """Minimal conforming store: a dict of key -> XML text."""
 
     def __init__(self, device_id: str = "memory-store") -> None:
-        self._device_id = device_id
+        self.device_id = device_id
         self._data: Dict[str, str] = {}
         #: key -> (delta text, base key); a key lives in exactly one of
         #: ``_data`` / ``_deltas``
         self._deltas: Dict[str, Tuple[str, str]] = {}
-
-    @property
-    def device_id(self) -> str:
-        return self._device_id
 
     def store(self, key: str, xml_text: str) -> None:
         self._deltas.pop(key, None)
@@ -96,7 +92,7 @@ class InMemoryStore:
         """
         if key == base_key:
             raise TransportError(
-                f"{self._device_id}: delta key {key!r} cannot be its own base"
+                f"{self.device_id}: delta key {key!r} cannot be its own base"
             )
         data = b"".join(bytes(frame) for frame in frames)
         text = decompress_payload(data, compression)
@@ -104,7 +100,7 @@ class InMemoryStore:
         held_epoch = document_epoch(base_text)
         if held_epoch != base_epoch:
             raise CodecError(
-                f"{self._device_id}: base {base_key!r} is at epoch "
+                f"{self.device_id}: base {base_key!r} is at epoch "
                 f"{held_epoch}, delta expects {base_epoch}"
             )
         self._data.pop(key, None)
@@ -115,9 +111,9 @@ class InMemoryStore:
             return self._data[key]
         entry = self._deltas.get(key)
         if entry is None:
-            raise UnknownKeyError(f"{self._device_id}: no key {key!r}") from None
+            raise UnknownKeyError(f"{self.device_id}: no key {key!r}") from None
         if depth >= MAX_DELTA_CHAIN:
-            raise CodecError(f"{self._device_id}: delta chain too deep at {key!r}")
+            raise CodecError(f"{self.device_id}: delta chain too deep at {key!r}")
         delta_text, base_key = entry
         return apply_cluster_delta(
             self._resolve_text(base_key, depth + 1), delta_text
@@ -142,7 +138,7 @@ class InMemoryStore:
     def digest(self, key: str) -> str:
         """Digest probe: hash of the payload as held *right now*."""
         if not self.contains(key):
-            raise UnknownKeyError(f"{self._device_id}: no key {key!r}") from None
+            raise UnknownKeyError(f"{self.device_id}: no key {key!r}") from None
         try:
             return digest_of_canonical(self._resolve_text(key))
         except Exception:
@@ -195,7 +191,7 @@ class XmlStoreDevice:
     ) -> None:
         if capacity <= 0:
             raise ValueError("store capacity must be positive")
-        self._device_id = device_id
+        self.device_id = device_id
         self.capacity = capacity
         self._link = link
         #: Anti-affinity domain (rack/owner/desk); replica placement
@@ -211,10 +207,6 @@ class XmlStoreDevice:
         self._used = 0
 
     # -- SwapStore protocol ----------------------------------------------------
-
-    @property
-    def device_id(self) -> str:
-        return self._device_id
 
     def store(self, key: str, xml_text: str) -> None:
         data = xml_text.encode("utf-8")
@@ -256,21 +248,21 @@ class XmlStoreDevice:
         """
         if key == base_key:
             raise TransportError(
-                f"{self._device_id}: delta key {key!r} cannot be its own base"
+                f"{self.device_id}: delta key {key!r} cannot be its own base"
             )
         data = self._receive_frames(frames, compression)
         base_text = self._resolve_text(base_key)
         held_epoch = document_epoch(base_text)
         if held_epoch != base_epoch:
             raise CodecError(
-                f"{self._device_id}: base {base_key!r} is at epoch "
+                f"{self.device_id}: base {base_key!r} is at epoch "
                 f"{held_epoch}, delta expects {base_epoch}"
             )
         previous = self._data.get(key) or self._deltas.get(key)
         delta = len(data) - (len(previous[0]) if previous else 0)
         if self._used + delta > self.capacity:
             raise StoreFullError(
-                f"{self._device_id}: {len(data)} delta bytes exceed free "
+                f"{self.device_id}: {len(data)} delta bytes exceed free "
                 f"space ({self.capacity - self._used} of {self.capacity})"
             )
         entry = self._data.pop(key, None)
@@ -298,7 +290,7 @@ class XmlStoreDevice:
                     self._link.transfer(len(frame))
         if compression is not None and compression not in self.supported_compressions:
             raise TransportError(
-                f"{self._device_id}: unsupported compression {compression!r} "
+                f"{self.device_id}: unsupported compression {compression!r} "
                 f"(advertises {sorted(self.supported_compressions)})"
             )
         return b"".join(frame_list)
@@ -310,9 +302,9 @@ class XmlStoreDevice:
             return decompress_payload(entry[0], entry[1])
         delta_entry = self._deltas.get(key)
         if delta_entry is None:
-            raise UnknownKeyError(f"{self._device_id}: no key {key!r}") from None
+            raise UnknownKeyError(f"{self.device_id}: no key {key!r}") from None
         if depth >= MAX_DELTA_CHAIN:
-            raise CodecError(f"{self._device_id}: delta chain too deep at {key!r}")
+            raise CodecError(f"{self.device_id}: delta chain too deep at {key!r}")
         data, compression, base_key = delta_entry
         delta_text = decompress_payload(data, compression)
         base_text = self._resolve_text(base_key, depth + 1)
@@ -353,7 +345,7 @@ class XmlStoreDevice:
         :data:`UNREADABLE_DIGEST` when it no longer even resolves).
         """
         if key not in self._data and key not in self._deltas:
-            raise UnknownKeyError(f"{self._device_id}: no key {key!r}") from None
+            raise UnknownKeyError(f"{self.device_id}: no key {key!r}") from None
         self._carry(CONTROL_MESSAGE_BYTES)
         try:
             return digest_of_canonical(self._resolve_text(key))
@@ -362,7 +354,7 @@ class XmlStoreDevice:
 
     def has_room(self, nbytes: int) -> bool:
         if self._link is not None and not self._link.is_up:
-            raise TransportError(f"{self._device_id}: link down")
+            raise TransportError(f"{self.device_id}: link down")
         return self._used + nbytes <= self.capacity
 
     def _put(self, key: str, data: bytes, compression: Optional[str]) -> None:
@@ -370,7 +362,7 @@ class XmlStoreDevice:
         delta = len(data) - (len(previous[0]) if previous else 0)
         if self._used + delta > self.capacity:
             raise StoreFullError(
-                f"{self._device_id}: {len(data)} bytes exceed free space "
+                f"{self.device_id}: {len(data)} bytes exceed free space "
                 f"({self.capacity - self._used} of {self.capacity})"
             )
         # a full payload arriving under a key held as a delta replaces it
@@ -425,7 +417,7 @@ class XmlStoreDevice:
 
     def as_endpoint(self) -> WebServiceEndpoint:
         """Expose the store contract as web-service operations."""
-        endpoint = WebServiceEndpoint(self._device_id)
+        endpoint = WebServiceEndpoint(self.device_id)
         endpoint.register("store", lambda key, text: self._store_direct(key, text))
         endpoint.register("fetch", lambda key: self._fetch_direct(key))
         endpoint.register("drop", lambda key: self._drop_direct(key))
@@ -471,7 +463,7 @@ class XmlStoreDevice:
 
     def _digest_direct(self, key: str) -> str:
         if key not in self._data and key not in self._deltas:
-            raise UnknownKeyError(f"{self._device_id}: no key {key!r}") from None
+            raise UnknownKeyError(f"{self.device_id}: no key {key!r}") from None
         try:
             return digest_of_canonical(self._resolve_text(key))
         except Exception:
@@ -500,12 +492,8 @@ class FileStore:
     def __init__(self, directory: str | Path, device_id: str = "flash-card") -> None:
         self._directory = Path(directory)
         self._directory.mkdir(parents=True, exist_ok=True)
-        self._device_id = device_id
+        self.device_id = device_id
         self._paths: Dict[str, Path] = {}
-
-    @property
-    def device_id(self) -> str:
-        return self._device_id
 
     def store(self, key: str, xml_text: str) -> None:
         path = self._directory / _safe_filename(key)
@@ -525,7 +513,7 @@ class FileStore:
     def fetch(self, key: str) -> str:
         path = self._paths.get(key, self._directory / _safe_filename(key))
         if not path.exists():
-            raise UnknownKeyError(f"{self._device_id}: no key {key!r}")
+            raise UnknownKeyError(f"{self.device_id}: no key {key!r}")
         return path.read_text(encoding="utf-8")
 
     def drop(self, key: str) -> None:

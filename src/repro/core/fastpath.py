@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.ids import Sid
+from repro.wire.canonical import utf8_len
 
 
 @dataclass
@@ -95,24 +96,24 @@ class PayloadCache:
         return text
 
     def put(self, digest: str, text: str) -> None:
-        nbytes = len(text.encode("utf-8"))
+        nbytes = utf8_len(text)
         if nbytes > self.budget_bytes:
             return  # larger than the whole budget: not worth caching
         existing = self._entries.pop(digest, None)
         if existing is not None:
-            self._used -= len(existing.encode("utf-8"))
+            self._used -= utf8_len(existing)
         self._entries[digest] = text
         self._used += nbytes
         self.stats.puts += 1
         while self._used > self.budget_bytes:
             evicted_digest, evicted_text = self._entries.popitem(last=False)
-            self._used -= len(evicted_text.encode("utf-8"))
+            self._used -= utf8_len(evicted_text)
             self.stats.evictions += 1
 
     def invalidate(self, digest: str) -> None:
         text = self._entries.pop(digest, None)
         if text is not None:
-            self._used -= len(text.encode("utf-8"))
+            self._used -= utf8_len(text)
 
     def __contains__(self, digest: str) -> bool:
         return digest in self._entries

@@ -77,7 +77,7 @@ from repro.events import (
 )
 from repro.ids import Sid, format_swap_key
 from repro.obs.trace import NULL_SPAN
-from repro.wire.canonical import digest_of_canonical, verify_payload
+from repro.wire.canonical import digest_of_canonical, utf8_len, verify_payload
 from repro.wire.delta import apply_cluster_delta, encode_cluster_delta
 from repro.wire.xmlcodec import decode_cluster, encode_cluster_canonical
 
@@ -922,8 +922,8 @@ class SwappingManager:
             except CodecError:
                 return None  # our own delta must apply; be safe, not sorry
         digest = digest_of_canonical(applied_text)
-        xml_bytes = len(applied_text.encode("utf-8"))
-        delta_nbytes = len(delta_text.encode("utf-8"))
+        xml_bytes = utf8_len(applied_text)
+        delta_nbytes = utf8_len(delta_text)
         if delta_nbytes >= xml_bytes:
             return None  # the delta would cost more than the payload
         if (
@@ -1186,7 +1186,7 @@ class SwappingManager:
         space = self._space
         sid = cluster.sid
         store = chosen
-        xml_bytes = len(xml_text.encode("utf-8"))
+        xml_bytes = utf8_len(xml_text)
         self._obs_tag("tier", tier)
         if self.obs is not None:
             self.obs.observe_payload(xml_bytes)

@@ -55,6 +55,7 @@ from repro.memory.heap import Heap
 from repro.memory.sizemodel import DEFAULT_SIZE_MODEL, SizeModel
 from repro.runtime.barrier import MUTABLE_CONTAINERS
 from repro.runtime.classext import instance_fields
+from repro.runtime.obicomp import ACCESSOR_NAMES, register_accessors
 from repro.runtime.registry import TypeRegistry, global_registry
 
 _object_setattr = object.__setattr__
@@ -237,6 +238,10 @@ class Space:
         cluster.add_member(oid, schema.name)
         self._sid_by_oid[oid] = sid
         self._objects[oid] = obj
+        fields = obj.__dict__
+        if not ACCESSOR_NAMES.issuperset(fields):
+            # fields written around the barrier before adoption
+            register_accessors(fields)
         return oid
 
     def _install_replicas(self, sid: Sid, replicas: Dict[Oid, Any]) -> None:

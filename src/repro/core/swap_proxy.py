@@ -8,8 +8,14 @@ target is replicated), "a special proxy always remains in the way"
 method per public method of the application class, each compiled from
 the one interception template, the paper's generated "code excerpt that
 verifies references being passed as parameters and return values"
-(Section 4).  This base class holds the proxy's slots, field access and
-identity; with the template it implements:
+(Section 4).  They derive from :class:`GeneratedProxyBase`, which holds
+one generated accessor per attribute name that any managed class or
+instance has had: field reads, non-public methods, properties and class
+attributes.  No proxy class defines ``__getattr__``, so CPython
+specialises the attribute loads of every forwarder and every method
+lookup on a proxy; a name without an accessor fails at once, without a
+crossing or a swap-in.  :class:`SwapClusterProxyBase` holds the proxy's
+slots, field writes and identity; with the templates it implements:
 
 * resolve the target, transparently swapping the cluster back in when the
   proxy finds a replacement-object in the way;
@@ -29,11 +35,7 @@ identity; with the template it implements:
 
 from __future__ import annotations
 
-from types import MethodType
 from typing import Any
-
-from repro.runtime.barrier import is_readonly_method
-from repro.runtime.obicomp import compile_forwarder
 
 _object_setattr = object.__setattr__
 
@@ -84,36 +86,11 @@ class SwapClusterProxyBase:
         return result is True
 
     # -- transparent field access ----------------------------------------------
-
-    def __getattr__(self, name: str) -> Any:
-        # Only reached when normal lookup fails: application fields and
-        # non-generated (underscore) methods.  Special/dunder probes from
-        # the runtime (pickle, copy, ...) must fail fast.
-        if name.startswith("__") and name.endswith("__"):
-            raise AttributeError(name)
-        if name.startswith("_obi_"):
-            raise AttributeError(name)
-        space = self._obi_space
-        target = self._obi_target
-        if getattr(target.__class__, "_obi_is_replacement", False):
-            space._manager.swap_in(self._obi_target_sid)
-            target = self._obi_target
-        # boundary-crossing bookkeeping, as in every generated forwarder
-        tick = space._tick + 1
-        space._tick = tick
-        cluster = self._obi_cluster
-        cluster.crossings += 1
-        cluster.last_crossing_tick = tick
-        value = getattr(target, name)
-        if callable(value) and getattr(value, "__self__", None) is target:
-            # a non-public bound method: hand out the generic forwarder
-            # bound to this proxy, so its arguments/results are still
-            # translated when it is called
-            forwarder = compile_forwarder(
-                name, None, is_readonly_method(target.__class__, name)
-            )
-            return MethodType(forwarder, self)
-        return space._translate_return(value, self)
+    #
+    # There is no ``__getattr__``: with one, CPython does not specialise
+    # attribute loads on the class, so every forwarder's slot reads and
+    # every method lookup on a proxy would take the generic path.  Reads
+    # go through the accessors of :class:`GeneratedProxyBase` instead.
 
     def __setattr__(self, name: str, value: Any) -> None:
         if name.startswith("_obi_"):
@@ -165,6 +142,20 @@ class SwapClusterProxyBase:
             f"<swap-proxy {class_name} oid={self._obi_target_oid} "
             f"{self._obi_source_sid}->{self._obi_target_sid} {state}>"
         )
+
+
+class GeneratedProxyBase(SwapClusterProxyBase):
+    """The base of every generated proxy class: one accessor per name.
+
+    Each attribute name a managed class or instance has had gets a
+    getter-only ``property`` here, compiled from the accessor template
+    (:func:`repro.runtime.obicomp.register_accessors`), so one accessor
+    serves every proxy class.  A name that has none raises
+    ``AttributeError`` at once: no crossing is recorded and nothing is
+    swapped in.
+    """
+
+    __slots__ = ()
 
 
 # Slot setters: each slot's member descriptor ``__set__``, bound once.  A

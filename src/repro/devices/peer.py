@@ -19,6 +19,7 @@ from typing import Any, Dict, List, Optional
 from repro.comm.transport import Link
 from repro.errors import StoreFullError, TransportError, UnknownKeyError
 from repro.ids import IdAllocator
+from repro.wire.canonical import utf8_len
 
 
 class PeerStore:
@@ -55,10 +56,10 @@ class PeerStore:
         return self._device_id
 
     def store(self, key: str, xml_text: str) -> None:
-        self._carry(len(xml_text.encode("utf-8")))
-        nbytes = len(xml_text.encode("utf-8"))
+        nbytes = utf8_len(xml_text)
+        self._carry(nbytes)
         previous = self._texts.get(key)
-        delta = nbytes - (len(previous.encode("utf-8")) if previous else 0)
+        delta = nbytes - (utf8_len(previous) if previous else 0)
         if self._guest_bytes + delta > self._limit:
             raise StoreFullError(
                 f"{self._device_id}: guest data capped at {self._limit} bytes"
@@ -70,7 +71,7 @@ class PeerStore:
             )
         if previous is not None:
             self._host.heap.free_oid(self._heap_oids.pop(key))
-            self._guest_bytes -= len(previous.encode("utf-8"))
+            self._guest_bytes -= utf8_len(previous)
         heap_oid = -2_000_000 - self._ids.next()
         self._host.heap.allocate(heap_oid, nbytes)
         self._heap_oids[key] = heap_oid
@@ -82,7 +83,7 @@ class PeerStore:
             text = self._texts[key]
         except KeyError:
             raise UnknownKeyError(f"{self._device_id}: no key {key!r}") from None
-        self._carry(len(text.encode("utf-8")))
+        self._carry(utf8_len(text))
         return text
 
     def drop(self, key: str) -> None:
@@ -91,7 +92,7 @@ class PeerStore:
         if text is None:
             return
         self._host.heap.free_oid(self._heap_oids.pop(key))
-        self._guest_bytes -= len(text.encode("utf-8"))
+        self._guest_bytes -= utf8_len(text)
 
     def has_room(self, nbytes: int) -> bool:
         if self._link is not None and not self._link.is_up:

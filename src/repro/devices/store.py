@@ -33,7 +33,7 @@ from repro.errors import (
     TransportError,
     UnknownKeyError,
 )
-from repro.wire.canonical import digest_of_canonical
+from repro.wire.canonical import digest_of_canonical, utf8_len
 from repro.wire.delta import apply_cluster_delta
 from repro.wire.scan import document_epoch
 
@@ -158,11 +158,11 @@ class InMemoryStore:
         accountant charges.  A pure metadata scan: no link traffic.
         """
         return sum(
-            len(text.encode("utf-8"))
+            utf8_len(text)
             for key, text in self._data.items()
             if key.startswith(prefix)
         ) + sum(
-            len(text.encode("utf-8"))
+            utf8_len(text)
             for key, (text, _base) in self._deltas.items()
             if key.startswith(prefix)
         )
@@ -317,7 +317,7 @@ class XmlStoreDevice:
             return self._resolve_text(key)
         # chain tip: the applied document is what travels back
         text = self._resolve_text(key)
-        self._carry(len(text.encode("utf-8")))
+        self._carry(utf8_len(text))
         return text
 
     def drop(self, key: str) -> None:

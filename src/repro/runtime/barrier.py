@@ -14,9 +14,11 @@ managed` at decoration time.  The installed ``__setattr__`` performs the
 write first, then — only for adopted instances — records the writing
 object's oid in the owning swap-cluster's *dirty object set* (the delta
 swap path re-ships only those members; see ``SwapCluster.dirty_oids``).
-The barrier costs one dict lookup per write on unadopted instances and
-one set-membership check once an object is already recorded, so it is
-safe to keep always-on.
+It also gives a field name written for the first time its proxy
+accessor (:func:`repro.runtime.obicomp.register_accessors`).  The
+barrier costs one set lookup for the name plus one dict lookup per write
+on unadopted instances and one set-membership check once an object is
+already recorded, so it is safe to keep always-on.
 
 Field writes are not the only mutations.  Containers (lists, dicts,
 sets, bytearrays) mutate in place without any attribute write, so the
@@ -90,12 +92,19 @@ def install_write_barrier(cls: Type[Any]) -> Type[Any]:
             inherited = existing
             break
 
+    # a name first written here (in ``__init__`` before adoption, later in
+    # a method, or through a proxy) gets its proxy accessor
+    from repro.runtime.obicomp import ACCESSOR_NAMES as names
+    from repro.runtime.obicomp import register_accessors
+
     if inherited is None:
 
         def __setattr__(self: Any, name: str, value: Any) -> None:
             _object_setattr(self, name, value)
             if name.startswith("_obi_"):
                 return
+            if name not in names:
+                register_accessors((name,))
             instance_dict = self.__dict__
             space = instance_dict.get("_obi_space")
             if space is not None:
@@ -112,6 +121,8 @@ def install_write_barrier(cls: Type[Any]) -> Type[Any]:
             wrapped(self, name, value)
             if name.startswith("_obi_"):
                 return
+            if name not in names:
+                register_accessors((name,))
             instance_dict = getattr(self, "__dict__", None)
             if instance_dict is None:
                 return

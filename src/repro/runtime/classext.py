@@ -104,8 +104,10 @@ def declared_field_names(cls: Type[Any]) -> List[str]:
     """Field names declared via class annotations (best effort).
 
     The codec falls back to the live instance ``__dict__`` so undeclared
-    fields still serialize; declarations mainly drive documentation and
-    the property set generated on proxies.
+    fields still serialize; declarations mainly drive documentation.
+    Proxies do not depend on them: every field name gets its proxy
+    accessor when it is first written, adopted or decoded
+    (:func:`repro.runtime.obicomp.register_accessors`).
     """
     names: List[str] = []
     for klass in reversed(cls.__mro__):

@@ -12,14 +12,18 @@ The paper's OBIWAN compiler generates, per application class ``A``:
 Here, :func:`managed` is the decoration entry point ("compiling" the
 class), and :func:`compile_proxy_class` builds the proxy class from the
 extracted :class:`~repro.runtime.classext.ClassSchema`.  Proxy classes are
-cached per registry.
+cached per registry.  Field reads and every other name without a
+forwarder go through accessors compiled from a second template and
+shared by all proxy classes (:func:`register_accessors`).
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import keyword
-from typing import Any, Callable, Optional, Tuple, Type, TypeVar, overload
+from types import MethodType
+from typing import Any, Callable, Iterable, Optional, Set, Tuple, Type, TypeVar, overload
 
 from repro.runtime.barrier import install_write_barrier, is_readonly_method
 from repro.runtime.classext import extract_schema
@@ -57,6 +61,9 @@ def managed(
     The decorator extracts the class schema, registers the class (by
     qualified name) so the XML codec can resolve it, and makes instances
     eligible for adoption into a :class:`~repro.core.space.Space`.
+
+    The class it returns is ``cls`` rebuilt under :class:`ManagedClass`,
+    so that a class attribute set later still gets its proxy accessor.
     """
 
     def decorate(klass: T) -> T:
@@ -66,6 +73,7 @@ def managed(
                 f"the middleware stores per-instance bookkeeping "
                 f"(_obi_oid, _obi_sid, _obi_space) in the instance dict"
             )
+        klass = _as_managed_class(klass)
         schema = extract_schema(klass, size_hint=size)
         install_write_barrier(klass)
         klass._obi_managed = True  # type: ignore[attr-defined]
@@ -80,6 +88,86 @@ def managed(
     return decorate
 
 
+class ManagedClass(type):
+    """The metaclass of every ``@managed`` class.
+
+    Every name in ``vars`` of a managed class and of its bases other
+    than ``object`` (methods of any kind, properties, class constants)
+    gets its proxy accessor when the class is made, and a class
+    attribute set later (a method patched in, a constant added) gets one
+    when it is set, as a field written for the first time does in the
+    write barrier.
+    """
+
+    def __init__(
+        cls, name: str, bases: Tuple[type, ...], namespace: dict, **kwargs: Any
+    ) -> None:
+        super().__init__(name, bases, namespace, **kwargs)
+        for klass in cls.__mro__[:-1]:  # all but object
+            register_accessors(vars(klass))
+
+    def __setattr__(cls, name: str, value: Any) -> None:
+        type.__setattr__(cls, name, value)
+        if name not in ACCESSOR_NAMES:
+            register_accessors((name,))
+
+
+def _as_managed_class(klass: T) -> T:
+    """``klass`` itself if it already is a :class:`ManagedClass`, else
+    ``klass`` rebuilt from its namespace under one.
+
+    Zero-argument ``super()`` in the methods of ``klass`` keeps working:
+    every closure cell that holds ``klass`` is pointed at the rebuilt
+    class.  Rebuilding runs the bases' ``__init_subclass__`` and the
+    ``__set_name__`` of descriptors in the namespace again.
+    """
+    if isinstance(klass, ManagedClass):
+        return klass
+    meta = type(klass)
+    meta = ManagedClass if meta is type else _managed_metaclass(meta)
+    namespace = dict(vars(klass), __qualname__=klass.__qualname__)
+    # the instance __dict__/__weakref__ descriptors belong to ``klass``
+    namespace.pop("__dict__", None)
+    namespace.pop("__weakref__", None)
+    rebuilt = meta(klass.__name__, klass.__bases__, namespace)
+    for value in namespace.values():
+        for function in _functions_of(value):
+            for cell in function.__closure__ or ():
+                try:
+                    held = cell.cell_contents
+                except ValueError:  # an empty cell
+                    continue
+                if held is klass:
+                    cell.cell_contents = rebuilt
+    return rebuilt
+
+
+@functools.lru_cache(maxsize=None)
+def _managed_metaclass(meta: type) -> type:
+    """:class:`ManagedClass` combined with another metaclass."""
+    return type(f"Managed{meta.__name__}", (ManagedClass, meta), {})
+
+
+def _functions_of(value: Any) -> Iterable[Any]:
+    """The plain functions a class-namespace entry holds: itself, the
+    function of a static or class method, the accessors of a property,
+    and whatever they wrap."""
+    pending = [value]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, (staticmethod, classmethod)):
+            pending.append(value.__func__)
+        elif isinstance(value, property):
+            pending.extend(
+                part for part in (value.fget, value.fset, value.fdel) if part is not None
+            )
+        elif inspect.isfunction(value):
+            yield value
+            wrapped = getattr(value, "__wrapped__", None)
+            if wrapped is not None:
+                pending.append(wrapped)
+
+
 def _make_forwarding_method(cls: Type[Any], name: str) -> Callable[..., Any]:
     """Generate the proxy-side forwarder for one public method.
 
@@ -89,8 +177,6 @@ def _make_forwarding_method(cls: Type[Any], name: str) -> Callable[..., Any]:
     complex signature gets the generic ``*args, **kwargs`` forwarder.
     Both are compiled from the same template.
     """
-    import inspect
-
     target = getattr(cls, name, None)
     exact_params: Optional[list] = None
     if target is not None:
@@ -236,8 +322,9 @@ def compile_forwarder(
 
     ``params`` names an exact-arity signature; ``None`` gives the generic
     ``*args, **kwargs`` forwarder, which generated classes use for
-    complex signatures and ``__getattr__`` hands out for non-public
-    methods.  A ``readonly`` method does not mark its target dirty.
+    complex signatures and the attribute accessors hand out for
+    non-public methods.  A ``readonly`` method does not mark its target
+    dirty.
     """
     from repro.core.replacement import ReplacementObject
     from repro.core.swap_proxy import _ATOMIC_RESULTS, set_target, set_target_oid
@@ -278,17 +365,113 @@ def compile_forwarder(
     return method
 
 
+# The attribute accessor of one name: the field read and non-public
+# method lookup of a proxy.  Like a forwarder it resolves the target
+# (swapping the cluster back in) and records the boundary crossing; a
+# method bound to the target comes back as the generic forwarder bound
+# to the proxy, so its arguments and result are still translated, and
+# any other value is mediated by ``Space._translate_return``.
+_ACCESSOR_TEMPLATE = """\
+def accessor(self):
+    _space = self._obi_space
+    _target = self._obi_target
+    if _target.__class__ is _Replacement:
+        _space._manager.swap_in(self._obi_target_sid)
+        _target = self._obi_target
+    _tick = _space._tick + 1
+    _space._tick = _tick
+    _cluster = self._obi_cluster
+    _cluster.crossings += 1
+    _cluster.last_crossing_tick = _tick
+    _value = {read}
+    if _value.__class__ in _ATOMIC:
+        return _value
+    if _callable(_value) and _getattr(_value, "__self__", None) is _target:
+        return _MethodType(
+            _compile_forwarder({name!r}, None, _is_readonly(_target.__class__, {name!r})),
+            self,
+        )
+    return _space._translate_return(_value, self)
+"""
+
+
+def compile_accessor(name: str) -> Callable[[Any], Any]:
+    """Compile the getter of the proxy accessor for attribute ``name``."""
+    from repro.core.replacement import ReplacementObject
+    from repro.core.swap_proxy import _ATOMIC_RESULTS
+
+    plain = _is_plain_name(name) and not name.startswith("__")
+    source = _ACCESSOR_TEMPLATE.format(
+        name=name,
+        read=f"_target.{name}" if plain else f"_getattr(_target, {name!r})",
+    )
+    namespace: dict[str, Any] = {
+        "_Replacement": ReplacementObject,
+        "_ATOMIC": _ATOMIC_RESULTS,
+        "_MethodType": MethodType,
+        "_compile_forwarder": compile_forwarder,
+        "_is_readonly": is_readonly_method,
+        "_callable": callable,
+        "_getattr": getattr,
+    }
+    exec(source, namespace)  # noqa: S102 - generated accessor, fixed template
+    getter = namespace["accessor"]
+    getter.__name__ = name
+    getter.__qualname__ = name
+    getter.__doc__ = f"Generated swap-cluster-proxy accessor for {name!r}."
+    return getter
+
+
+#: Every attribute name :func:`register_accessors` has seen, with or
+#: without an accessor: a name in here costs its registration sites one
+#: set lookup and nothing more.
+ACCESSOR_NAMES: Set[str] = set()
+
+
+def register_accessors(names: Iterable[str]) -> None:
+    """Give every generated proxy class an accessor for each new name.
+
+    Idempotent.  A proxy has no ``__getattr__``: a name reads through a
+    proxy only once it has an accessor, a getter-only ``property`` on
+    :class:`repro.core.swap_proxy.GeneratedProxyBase`.  Names reach here
+    from every place a managed class or instance gets one: the class and
+    its bases when it is made and a class attribute set later
+    (:class:`ManagedClass`), the write barrier, :meth:`Space.adopt
+    <repro.core.space.Space.adopt>` and the decoder of stored documents.
+    Dunder and ``_obi_`` names get none; writes never use one, they go
+    through the proxy's ``__setattr__``.
+    """
+    base = None
+    for name in names:
+        if name in ACCESSOR_NAMES:
+            continue
+        ACCESSOR_NAMES.add(name)
+        if (
+            type(name) is not str
+            or name.startswith("_obi_")
+            or name.startswith("__") and name.endswith("__")
+        ):
+            continue
+        if base is None:
+            # core depends on runtime: imported on first use
+            from repro.core.swap_proxy import GeneratedProxyBase as base
+        setattr(base, name, property(compile_accessor(name)))
+
+
 def compile_proxy_class(cls: Type[Any]) -> Type[Any]:
     """Generate the swap-cluster-proxy class for application class ``cls``.
 
     The generated class subclasses
-    :class:`repro.core.swap_proxy.SwapClusterProxyBase` and adds one
-    forwarding method per public method of ``cls``.  Field reads/writes
-    are intercepted by the base class via ``__getattr__``/``__setattr__``.
+    :class:`repro.core.swap_proxy.GeneratedProxyBase` and adds one
+    forwarding method per public method of ``cls``; a forwarder wins
+    over the shared accessor of the same name.  Field reads, non-public
+    methods, properties, class constants and static and class methods go
+    through the accessors that :func:`register_accessors` put on the
+    base; writes go through its ``__setattr__``.
     """
     # Imported here: core depends on runtime for schemas, so the reverse
     # dependency must stay out of module import time.
-    from repro.core.swap_proxy import SwapClusterProxyBase
+    from repro.core.swap_proxy import GeneratedProxyBase
 
     schema = getattr(cls, "_obi_schema", None)
     if schema is None:
@@ -309,7 +492,7 @@ def compile_proxy_class(cls: Type[Any]) -> Type[Any]:
         namespace[method_name] = _make_forwarding_method(cls, method_name)
 
     proxy_name = f"{cls.__name__}SwapProxy"
-    return type(proxy_name, (SwapClusterProxyBase,), namespace)
+    return type(proxy_name, (GeneratedProxyBase,), namespace)
 
 
 # Install the compiler on the global registry at import time; isolated

@@ -29,6 +29,19 @@ def canonical_text(xml_text: str) -> str:
     return _serialize(root)
 
 
+def utf8_len(text: str) -> int:
+    """``len(text.encode("utf-8"))`` without copying ASCII text.
+
+    ``str.isascii`` reads a flag of the string object, so an all-ASCII
+    payload (the common case for canonical text) is counted without an
+    encode; other text is encoded, so a lone surrogate still raises
+    ``UnicodeEncodeError``.
+    """
+    if text.isascii():
+        return len(text)
+    return len(text.encode("utf-8"))
+
+
 def payload_digest(xml_text: str) -> str:
     """Stable hex digest of the canonical form of ``xml_text``."""
     return hashlib.sha256(canonical_text(xml_text).encode("utf-8")).hexdigest()

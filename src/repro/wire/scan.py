@@ -426,7 +426,9 @@ def decode_members(
             raw, sep, value = piece.partition('">')
             name = names.get(raw)
             if name is None or not sep:
-                name = _field_name(raw, sep)
+                if not sep or not raw or _AVAL_OK.fullmatch(raw) is None:
+                    raise NotCanonical("malformed <field> tag")
+                name = _field_name(raw)
             # fast paths for the common wire tags; anything they do not
             # take goes through the general reader
             kind = value[:5]
@@ -510,9 +512,12 @@ def read_fields(run: str, resolve: Resolve, tag: str = "field") -> Dict[str, Any
             or _AVAL_OK.fullmatch(raw) is None
         ):
             raise NotCanonical(f"malformed <{tag}> tag")
+        name = _FIELD_NAMES.get(raw)
+        if name is None:
+            name = _field_name(raw)
         value, pos = _read_value(run, stop + 2, resolve)
         pos = _expect_close(run, pos, tag)
-        values[unescape(raw)] = value
+        values[name] = value
     return values
 
 
@@ -532,13 +537,19 @@ def read_text(content: str) -> str:
     return unescape(content)
 
 
-def _field_name(raw: str, sep: str) -> str:
-    """Check and cache the raw name of a ``<field name="…">`` tag."""
-    if not sep or not raw or _AVAL_OK.fullmatch(raw) is None:
-        raise NotCanonical("malformed <field> tag")
+def _field_name(raw: str) -> str:
+    """Cache the name of a checked raw ``<field name="…">``.
+
+    A name first read here may be one that only a stored document
+    carries (a foreign store, a hibernation image, a replication pull):
+    it gets its swap-cluster-proxy accessor before any member holds it.
+    """
+    from repro.runtime.obicomp import register_accessors
+
     if len(_FIELD_NAMES) > 4096:
         _FIELD_NAMES.clear()
     name = _FIELD_NAMES[raw] = unescape(raw)
+    register_accessors((name,))
     return name
 
 

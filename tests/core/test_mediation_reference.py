@@ -16,17 +16,27 @@ cursors, drops, swap-out/in, merges and splits run on both in lockstep.
 After every step both must agree on results and proxy identity, the
 crossing statistics and tick, every dirty flag, and the keys filed in
 each target swap-cluster's proxy bucket.
+
+The reference proxies read every attribute through ``__getattr__``; the
+generated ones have none and read through one accessor per registered
+name.  The histories therefore also read fields first written inside a
+method after adoption or through a proxy, a field only a stored
+document carries, a property, a class constant and static and class
+methods.  A name no managed class or instance has ever had is the one
+intended difference, pinned by its own test below.
 """
 
 from __future__ import annotations
 
 import gc as python_gc
 import random
+import uuid
 import weakref
 from functools import partial
 from types import MethodType
 from typing import Any, Dict, List, Optional, Tuple
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +48,7 @@ from repro.ids import ROOT_SID
 from repro.runtime import managed, readonly
 from repro.runtime.barrier import MUTABLE_CONTAINERS
 from repro.runtime.classext import is_proxy
+from repro.runtime.obicomp import ACCESSOR_NAMES
 from tests.helpers import make_space
 
 _object_setattr = object.__setattr__
@@ -89,6 +100,28 @@ class MediationCell:
 
     def _hidden_right(self) -> Any:
         return self.right
+
+    # read through a proxy's accessors: no forwarder is generated for
+    # any of these
+
+    KIND = "cell"
+
+    @property
+    def doubled(self) -> int:
+        return self.value * 2
+
+    @staticmethod
+    def scale(number: int) -> int:
+        return number * 3
+
+    @classmethod
+    def tag(cls, number: int) -> str:
+        return f"{cls.__name__}:{number}"
+
+    def mark(self, number: int) -> int:
+        # ``marked`` is first written here, after adoption
+        self.marked = number
+        return number
 
     # calls made from inside the graph: when ``right`` crosses a
     # boundary, the source of the mediated call is this cell's cluster.
@@ -421,6 +454,14 @@ _CALLS = (
     "relay_hidden",
     "pick_left", "pick_default", "hidden_right", "read_left", "read_value_field",
     "write_value", "write_left",
+    "mark_read", "poke_read", "stored_read", "read_property", "read_constant",
+    "call_static", "call_classmethod",
+)
+
+#: the call shapes that read through an accessor what no forwarder serves
+_ACCESSOR_CALLS = (
+    "mark_read", "poke_read", "stored_read", "read_property", "read_constant",
+    "call_static", "call_classmethod",
 )
 
 # one step: (kind, call shape, selector); the selector picks held
@@ -487,12 +528,57 @@ def _call(kind: str, proxy: Any, other: Any, number: int) -> Any:
         return proxy.left
     if kind == "read_value_field":
         return proxy.value
+    if kind == "mark_read":
+        other.mark(number)
+        return proxy.marked
+    if kind == "poke_read":
+        other.poked = number
+        return proxy.poked
+    if kind == "stored_read":
+        return _stored_read(proxy, number, "stored_only")
+    if kind == "read_property":
+        return proxy.doubled
+    if kind == "read_constant":
+        return proxy.KIND
+    if kind == "call_static":
+        return proxy.scale(number)
+    if kind == "call_classmethod":
+        return proxy.tag(number)
     if kind == "write_value":
         proxy.value = number
         return None
     assert kind == "write_left"
     proxy.left = other
     return None
+
+
+def _stored_read(proxy: Any, number: int, name: str) -> Any:
+    """Give ``proxy``'s target field ``name`` around the write barrier,
+    ship it in a stored document and reload it; then read the field,
+    which until the swap-in only that document carried."""
+    space = proxy._obi_space
+    sid = proxy._obi_target_sid
+    cluster = space.clusters()[sid]
+    if cluster.is_swapped:
+        space.swap_in(sid)
+    if not cluster.swappable():
+        return None
+    oid = proxy._obi_target_oid
+    _object_setattr(space._objects[oid], name, number)
+    cluster.mark_dirty(oid)
+    space.swap_out(sid)
+    space.swap_in(sid)
+    return getattr(proxy, name)
+
+
+def _pin_accessor_swap_ins(test: Any) -> Any:
+    """Pin one history per accessor read that swaps its cluster in."""
+    for call in _ACCESSOR_CALLS:
+        test = example(
+            nodes=8, cluster_size=2, shape_seed=0,
+            steps=[("out", call, 0), ("call", call, 0)],
+        )(test)
+    return test
 
 
 def _pin_swap_in_histories(test: Any) -> Any:
@@ -508,6 +594,7 @@ def _pin_swap_in_histories(test: Any) -> Any:
 
 @settings(max_examples=200, deadline=None)
 @_pin_swap_in_histories
+@_pin_accessor_swap_ins
 @given(
     nodes=st.integers(min_value=4, max_value=16),
     cluster_size=st.integers(min_value=1, max_value=4),
@@ -644,3 +731,45 @@ def test_reference_spaces_use_reference_proxies():
     assert isinstance(ref_cursor.get_left(), ReferenceProxy)
     assert not isinstance(generated.get_root("head"), ReferenceProxy)
     assert not isinstance(gen_cursor.get_left(), ReferenceProxy)
+
+
+def test_a_field_only_a_stored_document_carries_reads_after_swap_in():
+    """The decoder gives a name it reads for the first time its accessor."""
+    generated = _build_space(False, 8, 2, 0)
+    reference = _build_space(True, 8, 2, 0)
+    identity = _Identity()
+    heads = [generated.get_root("head"), reference.get_root("head")]
+    identity.pair(*heads)
+    name = f"stored_{uuid.uuid4().hex}"
+    results = [_outcome(lambda: _stored_read(head, 7, name)) for head in heads]
+    assert results[0] == results[1] == ("ok", 7)
+    assert name in ACCESSOR_NAMES
+    assert _state(generated, identity, identity.generated) == _state(
+        reference, identity, identity.reference
+    )
+
+
+def test_a_name_no_managed_class_or_instance_has_fails_at_once():
+    """The one intended difference from the reference: a name that no
+    managed class or instance has ever had has no accessor, so reading
+    it raises ``AttributeError`` before any crossing or swap-in."""
+    space = _build_space(False, 8, 2, 0)
+    head = space.get_root("head")
+    sid = head._obi_target_sid
+    space.swap_out(sid)
+    name = f"never_{uuid.uuid4().hex}"
+    tick = space._tick
+    crossings = {
+        sid: (cluster.crossings, cluster.last_crossing_tick)
+        for sid, cluster in space.clusters().items()
+    }
+    with pytest.raises(AttributeError):
+        getattr(head, name)
+    assert not hasattr(head, name)
+    assert space._tick == tick
+    assert {
+        sid: (cluster.crossings, cluster.last_crossing_tick)
+        for sid, cluster in space.clusters().items()
+    } == crossings
+    assert space.clusters()[sid].is_swapped
+    assert name not in ACCESSOR_NAMES

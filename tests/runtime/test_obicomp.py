@@ -1,10 +1,13 @@
 """The obicomp proxy compiler."""
 
+import abc
+import uuid
+
 import pytest
 
 from repro import managed
 from repro.core.swap_proxy import SwapClusterProxyBase
-from repro.runtime.obicomp import compile_proxy_class
+from repro.runtime.obicomp import ACCESSOR_NAMES, ManagedClass, compile_proxy_class
 from tests.helpers import Node, build_chain, make_space
 
 
@@ -123,3 +126,65 @@ def test_managed_preserves_class_identity():
     node = Node(1)
     assert type(node) is Node
     assert node.get_value() == 1  # undecorated behaviour intact
+
+
+def test_managed_rebuilds_the_class_under_its_metaclass():
+    class Base:
+        def hello(self):
+            return "base"
+
+    @managed
+    class Greeter(Base):
+        def hello(self):
+            return "greeter+" + super().hello()
+
+    assert isinstance(Greeter, ManagedClass)
+    assert Greeter.__qualname__.endswith("<locals>.Greeter")
+    assert Greeter().hello() == "greeter+base"
+    assert managed(Greeter) is Greeter
+
+
+def test_managed_keeps_another_metaclass():
+    class Shape(abc.ABC):
+        @abc.abstractmethod
+        def area(self): ...
+
+    @managed
+    class Square(Shape):
+        def area(self):
+            return 4
+
+    @managed
+    class Unfinished(Shape):
+        pass
+
+    assert isinstance(Square, ManagedClass) and isinstance(Square, abc.ABCMeta)
+    assert Square().area() == 4
+    with pytest.raises(TypeError):
+        Unfinished()
+
+
+def test_a_class_attribute_set_later_reads_through_a_proxy():
+    @managed
+    class Late:
+        def __init__(self):
+            self.value = 1
+            self.next = None
+
+    space = make_space()
+    first, second = Late(), Late()
+    first.next = second
+    handle = space.ingest(first, cluster_size=1, root_name="late")
+    name = f"late_{uuid.uuid4().hex}"
+    setattr(Late, name, 5)
+    assert getattr(handle.next, name) == 5
+
+
+def test_a_field_written_around_the_barrier_before_adoption_reads_through_a_proxy():
+    space = make_space()
+    chain = build_chain(4)
+    name = f"hidden_{uuid.uuid4().hex}"
+    object.__setattr__(chain.next, name, 9)
+    assert name not in ACCESSOR_NAMES
+    handle = space.ingest(chain, cluster_size=1, root_name="h")
+    assert getattr(handle.get_next(), name) == 9

@@ -1,9 +1,11 @@
 """Canonicalization and digests."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.errors import CodecError
-from repro.wire.canonical import canonical_text, payload_digest
+from repro.wire.canonical import canonical_text, payload_digest, utf8_len
 
 
 def test_whitespace_insensitive():
@@ -45,3 +47,30 @@ def test_malformed_raises():
 
 def test_self_closing_empty_elements():
     assert canonical_text("<a></a>") == "<a/>"
+
+
+def _outcome(function, text):
+    try:
+        return "ok", function(text)
+    except Exception as exc:  # noqa: BLE001 - compared across the two
+        return "raised", type(exc)
+
+
+# encodable text, and text that may hold lone surrogates (they cannot be
+# encoded; the default alphabet leaves them out)
+_SURROGATES = st.characters(
+    min_codepoint=0xD800, max_codepoint=0xDFFF, blacklist_categories=()
+)
+_ANY_TEXT = st.text(st.characters()) | st.text(st.characters() | _SURROGATES)
+
+
+@example("")
+@example("<a>plain ascii</a>")
+@example("caf\u00e9 \u2603 \U0001f600")
+@example("\ud800")
+@example("ascii then a lone surrogate \udfff")
+@given(_ANY_TEXT)
+def test_utf8_len_matches_encoding(text):
+    assert _outcome(utf8_len, text) == _outcome(
+        lambda value: len(value.encode("utf-8")), text
+    )

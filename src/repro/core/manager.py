@@ -27,8 +27,9 @@ protocol*:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -166,6 +167,158 @@ class ManagerStats:
     fleet_reclaim_bytes: int = 0
     fleet_config_updates: int = 0
     tenant_pressure_bumps: int = 0
+
+
+#: Per swap-out tier: the ``ManagerStats`` counter it bumps (a classic
+#: ``full`` swap-out bumps none) and its under-replication warning.
+_TIERS = {
+    "noop": ("fastpath_noops", "clean swap-out"),
+    "dropclean": ("ladder_drop_clean", "clean swap-out"),
+    "delta": ("fastpath_delta_ships", "delta swap-out placement short"),
+    "reship": ("fastpath_reships", "swap-out placement short"),
+    "full": (None, "swap-out placement short"),
+}
+
+
+def _outbound_collector(
+    seed: Iterable[Any] = (),
+) -> Tuple[List[Any], Callable[[Any], int]]:
+    """The replacement array (outbound proxies in encoder order, after
+    ``seed``'s) and the ``outbound_index_of`` callback that fills it."""
+    outbound: List[Any] = list(seed)
+    index_by_proxy: Dict[int, int] = {
+        id(proxy): index for index, proxy in enumerate(outbound)
+    }
+
+    def outbound_index_of(proxy: Any) -> int:
+        marker = id(proxy)
+        index = index_by_proxy.get(marker)
+        if index is None:
+            index = len(outbound)
+            index_by_proxy[marker] = index
+            outbound.append(proxy)
+        return index
+
+    return outbound, outbound_index_of
+
+
+def _stale_keys(
+    chain: Optional[DeltaChain], key: Optional[str], skip: Optional[str] = None
+) -> List[str]:
+    """Store keys of a cluster's dead copies: its delta chain tip first,
+    with ``key`` in front when the chain does not hold it, and without
+    ``skip`` (a copy that stays live or was already dropped)."""
+    stale = list(reversed(chain.keys)) if chain is not None else []
+    if key is not None and key not in stale:
+        stale.insert(0, key)
+    if skip is not None:
+        return [old for old in stale if old != skip]
+    return stale
+
+
+def _drop_copies(holders: List[SwapStore], keys: Iterable[str]) -> None:
+    """Drop every key from every holder, key by key; an unreachable or
+    missing copy is left orphaned (epochs in the keys prevent reuse)."""
+    for key in keys:
+        for holder in holders:
+            try:
+                holder.drop(key)
+            except (TransportError, UnknownKeyError):
+                pass
+
+
+def _with_room(
+    stores: Iterable[SwapStore], nbytes: int, count: int, chosen: List[SwapStore]
+) -> List[SwapStore]:
+    """``chosen`` topped up to ``count`` stores with those of ``stores``
+    that admit ``nbytes`` (a store that cannot answer is skipped)."""
+    for store in stores:
+        if len(chosen) >= count:
+            break
+        if store in chosen:
+            continue
+        try:
+            if store.has_room(nbytes):
+                chosen.append(store)
+        except TransportError:
+            continue
+    return chosen
+
+
+def _frames(data: bytes, frame_bytes: int) -> List[bytes]:
+    """``data`` cut into link frames (one empty frame for no data)."""
+    return [
+        data[offset : offset + frame_bytes]
+        for offset in range(0, len(data), frame_bytes)
+    ] or [b""]
+
+
+class _Handoff:
+    """One swap-out hand-off: the payload's identity, the stores holding
+    it (``stored_on``) and its journal guard.  With resilience on, the
+    journal entry is begun here and each store that lands the payload is
+    recorded; if the hand-off raises before the detach, the landed copies
+    are dropped and the entry aborted.  Copies already in place (a clean
+    swap-out, ``stored_on`` given) are not journaled."""
+
+    __slots__ = (
+        "stored_on", "sid", "key", "epoch", "digest", "xml_bytes",
+        "_manager", "_journal", "_entry",
+    )
+
+    def __init__(
+        self,
+        manager: "SwappingManager",
+        sid: Sid,
+        key: str,
+        epoch: int,
+        xml_bytes: int,
+        digest: str,
+        base_epoch: Optional[int] = None,
+        stored_on: Optional[List[SwapStore]] = None,
+    ) -> None:
+        self.stored_on: List[SwapStore] = stored_on or []
+        self.sid, self.key, self.epoch = sid, key, epoch
+        self.digest, self.xml_bytes = digest, xml_bytes
+        self._manager = manager
+        self._journal = self._entry = None
+        resilience = manager.resilience
+        if resilience is not None and stored_on is None:
+            self._journal = resilience.journal
+            with manager._obs_span("swap.out.journal", op="begin", sid=sid):
+                self._entry = self._journal.begin(
+                    sid, key, epoch, xml_bytes, digest, base_epoch,
+                    base_epoch is not None,
+                )
+
+    def __enter__(self) -> "_Handoff":
+        return self
+
+    def __exit__(self, exc_type: Any, exc: Any, traceback: Any) -> bool:
+        if exc_type is not None and self._entry is not None:
+            # nothing was detached: any copies that did land are orphans
+            _drop_copies(self.stored_on, [self.key])
+            self.abort()
+        return False
+
+    def landed(self, holder: SwapStore) -> None:
+        """``holder`` acknowledged the payload."""
+        self.stored_on.append(holder)
+        if self._entry is not None:
+            self._journal.record_write(self._entry, holder.device_id)
+
+    def abort(self) -> None:
+        """The hand-off gave up before the detach."""
+        if self._entry is not None:
+            self._journal.abort(self._entry)
+
+    def commit(self) -> None:
+        """The cluster detached after a store acknowledged the payload."""
+        if self._entry is not None:
+            with self._manager._obs_span(
+                "swap.out.journal", op="commit", sid=self.sid
+            ):
+                self._journal.commit(self._entry)
 
 
 class SwappingManager:
@@ -560,15 +713,7 @@ class SwappingManager:
                 ),
             )
         else:
-            chosen = []
-            for store in stores:
-                try:
-                    if store.has_room(nbytes):
-                        chosen.append(store)
-                except TransportError:
-                    continue
-                if len(chosen) >= count:
-                    break
+            chosen = _with_room(stores, nbytes, count, [])
         if chosen:
             return chosen
         if not stores:
@@ -588,6 +733,7 @@ class SwappingManager:
         return factor
 
     # -- swap-out -----------------------------------------------------------------
+    # every path ends in ``_commit_swap_out``; DESIGN.md lists the stages
 
     def swap_out(self, sid: Sid, store: SwapStore | None = None) -> SwapLocation:
         """Detach swap-cluster ``sid`` and ship it to a nearby store.
@@ -658,7 +804,6 @@ class SwappingManager:
         refreshed here).
         """
         fastpath = self.fastpath
-        space = self._space
         sid = cluster.sid
         key = cluster.clean_key
         digest = cluster.clean_digest
@@ -666,115 +811,31 @@ class SwappingManager:
 
         retained = fastpath.retained.get(sid)
         if retained is not None and retained[0] == key:
-            candidates = (
-                retained[1]
-                if chosen is None
-                else [holder for holder in retained[1] if holder is chosen]
+            verified = self._verify_retained(
+                sid, key, retained[1], chosen, trust_ledger
             )
-            want = self.target_replicas() if chosen is None else 1
-            verified: List[SwapStore] = []
-            lost: List[SwapStore] = []
-            if trust_ledger:
-                # DROP_CLEAN: evict on the strength of the ledger alone.
-                # No contains probes — zero control traffic toward a
-                # neighborhood the pressure signal says is struggling.
-                verified = [
-                    holder
-                    for holder in candidates
-                    if not getattr(holder, "is_dead", False)
-                ][:want]
-            else:
-                for holder in candidates:
-                    probe = getattr(holder, "contains", None)
-                    if probe is None:
-                        continue  # legacy store: cannot answer key probes
-                    probe_span = self._obs_span(
-                        "fastpath.probe", device=holder.device_id
-                    )
-                    try:
-                        with probe_span:
-                            if probe(key):
-                                probe_span.set_tag("hit", True)
-                                verified.append(holder)
-                            else:
-                                probe_span.set_tag("hit", False)
-                                lost.append(holder)  # evicted behind our back
-                    except (TransportError, RetryExhaustedError):
-                        lost.append(holder)
-                    if len(verified) >= want:
-                        break
-            if lost:
-                fastpath.retained[sid] = (
-                    key,
-                    [holder for holder in retained[1] if holder not in lost],
-                )
             if verified:
-                location = SwapLocation(
-                    device_id=verified[0].device_id,
-                    key=key,
-                    digest=digest,
-                    xml_bytes=cluster.clean_xml_bytes,
-                    epoch=cluster.clean_epoch,
-                )
-                object_count = len(cluster.oids)
-                bytes_freed = self._detach(cluster, outbound, location, verified)
-                # content unchanged -> same epoch, same key, same digest
-                cluster.epoch = cluster.clean_epoch
-                if self.resilience is not None:
-                    placement = self.resilience.placement
-                    record = placement.record_swap_out(
-                        sid,
-                        key=key,
-                        digest=digest,
-                        epoch=cluster.clean_epoch,
-                        xml_bytes=cluster.clean_xml_bytes,
-                        device_ids=[holder.device_id for holder in verified],
-                    )
-                    for holder in verified:
-                        record.applied_epochs[holder.device_id] = (
-                            cluster.clean_epoch
-                        )
-                    if not trust_ledger:
-                        # the contains probes just re-verified these
-                        # copies: bump the verified epoch so the scrubber
-                        # does not re-fetch an unmodified cluster.  The
-                        # trust-ledger path skipped the probes, so the
-                        # verified epoch stays stale on purpose and the
-                        # scrubber re-checks once pressure subsides.
-                        placement.record_verified(
-                            sid, cluster.clean_epoch, space.clock.now()
-                        )
-                    self._warn_if_under_replicated(sid, "clean swap-out")
-                self.stats.swap_outs += 1
-                if trust_ledger:
-                    self.stats.ladder_drop_clean += 1
-                else:
-                    self.stats.fastpath_noops += 1
                 tier = "dropclean" if trust_ledger else "noop"
                 self._obs_tag("tier", tier)
-                space.bus.emit(
-                    SwapFastPathEvent(
-                        space=space.name, sid=sid, tier=tier, key=key
-                    )
+                # content unchanged -> same epoch, same key, same digest;
+                # the verified copies are in place, so nothing is journaled
+                handoff = _Handoff(
+                    self,
+                    sid,
+                    key,
+                    cluster.clean_epoch,
+                    cluster.clean_xml_bytes,
+                    digest,
+                    None,
+                    verified,
                 )
-                space.bus.emit(
-                    SwapOutEvent(
-                        space=space.name,
-                        sid=sid,
-                        device_id=location.device_id,
-                        key=key,
-                        object_count=object_count,
-                        bytes_freed=bytes_freed,
-                        xml_bytes=0,
-                    )
-                )
-                return location
+                return self._commit_swap_out(cluster, handoff, outbound, tier, 0)
 
         text = fastpath.cache.get(digest)
         if text is None:
             return None  # cache evicted and no retained copy: full path
         try:
-            return self._ship_and_detach(
+            return self._ship_payload(
                 cluster,
                 text,
                 key=key,
@@ -790,6 +851,74 @@ class SwappingManager:
             fastpath.retained.pop(sid, None)
             raise
 
+    def _verify_retained(
+        self,
+        sid: Sid,
+        key: str,
+        retained: List[SwapStore],
+        chosen: SwapStore | None,
+        trust_ledger: bool,
+    ) -> List[SwapStore]:
+        """The retained holders a clean swap-out may leave its copy on:
+        those answering a ``contains`` probe (the rest leave the retained
+        set), or under ``trust_ledger`` every holder not known dead."""
+        candidates = (
+            retained
+            if chosen is None
+            else [holder for holder in retained if holder is chosen]
+        )
+        want = self.target_replicas() if chosen is None else 1
+        if trust_ledger:
+            # DROP_CLEAN: evict on the strength of the ledger alone.
+            # No contains probes — zero control traffic toward a
+            # neighborhood the pressure signal says is struggling.
+            return [
+                holder
+                for holder in candidates
+                if not getattr(holder, "is_dead", False)
+            ][:want]
+        verified: List[SwapStore] = []
+        lost: List[SwapStore] = []
+        for holder in candidates:
+            probe = getattr(holder, "contains", None)
+            if probe is None:
+                continue  # legacy store: cannot answer key probes
+            probe_span = self._obs_span("fastpath.probe", device=holder.device_id)
+            try:
+                with probe_span:
+                    if probe(key):
+                        probe_span.set_tag("hit", True)
+                        verified.append(holder)
+                    else:
+                        probe_span.set_tag("hit", False)
+                        lost.append(holder)  # evicted behind our back
+            except (TransportError, RetryExhaustedError):
+                lost.append(holder)
+            if len(verified) >= want:
+                break
+        if lost:
+            self.fastpath.retained[sid] = (
+                key,
+                [holder for holder in retained if holder not in lost],
+            )
+        return verified
+
+    @contextmanager
+    def _victim_loop_frozen(self, replicas: Optional[int] = None):
+        """The local pool compresses into the SAME heap: freeze the victim
+        loop so a tight heap cannot recurse into this swap-out, and pin
+        replication to ``replicas`` copies when given."""
+        previous_auto = self.auto_swap
+        previous_override = self._replicas_override
+        self.auto_swap = False
+        if replicas is not None:
+            self._replicas_override = replicas
+        try:
+            yield
+        finally:
+            self.auto_swap = previous_auto
+            self._replicas_override = previous_override
+
     def _swap_out_local(self, cluster: SwapCluster) -> Optional[SwapLocation]:
         """COMPRESS_LOCAL rung: hibernate into the local compressed pool.
 
@@ -803,33 +932,24 @@ class SwappingManager:
         space = self._space
         heap = space.heap
         fallback = self.ladder.fallback_store()
-        # the pool compresses into the SAME heap; freeze the victim loop
-        # so a tight heap cannot recurse into us, and pin replication so
-        # no remote mirrors ride along
-        previous_auto = self.auto_swap
-        previous_override = self._replicas_override
-        self.auto_swap = False
-        self._replicas_override = 1
-        # Displacement (the zswap trick): the victim's own bytes are
-        # about to be freed by the detach, so let the compressed copy
-        # occupy them now — otherwise the pool could never grow at
-        # exactly the moment it exists for, a full heap.  The accounting
-        # is released up front (the objects stay live for the
-        # serializer) and restored if the hibernation fails.
-        displaced = {
-            oid: heap.size_of(oid)
-            for oid in cluster.oids
-            if heap.holds(oid)
-        }
-        heap.free_cluster(displaced)
-        try:
-            location = self._swap_out_full(cluster, fallback)
-        except (StoreFullError, HeapExhaustedError):
-            heap.allocate_cluster(displaced)
-            return None
-        finally:
-            self.auto_swap = previous_auto
-            self._replicas_override = previous_override
+        with self._victim_loop_frozen(replicas=1):
+            # Displacement (the zswap trick): the victim's own bytes are
+            # about to be freed by the detach, so let the compressed copy
+            # occupy them now — otherwise the pool could never grow at
+            # exactly the moment it exists for, a full heap.  The
+            # accounting is released up front (the objects stay live for
+            # the serializer) and restored if the hibernation fails.
+            displaced = {
+                oid: heap.size_of(oid)
+                for oid in cluster.oids
+                if heap.holds(oid)
+            }
+            heap.free_cluster(displaced)
+            try:
+                location = self._swap_out_full(cluster, fallback)
+            except (StoreFullError, HeapExhaustedError):
+                heap.allocate_cluster(displaced)
+                return None
         self.stats.ladder_compress_local += 1
         space.bus.emit(
             SwapDegradedEvent(
@@ -850,27 +970,22 @@ class SwappingManager:
         attributed (:meth:`~repro.core.swap_cluster.SwapCluster.
         delta_eligible`), the base payload text is still cached locally,
         and at least one retained store holds the delta-chain tip.  Each
-        holder receives a ``<swap-delta>`` document via ``store_delta``;
-        holders without delta support — or diverged ones, whose held
-        base sits at a different epoch — transparently receive the full
-        payload instead.  Returns ``None`` when the delta path cannot
-        apply or would not pay (chain/byte compaction thresholds, a
-        delta bigger than the payload itself); the caller then falls
-        back to the classic full pipeline, which also rewrites the
-        stale chain.
+        holder receives a ``<swap-delta>`` document (:meth:`_ship_delta`).
+        Returns ``None`` when the delta path cannot apply, would not pay
+        (chain/byte compaction thresholds, a delta bigger than the
+        payload itself) or no holder took it; the caller then falls
+        back to the classic full pipeline, which also rewrites the stale
+        chain.
         """
         fastpath = self.fastpath
         config = fastpath.config
-        space = self._space
         sid = cluster.sid
         base_key = cluster.base_key
-        base_epoch = cluster.base_epoch
-        base_digest = cluster.base_digest
 
         retained = fastpath.retained.get(sid)
         if retained is None or retained[0] != base_key or not retained[1]:
             return None  # no store known to hold the base: full path
-        base_text = fastpath.cache.get(base_digest)
+        base_text = fastpath.cache.get(cluster.base_digest)
         if base_text is None:
             return None  # cannot build/verify a delta without the base
         chain = fastpath.chains.get(sid)
@@ -880,47 +995,11 @@ class SwappingManager:
             self.stats.fastpath_delta_compactions += 1
             return None  # chain too long: a full rewrite compacts it
 
-        members = {
-            oid: space._objects[oid]
-            for oid in cluster.dirty_oids
-            if oid in cluster.oids
-        }
-        # Outbound indices must stay consistent with the base payload's
-        # replacement array: seed from the base order, append new proxies.
-        outbound: List[Any] = list(cluster.base_outbound or [])
-        index_by_proxy: Dict[int, int] = {
-            id(proxy): index for index, proxy in enumerate(outbound)
-        }
-
-        def outbound_index_of(proxy: Any) -> int:
-            marker = id(proxy)
-            index = index_by_proxy.get(marker)
-            if index is None:
-                index = len(outbound)
-                index_by_proxy[marker] = index
-                outbound.append(proxy)
-            return index
-
         epoch = cluster.epoch + 1
-        with self._obs_span(
-            "swap.out.delta.encode", sid=sid, objects=len(members)
-        ):
-            delta_text, _ = encode_cluster_delta(
-                sid=sid,
-                space=space.name,
-                base_epoch=base_epoch,
-                epoch=epoch,
-                objects=members,
-                dead_oids=cluster.dead_oids,
-                member_oids=set(cluster.oids),
-                oid_of=lambda obj: obj._obi_oid,
-                outbound_index_of=outbound_index_of,
-            )
-        with self._obs_span("swap.out.delta.apply", sid=sid):
-            try:
-                applied_text = apply_cluster_delta(base_text, delta_text)
-            except CodecError:
-                return None  # our own delta must apply; be safe, not sorry
+        encoded = self._encode_delta(cluster, epoch, base_text)
+        if encoded is None:
+            return None  # our own delta must apply; be safe, not sorry
+        delta_text, applied_text, outbound = encoded
         digest = digest_of_canonical(applied_text)
         xml_bytes = utf8_len(applied_text)
         delta_nbytes = utf8_len(delta_text)
@@ -941,178 +1020,150 @@ class SwappingManager:
         )
         if not holders:
             return None  # the caller-chosen store holds no base copy
-        key = format_swap_key(space.name, sid, epoch)
+        key = format_swap_key(self._space.name, sid, epoch)
         self._obs_tag("tier", "delta")
         if self.obs is not None:
             self.obs.observe_payload(delta_nbytes)
 
+        base_epoch = cluster.base_epoch
+        with _Handoff(
+            self, sid, key, epoch, xml_bytes, digest, base_epoch
+        ) as handoff:
+            copies = self._ship_delta(
+                handoff, holders, base_key, base_epoch, delta_text, applied_text
+            )
+            if not handoff.stored_on:
+                # no retained holder reachable: the classic pipeline's
+                # failover/degrade machinery takes over
+                handoff.abort()
+                return None
+
+        self.stats.delta_bytes_shipped += delta_nbytes * copies
+        self.stats.delta_bytes_saved += (xml_bytes - delta_nbytes) * copies
+        # the payload extends the chain, so the commit stage keeps it
+        chain.keys.append(key)
+        chain.delta_bytes += delta_nbytes
+        shipped = delta_nbytes if copies else xml_bytes
+        return self._commit_swap_out(
+            cluster, handoff, outbound, "delta", shipped, applied_text
+        )
+
+    def _encode_delta(
+        self, cluster: SwapCluster, epoch: int, base_text: str
+    ) -> Optional[Tuple[str, str, List[Any]]]:
+        """The delta document of a cluster's dirty and dead members, the
+        full payload it applies to, and the outbound proxy array; ``None``
+        when the delta does not apply to ``base_text``."""
+        space = self._space
+        sid = cluster.sid
+        members = {
+            oid: space._objects[oid]
+            for oid in cluster.dirty_oids
+            if oid in cluster.oids
+        }
+        # Outbound indices must stay consistent with the base payload's
+        # replacement array: seed from the base order, append new proxies.
+        outbound, outbound_index_of = _outbound_collector(
+            cluster.base_outbound or ()
+        )
+        with self._obs_span(
+            "swap.out.delta.encode", sid=sid, objects=len(members)
+        ):
+            delta_text, _ = encode_cluster_delta(
+                sid=sid,
+                space=space.name,
+                base_epoch=cluster.base_epoch,
+                epoch=epoch,
+                objects=members,
+                dead_oids=cluster.dead_oids,
+                member_oids=set(cluster.oids),
+                oid_of=lambda obj: obj._obi_oid,
+                outbound_index_of=outbound_index_of,
+            )
+        with self._obs_span("swap.out.delta.apply", sid=sid):
+            try:
+                applied_text = apply_cluster_delta(base_text, delta_text)
+            except CodecError:
+                return None
+        return delta_text, applied_text, outbound
+
+    def _ship_delta(
+        self,
+        handoff: _Handoff,
+        holders: List[SwapStore],
+        base_key: str,
+        base_epoch: int,
+        delta_text: str,
+        applied_text: str,
+    ) -> int:
+        """Ship each holder the ``<swap-delta>`` document, or the applied
+        full payload when it has no ``store_delta``, its base diverged or
+        it refuses the delta; returns how many took the delta."""
+        sid, key = handoff.sid, handoff.key
+        fastpath = self.fastpath
         resilience = self.resilience
-        entry = None
-        if resilience is not None:
-            with self._obs_span("swap.out.journal", op="begin", sid=sid):
-                entry = resilience.journal.begin(
-                    sid,
-                    key,
-                    epoch,
-                    xml_bytes,
-                    digest=digest,
-                    base_epoch=base_epoch,
-                    delta=True,
-                )
         record = (
             resilience.placement.get(sid) if resilience is not None else None
         )
-        stored_on: List[SwapStore] = []
-        delta_on: List[SwapStore] = []
-        try:
-            for holder in holders:
-                sink = getattr(holder, "store_delta", None)
-                diverged = False
-                if record is not None:
-                    applied = record.applied_epochs.get(holder.device_id)
-                    diverged = applied is not None and applied != base_epoch
-                shipped: Optional[str] = None
-                if sink is not None and not diverged:
-                    compression = fastpath.negotiate_for(holder)
-                    data = compress_payload(delta_text, compression)
-                    frame_bytes = config.frame_bytes
-                    frames = [
-                        data[offset : offset + frame_bytes]
-                        for offset in range(0, len(data), frame_bytes)
-                    ] or [b""]
-
-                    def ship(
-                        sink=sink, frames=frames, compression=compression
-                    ) -> None:
-                        sink(
-                            key,
-                            base_epoch,
-                            frames,
-                            base_key=base_key,
-                            compression=compression,
-                        )
-
-                    try:
-                        with self._obs_span(
-                            "swap.out.delta.store", device=holder.device_id
-                        ), self._channel(holder, kind="delta"):
-                            if resilience is None:
-                                ship()
-                            else:
-                                resilience.run(
-                                    ship,
-                                    sid=sid,
-                                    device_id=holder.device_id,
-                                    op_name="store-delta",
-                                )
-                        shipped = "delta"
-                    except (
-                        CodecError,
-                        UnknownKeyError,
-                        StoreFullError,
-                        TransportError,
-                        RetryExhaustedError,
-                    ):
-                        shipped = None  # diverged/lost base: ship it whole
-                if shipped is None:
-                    try:
-                        with self._obs_span(
-                            "swap.out.store",
-                            device=holder.device_id,
-                            stage="delta-fallback",
-                        ), self._channel(holder):
-                            self._store_payload(holder, key, applied_text, sid)
-                        shipped = "full"
-                        self.stats.fastpath_delta_fallbacks += 1
-                    except (
-                        StoreFullError,
-                        TransportError,
-                        RetryExhaustedError,
-                    ):
-                        continue
-                stored_on.append(holder)
-                if shipped == "delta":
-                    delta_on.append(holder)
-                if entry is not None:
-                    resilience.journal.record_write(entry, holder.device_id)
-            if not stored_on:
-                # no retained holder reachable: the classic pipeline's
-                # failover/degrade machinery takes over
-                if entry is not None:
-                    resilience.journal.abort(entry)
-                return None
-        except BaseException:
-            if entry is not None:
-                for holder in stored_on:
-                    try:
-                        holder.drop(key)
-                    except (TransportError, UnknownKeyError):
-                        pass
-                resilience.journal.abort(entry)
-            raise
-
-        primary = stored_on[0]
-        self.stats.mirror_writes += max(0, len(stored_on) - 1)
-        location = SwapLocation(
-            device_id=primary.device_id,
-            key=key,
-            digest=digest,
-            xml_bytes=xml_bytes,
-            epoch=epoch,
-        )
-        object_count = len(cluster.oids)
-        bytes_freed = self._detach(cluster, outbound, location, stored_on)
-        cluster.epoch = epoch
-        if entry is not None:
-            with self._obs_span("swap.out.journal", op="commit", sid=sid):
-                resilience.journal.commit(entry)
-        if resilience is not None:
-            new_record = resilience.placement.record_swap_out(
-                sid,
-                key=key,
-                digest=digest,
-                epoch=epoch,
-                xml_bytes=xml_bytes,
-                device_ids=[holder.device_id for holder in stored_on],
-            )
-            for holder in stored_on:
-                new_record.applied_epochs[holder.device_id] = epoch
-            self._warn_if_under_replicated(sid, "delta swap-out placement short")
-        self.stats.swap_outs += 1
-        self.stats.fastpath_delta_ships += 1
-        self.stats.bytes_shipped += delta_nbytes if delta_on else xml_bytes
-        self.stats.delta_bytes_shipped += delta_nbytes * len(delta_on)
-        self.stats.delta_bytes_saved += (xml_bytes - delta_nbytes) * len(
-            delta_on
-        )
-
-        fastpath.cache.put(digest, applied_text)
-        cluster.mark_clean(
-            digest=digest,
-            key=key,
-            epoch=epoch,
-            xml_bytes=xml_bytes,
-            outbound=list(outbound),
-        )
-        fastpath.retained[sid] = (key, list(stored_on))
-        chain.keys.append(key)
-        chain.delta_bytes += delta_nbytes
-
-        space.bus.emit(
-            SwapFastPathEvent(space=space.name, sid=sid, tier="delta", key=key)
-        )
-        space.bus.emit(
-            SwapOutEvent(
-                space=space.name,
-                sid=sid,
-                device_id=primary.device_id,
-                key=key,
-                object_count=object_count,
-                bytes_freed=bytes_freed,
-                xml_bytes=delta_nbytes if delta_on else xml_bytes,
-            )
-        )
-        return location
+        copies = 0
+        for holder in holders:
+            sink = getattr(holder, "store_delta", None)
+            if record is not None and (
+                record.applied_epochs.get(holder.device_id, base_epoch)
+                != base_epoch
+            ):
+                sink = None  # diverged: ship it whole
+            if sink is not None:
+                compression = fastpath.negotiate_for(holder)
+                frames = _frames(
+                    compress_payload(delta_text, compression),
+                    fastpath.config.frame_bytes,
+                )
+                ship = partial(
+                    sink,
+                    key,
+                    base_epoch,
+                    frames,
+                    base_key=base_key,
+                    compression=compression,
+                )
+                try:
+                    with self._obs_span(
+                        "swap.out.delta.store", device=holder.device_id
+                    ), self._channel(holder, kind="delta"):
+                        if resilience is None:
+                            ship()
+                        else:
+                            resilience.run(
+                                ship,
+                                sid=sid,
+                                device_id=holder.device_id,
+                                op_name="store-delta",
+                            )
+                except (
+                    CodecError,
+                    UnknownKeyError,
+                    StoreFullError,
+                    TransportError,
+                    RetryExhaustedError,
+                ):
+                    pass  # diverged/lost base: ship it whole
+                else:
+                    handoff.landed(holder)
+                    copies += 1
+                    continue
+            try:
+                with self._obs_span(
+                    "swap.out.store",
+                    device=holder.device_id,
+                    stage="delta-fallback",
+                ), self._channel(holder):
+                    self._store_payload(holder, key, applied_text, sid)
+            except (StoreFullError, TransportError, RetryExhaustedError):
+                continue
+            self.stats.fastpath_delta_fallbacks += 1
+            handoff.landed(holder)
+        return copies
 
     def _channel(self, holder: Any, kind: str = "ship"):
         """A scheduler channel for ``holder``'s link: with the async
@@ -1129,21 +1180,7 @@ class SwappingManager:
         space = self._space
         sid = cluster.sid
         members = {oid: space._objects[oid] for oid in cluster.oids}
-
-        # Collect the cluster's outbound swap-cluster-proxies in the order
-        # serialization encounters them; they become the replacement array.
-        outbound: List[Any] = []
-        index_by_proxy: Dict[int, int] = {}
-
-        def outbound_index_of(proxy: Any) -> int:
-            marker = id(proxy)
-            index = index_by_proxy.get(marker)
-            if index is None:
-                index = len(outbound)
-                index_by_proxy[marker] = index
-                outbound.append(proxy)
-            return index
-
+        outbound, outbound_index_of = _outbound_collector()
         # one pass: canonical text and its digest come out together
         with self._obs_span("swap.out.encode", sid=sid, objects=len(members)):
             xml_text, digest = encode_cluster_canonical(
@@ -1156,7 +1193,7 @@ class SwappingManager:
             )
         self.stats.encode_calls += 1
         key = format_swap_key(space.name, sid, cluster.epoch + 1)
-        return self._ship_and_detach(
+        return self._ship_payload(
             cluster,
             xml_text,
             key=key,
@@ -1167,7 +1204,7 @@ class SwappingManager:
             tier="full",
         )
 
-    def _ship_and_detach(
+    def _ship_payload(
         self,
         cluster: SwapCluster,
         xml_text: str,
@@ -1180,23 +1217,78 @@ class SwappingManager:
         tier: str,
     ) -> SwapLocation:
         """Ship one serialized payload (with mirrors, failover, degrade)
-        and detach the cluster.  The payload is encoded exactly once by
+        and commit the swap-out.  The payload is encoded exactly once by
         the caller; retries and alternate stores all reuse ``xml_text``.
         """
-        space = self._space
         sid = cluster.sid
-        store = chosen
         xml_bytes = utf8_len(xml_text)
         self._obs_tag("tier", tier)
         if self.obs is not None:
             self.obs.observe_payload(xml_bytes)
 
         resilience = self.resilience
-        degrade = (
-            resilience is not None and resilience.config.degrade_to_local
+        holders, admitted = self._plan_holders(sid, xml_bytes, chosen)
+        with _Handoff(self, sid, key, epoch, xml_bytes, digest) as handoff:
+            tried: List[SwapStore] = []
+            first_failure: Optional[BaseException] = None
+            for holder in holders:
+                tried.append(holder)
+                try:
+                    with self._obs_span(
+                        "swap.out.store",
+                        device=holder.device_id,
+                        stage="mirror" if handoff.stored_on else "primary",
+                    ), self._channel(holder):
+                        self._store_payload(holder, key, xml_text, sid)
+                except StoreFullError:
+                    # a caller-chosen store that refuses is the caller's
+                    # problem; auto-selected mirrors are best-effort
+                    if holder is chosen:
+                        raise
+                    continue
+                except (TransportError, RetryExhaustedError) as exc:
+                    if first_failure is None:
+                        first_failure = exc
+                    continue
+                handoff.landed(holder)
+
+            if (
+                not handoff.stored_on
+                and resilience is not None
+                and chosen is None
+            ):
+                first_failure = self._ship_fallback(
+                    handoff, xml_text, holders, tried, admitted, first_failure
+                )
+            if not handoff.stored_on:
+                if resilience is not None:
+                    raise AllStoresUnreachableError(
+                        f"swap-out of cluster {sid}: no device accepted the "
+                        f"payload ({len(tried)} tried, retries exhausted)"
+                    ) from first_failure
+                raise SwapStoreUnavailableError(
+                    "no selected device accepted the swapped cluster"
+                ) from first_failure
+        return self._commit_swap_out(
+            cluster, handoff, outbound, tier, xml_bytes, xml_text
         )
-        admitted = True
-        if store is None and self.tenant is not None:
+
+    def _plan_holders(
+        self, sid: Sid, xml_bytes: int, chosen: SwapStore | None
+    ) -> Tuple[List[SwapStore], bool]:
+        """The stores a full payload ships to, and whether the tenant
+        admitted it: a caller-chosen store plus mirrors with room, or the
+        tenant admission gate and then placement.  With degrade-to-local
+        on, a denial or an empty neighborhood plans no holders."""
+        if chosen is not None:
+            replicas = self.target_replicas()
+            if replicas > 1:
+                stores = self.available_stores()
+                return _with_room(stores, xml_bytes, replicas, [chosen]), True
+            return [chosen], True
+        resilience = self.resilience
+        degrade = resilience is not None and resilience.config.degrade_to_local
+        if self.tenant is not None:
             # fleet admission: a tenant over its store-byte quota — or
             # over its fair share while the fleet is under global store
             # pressure — may not take more shared store room.  Denial
@@ -1206,6 +1298,7 @@ class SwappingManager:
                 xml_bytes, self.target_replicas()
             )
             if not admitted:
+                space = self._space
                 self.stats.fleet_admission_denials += 1
                 space.bus.emit(
                     TenantAdmissionDeniedEvent(
@@ -1220,252 +1313,198 @@ class SwappingManager:
                         f"tenant {self.tenant.tenant_id!r} denied store "
                         f"admission for {xml_bytes} bytes: {denial_reason}"
                     )
-        if store is None and not admitted:
-            holders = []
-        elif store is None:
-            try:
-                holders = self.select_stores(
-                    xml_bytes, self.target_replicas(), sid=sid
-                )
-            except NoSwapDeviceError:
-                # with local degradation available an empty neighborhood
-                # is not fatal: fall through to the compressed pool
-                if not degrade:
-                    raise
-                holders = []
-        else:
-            holders = [store]
-            if self.target_replicas() > 1:
-                for candidate in self.available_stores():
-                    if len(holders) >= self.target_replicas():
-                        break
-                    if candidate in holders:
-                        continue
-                    try:
-                        if candidate.has_room(xml_bytes):
-                            holders.append(candidate)
-                    except TransportError:
-                        continue
-        entry = None
-        if resilience is not None:
-            with self._obs_span("swap.out.journal", op="begin", sid=sid):
-                entry = resilience.journal.begin(
-                    sid, key, epoch, xml_bytes, digest=digest
-                )
-        stored_on: List[SwapStore] = []
-        first_failure: Optional[BaseException] = None
+                return [], False
         try:
-            tried: List[SwapStore] = []
-            for holder in holders:
-                tried.append(holder)
-                try:
-                    with self._obs_span(
-                        "swap.out.store",
-                        device=holder.device_id,
-                        stage="mirror" if stored_on else "primary",
-                    ), self._channel(holder):
-                        self._store_payload(holder, key, xml_text, sid)
-                except StoreFullError:
-                    # a caller-chosen store that refuses is the caller's
-                    # problem; auto-selected mirrors are best-effort
-                    if store is not None and holder is store:
-                        raise
+            holders = self.select_stores(
+                xml_bytes, self.target_replicas(), sid=sid
+            )
+        except NoSwapDeviceError:
+            # with local degradation available an empty neighborhood
+            # is not fatal: fall through to the compressed pool
+            if not degrade:
+                raise
+            return [], True
+        return holders, True
+
+    def _ship_fallback(
+        self,
+        handoff: _Handoff,
+        xml_text: str,
+        holders: List[SwapStore],
+        tried: List[SwapStore],
+        admitted: bool,
+        first_failure: Optional[BaseException],
+    ) -> Optional[BaseException]:
+        """No planned holder took the payload: fail over to a store the
+        plan skipped, then degrade to the local compressed pool.
+        Returns the failure to report when neither takes it."""
+        space = self._space
+        sid, key, xml_bytes = handoff.sid, handoff.key, handoff.xml_bytes
+        for candidate in self.available_stores() if admitted else ():
+            if candidate in tried:
+                continue
+            tried.append(candidate)
+            try:
+                if not candidate.has_room(xml_bytes):
                     continue
-                except (TransportError, RetryExhaustedError) as exc:
-                    if first_failure is None:
-                        first_failure = exc
-                    continue
-                stored_on.append(holder)
-                if entry is not None:
-                    resilience.journal.record_write(entry, holder.device_id)
-
-            if not stored_on and resilience is not None and store is None and admitted:
-                # failover: every selected holder is gone — try the
-                # remaining candidates the selection pass skipped
-                for candidate in self.available_stores():
-                    if candidate in tried:
-                        continue
-                    tried.append(candidate)
-                    try:
-                        if not candidate.has_room(xml_bytes):
-                            continue
-                        with self._obs_span(
-                            "swap.out.store",
-                            device=candidate.device_id,
-                            stage="failover",
-                        ):
-                            self._store_payload(candidate, key, xml_text, sid)
-                    except (StoreFullError, TransportError, RetryExhaustedError):
-                        continue
-                    stored_on.append(candidate)
-                    resilience.journal.record_write(entry, candidate.device_id)
-                    self.stats.failovers += 1
-                    space.bus.emit(
-                        SwapFailoverEvent(
-                            space=space.name,
-                            sid=sid,
-                            operation="swap-out",
-                            from_device=holders[0].device_id
-                            if holders
-                            else "(none)",
-                            to_device=candidate.device_id,
-                        )
-                    )
-                    break
-
-            if not stored_on and degrade and store is None:
-                fallback = resilience.fallback_store()
-                # the pool compresses into the SAME heap; freeze the
-                # victim loop so a tight heap cannot recurse into us
-                previous_auto = self.auto_swap
-                self.auto_swap = False
-                try:
-                    with self._obs_span(
-                        "swap.out.store",
-                        device=fallback.device_id,
-                        stage="degrade",
-                    ):
-                        fallback.store(key, xml_text)
-                    stored_on.append(fallback)
-                except (StoreFullError, HeapExhaustedError) as exc:
-                    if first_failure is None:
-                        first_failure = exc
-                finally:
-                    self.auto_swap = previous_auto
-                if stored_on:
-                    resilience.journal.record_write(entry, fallback.device_id)
-                    self.stats.degraded_swaps += 1
-                    space.bus.emit(
-                        SwapDegradedEvent(
-                            space=space.name,
-                            sid=sid,
-                            fallback_device_id=fallback.device_id,
-                            reason=str(first_failure)
-                            if first_failure is not None
-                            else "no nearby store reachable",
-                        )
-                    )
-
-            if not stored_on:
-                if resilience is not None:
-                    raise AllStoresUnreachableError(
-                        f"swap-out of cluster {sid}: no device accepted the "
-                        f"payload ({len(tried)} tried, retries exhausted)"
-                    ) from first_failure
-                raise SwapStoreUnavailableError(
-                    "no selected device accepted the swapped cluster"
-                ) from first_failure
-        except BaseException:
-            # nothing was detached: any copies that did land are orphans
-            if entry is not None:
-                for holder in stored_on:
-                    try:
-                        holder.drop(key)
-                    except (TransportError, UnknownKeyError):
-                        pass
-                resilience.journal.abort(entry)
-            raise
-        primary = stored_on[0]
-        self.stats.mirror_writes += max(0, len(stored_on) - 1)
-
-        location = SwapLocation(
-            device_id=primary.device_id,
-            key=key,
-            digest=digest,
-            xml_bytes=xml_bytes,
-            epoch=epoch,
+                with self._obs_span(
+                    "swap.out.store",
+                    device=candidate.device_id,
+                    stage="failover",
+                ):
+                    self._store_payload(candidate, key, xml_text, sid)
+            except (StoreFullError, TransportError, RetryExhaustedError):
+                continue
+            handoff.landed(candidate)
+            self.stats.failovers += 1
+            space.bus.emit(
+                SwapFailoverEvent(
+                    space=space.name,
+                    sid=sid,
+                    operation="swap-out",
+                    from_device=holders[0].device_id if holders else "(none)",
+                    to_device=candidate.device_id,
+                )
+            )
+            return first_failure
+        if not self.resilience.config.degrade_to_local:
+            return first_failure
+        fallback = self.resilience.fallback_store()
+        try:
+            with self._victim_loop_frozen(), self._obs_span(
+                "swap.out.store",
+                device=fallback.device_id,
+                stage="degrade",
+            ):
+                fallback.store(key, xml_text)
+        except (StoreFullError, HeapExhaustedError) as exc:
+            return first_failure if first_failure is not None else exc
+        handoff.landed(fallback)
+        self.stats.degraded_swaps += 1
+        space.bus.emit(
+            SwapDegradedEvent(
+                space=space.name,
+                sid=sid,
+                fallback_device_id=fallback.device_id,
+                reason=str(first_failure)
+                if first_failure is not None
+                else "no nearby store reachable",
+            )
         )
+        return first_failure
 
+    def _commit_swap_out(
+        self,
+        cluster: SwapCluster,
+        handoff: _Handoff,
+        outbound: List[Any],
+        tier: str,
+        shipped: int,
+        text: Optional[str] = None,
+    ) -> SwapLocation:
+        """The stage every swap-out ends in: detach the cluster, whose
+        payload ``handoff.stored_on`` holds, and record the hand-off.
+        ``tier`` names the path (see ``_TIERS``), ``shipped`` the bytes
+        it put on the wire, and ``text`` the payload (``None`` for a
+        clean swap-out, which shipped nothing and keeps its fast-path
+        state)."""
+        space = self._space
+        sid, key, epoch = cluster.sid, handoff.key, handoff.epoch
+        stored_on = handoff.stored_on
+        stats = self.stats
+        if text is not None:
+            stats.mirror_writes += max(0, len(stored_on) - 1)
         object_count = len(cluster.oids)
-        bytes_freed = self._detach(cluster, outbound, location, stored_on)
+        location, bytes_freed = self._detach(cluster, outbound, handoff)
         cluster.epoch = epoch
-        if entry is not None:
-            # the detach happened strictly after at least one store
-            # acknowledged the payload; the hand-off is durable
-            with self._obs_span("swap.out.journal", op="commit", sid=sid):
-                resilience.journal.commit(entry)
+        handoff.commit()
+        counter, reason = _TIERS[tier]
+        resilience = self.resilience
         if resilience is not None:
-            record = resilience.placement.record_swap_out(
+            placement = resilience.placement
+            record = placement.record_swap_out(
                 sid,
                 key=key,
-                digest=digest,
+                digest=handoff.digest,
                 epoch=epoch,
-                xml_bytes=xml_bytes,
+                xml_bytes=handoff.xml_bytes,
                 device_ids=[holder.device_id for holder in stored_on],
             )
             for holder in stored_on:
                 record.applied_epochs[holder.device_id] = epoch
-            self._warn_if_under_replicated(sid, "swap-out placement short")
-        self.stats.swap_outs += 1
-        self.stats.bytes_shipped += xml_bytes
+            if tier == "noop":
+                # the contains probes just re-verified these copies: bump
+                # the verified epoch so the scrubber does not re-fetch an
+                # unmodified cluster.  DROP_CLEAN skipped the probes, so
+                # its verified epoch stays stale on purpose and the
+                # scrubber re-checks once pressure subsides.
+                placement.record_verified(sid, epoch, space.clock.now())
+            self._warn_if_under_replicated(sid, reason)
+        stats.swap_outs += 1
+        stats.bytes_shipped += shipped
+        if counter is not None:
+            setattr(stats, counter, getattr(stats, counter) + 1)
 
         fastpath = self.fastpath
-        if fastpath is not None:
-            previous = fastpath.retained.pop(sid, None)
+        if fastpath is not None and text is not None:
+            previous = (
+                None if tier == "delta" else fastpath.retained.pop(sid, None)
+            )
             if previous is not None and previous[0] != key:
                 # the content changed: stale copies under the old keys —
                 # the whole delta chain, tip first — are dead weight
                 chain = fastpath.chains.pop(sid, None)
-                stale = (
-                    [old for old in reversed(chain.keys) if old != key]
-                    if chain is not None
-                    else []
-                )
-                if previous[0] not in stale:
-                    stale.insert(0, previous[0])
-                for stale_key in stale:
-                    for holder in previous[1]:
-                        try:
-                            holder.drop(stale_key)
-                        except (TransportError, UnknownKeyError):
-                            pass
-            fastpath.cache.put(digest, xml_text)
+                _drop_copies(previous[1], _stale_keys(chain, previous[0], key))
+            fastpath.cache.put(handoff.digest, text)
             cluster.mark_clean(
-                digest=digest,
+                digest=handoff.digest,
                 key=key,
                 epoch=epoch,
-                xml_bytes=xml_bytes,
+                xml_bytes=handoff.xml_bytes,
                 outbound=list(outbound),
             )
             fastpath.retained[sid] = (key, list(stored_on))
-            if fastpath.config.delta:
-                chain = fastpath.chains.get(sid)
-                if chain is None or not chain.keys or chain.keys[-1] != key:
-                    # this payload starts a fresh chain (full rewrite)
-                    fastpath.chains[sid] = DeltaChain(
-                        keys=[key], base_bytes=xml_bytes
-                    )
-            if tier == "reship":
-                self.stats.fastpath_reships += 1
-                space.bus.emit(
-                    SwapFastPathEvent(
-                        space=space.name, sid=sid, tier="reship", key=key
-                    )
+            chain = fastpath.chains.get(sid)
+            if fastpath.config.delta and (
+                chain is None or not chain.keys or chain.keys[-1] != key
+            ):
+                # this payload starts a fresh chain (full rewrite)
+                fastpath.chains[sid] = DeltaChain(
+                    keys=[key], base_bytes=handoff.xml_bytes
                 )
 
+        if tier != "full":
+            space.bus.emit(
+                SwapFastPathEvent(space=space.name, sid=sid, tier=tier, key=key)
+            )
         space.bus.emit(
             SwapOutEvent(
                 space=space.name,
                 sid=sid,
-                device_id=primary.device_id,
+                device_id=location.device_id,
                 key=key,
                 object_count=object_count,
                 bytes_freed=bytes_freed,
-                xml_bytes=xml_bytes,
+                xml_bytes=shipped,
             )
         )
         return location
 
     def _detach(
-        self,
-        cluster: SwapCluster,
-        outbound: List[Any],
-        location: SwapLocation,
-        stored_on: List[SwapStore],
-    ) -> int:
-        """Patch inbound proxies to a replacement-object and free members."""
+        self, cluster: SwapCluster, outbound: List[Any], handoff: _Handoff
+    ) -> Tuple[SwapLocation, int]:
+        """Patch inbound proxies to a replacement-object recording where
+        the payload lives, and free the members; returns that location
+        and the bytes freed."""
         space = self._space
         sid = cluster.sid
+        location = SwapLocation(
+            device_id=handoff.stored_on[0].device_id,
+            key=handoff.key,
+            digest=handoff.digest,
+            xml_bytes=handoff.xml_bytes,
+            epoch=handoff.epoch,
+        )
         replacement_oid = space._ids.oids.next()
         replacement = ReplacementObject(
             sid=sid, oid=replacement_oid, outbound=outbound, location=location
@@ -1489,12 +1528,12 @@ class SwappingManager:
         cluster.location = location
         cluster.replacement = replacement
         cluster.swap_out_count += 1
-        self._bindings[sid] = stored_on
+        self._bindings[sid] = handoff.stored_on
         if self.sched is not None:
             # any speculative payload buffered for this cluster predates
             # the epoch that just shipped: it can never be consumed
             self.sched.invalidate(sid, "swap-out")
-        return bytes_freed
+        return location, bytes_freed
 
     # -- swap-in ---------------------------------------------------------------------
 
@@ -1535,164 +1574,27 @@ class SwappingManager:
         cluster.pins += 1
         stall_started = space.clock.now()
         try:
-            resilience = self.resilience
-            xml_text: Optional[str] = None
-            fetch_errors: List[str] = []
-            corrupt: Optional[CodecError] = None
             corrupt_holders: List[SwapStore] = []
             if cached is not None:
                 xml_text = cached
                 self.stats.swapin_cache_hits += 1
                 root_span.set_tag("source", "cache")
-            if xml_text is None and self.sched is not None:
-                (
-                    xml_text,
-                    source_device,
-                    attempt_index,
-                    fetch_errors,
-                    corrupt,
-                    corrupt_holders,
-                ) = self.sched.acquire(sid, location, holders, root_span)
-                if xml_text is not None:
-                    self._note_swapin_source(
-                        sid, holders, source_device, attempt_index, root_span
-                    )
-            elif xml_text is None:
-                for attempt_index, holder in enumerate(holders):
-                    candidate, error, corrupt_exc = self._fetch_one(
-                        holder, location, sid
-                    )
-                    if candidate is None:
-                        fetch_errors.append(error)
-                        if corrupt_exc is not None:
-                            corrupt = corrupt_exc
-                            corrupt_holders.append(holder)
-                        continue
-                    xml_text = candidate
-                    self._note_swapin_source(
-                        sid,
-                        holders,
-                        holder.device_id,
-                        attempt_index,
-                        root_span,
-                    )
-                    break
-            if xml_text is None:
-                if corrupt is not None and all(
-                    "digest" in message for message in fetch_errors
-                ):
-                    # every copy was retrieved but corrupted: a codec
-                    # problem, not an availability one
-                    raise corrupt
-                raise AllStoresUnreachableError(
-                    f"cannot fetch {location.key} from any of "
-                    f"{len(holders)} device(s): {'; '.join(fetch_errors)}"
+            else:
+                xml_text, corrupt_holders = self._fetch_payload(
+                    sid, location, holders, root_span
                 )
-            if self.validate_documents:
-                from repro.wire.schema import ensure_valid_cluster
-
-                ensure_valid_cluster(xml_text)
-            resolve_extern = None
-            if space.extern_resolver is not None:
-                resolve_extern = lambda attrs: space.extern_resolver(attrs, sid)  # noqa: E731
-            with self._obs_span(
-                "swap.in.decode", sid=sid, objects=len(cluster.oids)
-            ):
-                document = decode_cluster(
-                    xml_text,
-                    registry=space._registry,
-                    resolve_out=replacement.outbound_at,
-                    resolve_extern=resolve_extern,
-                )
-            if set(document.objects) != cluster.oids:
-                raise CodecError(
-                    f"swap-cluster {sid}: stored membership does not match "
-                    f"the manager's tables"
-                )
-
-            # Make room before adopting (the replacement's bytes come back
-            # once the reload succeeds).  Replicas are sized afresh: a
-            # write through a proxy does not resize its target.
-            replicas = {
-                oid: document.objects[oid] for oid in sorted(document.objects)
-            }
-            size_of = space.size_model.size_of
-            sizes = {oid: size_of(obj) for oid, obj in replicas.items()}
-            total = sum(sizes.values())
-            if not space.heap.would_fit(total):
-                self.ensure_room(total)
-            if not space.heap.would_fit(total):
-                raise HeapExhaustedError(
-                    f"cannot reload swap-cluster {sid}: needs {total} bytes, "
-                    f"{space.heap.free} free"
-                )
-
-            space._install_replicas(sid, replicas)
-            space.heap.allocate_cluster(sizes)
-
-            # Patch all inbound proxies back to the replicas.
-            for proxy in space.proxies_targeting(sid).values():
-                proxy._obi_patch(replicas[proxy._obi_target_oid])
-
-            space.heap.free_oid(replacement.oid)
-            space._set_cluster_state(cluster, SwapClusterState.RESIDENT)
-            cluster.replacement = None
-            cluster.location = None
-            cluster.swap_in_count += 1
-            self.stats.swap_ins += 1
-            self.stats.bytes_restored += total
-            if self.sched is not None:
-                # decode + install + proxy patch is the RELOAD-VERIFY
-                # stage of the op — pure CPU, completes at the instant
-                self.sched.note_reload(sid)
-
+            object_count, total = self._install_payload(cluster, xml_text)
             if corrupt_holders:
                 # a corrupt copy must never be retained for fast-path
                 # probes (contains cannot see bitrot): drop it now
-                for bad in corrupt_holders:
-                    try:
-                        bad.drop(location.key)
-                    except (TransportError, UnknownKeyError):
-                        pass
+                _drop_copies(corrupt_holders, [location.key])
                 holders = [
                     holder for holder in holders if holder not in corrupt_holders
                 ]
                 self._bindings[sid] = list(holders)
-            if resilience is not None:
-                resilience.placement.forget(sid)
-
-            retain = (
-                fastpath is not None and fastpath.config.retain_remote_copies
-            )
-            if retain and holders:
-                # leave the copies in place: if the cluster comes back
-                # clean, the next swap-out is a metadata-only no-op (and
-                # the delta chain stays valid for a later delta ship)
-                fastpath.retained[sid] = (location.key, list(holders))
-            else:
-                chain = (
-                    fastpath.chains.pop(sid, None)
-                    if fastpath is not None
-                    else None
-                )
-                if not self.keep_swapped_copies:
-                    stale = (
-                        list(reversed(chain.keys))
-                        if chain is not None
-                        else []
-                    )
-                    if location.key not in stale:
-                        stale.insert(0, location.key)
-                    if self.sched is not None:
-                        # invalidations ride the transfer channels
-                        self.sched.defer_drops(sid, stale, list(holders))
-                    else:
-                        for stale_key in stale:
-                            for holder in holders:
-                                try:
-                                    holder.drop(stale_key)
-                                except (TransportError, UnknownKeyError):
-                                    pass  # stale copies are harmless; epochs prevent reuse
+            if self.resilience is not None:
+                self.resilience.placement.forget(sid)
+            self._retain_or_drop(sid, location, holders)
             if fastpath is not None:
                 fastpath.cache.put(location.digest, xml_text)
                 # the replicas were just decoded from this payload: the
@@ -1710,7 +1612,7 @@ class SwappingManager:
                     sid=sid,
                     device_id=location.device_id,
                     key=location.key,
-                    object_count=len(document.objects),
+                    object_count=object_count,
                     bytes_restored=total,
                 )
             )
@@ -1728,6 +1630,154 @@ class SwappingManager:
             root_span.finish()
             cluster.pins -= 1
             self._loading.discard(sid)
+
+    def _fetch_payload(
+        self,
+        sid: Sid,
+        location: SwapLocation,
+        holders: List[SwapStore],
+        root_span: Any,
+    ) -> Tuple[str, List[SwapStore]]:
+        """A verified copy of the payload, through the scheduler or from
+        the first holder in rank order that has one, and the holders
+        whose copy failed the digest check."""
+        if self.sched is not None:
+            (
+                xml_text,
+                source_device,
+                attempt_index,
+                fetch_errors,
+                corrupt,
+                corrupt_holders,
+            ) = self.sched.acquire(sid, location, holders, root_span)
+            if xml_text is not None:
+                self._note_swapin_source(
+                    sid, holders, source_device, attempt_index, root_span
+                )
+                return xml_text, corrupt_holders
+        else:
+            fetch_errors: List[str] = []
+            corrupt: Optional[CodecError] = None
+            corrupt_holders: List[SwapStore] = []
+            for attempt_index, holder in enumerate(holders):
+                candidate, error, corrupt_exc = self._fetch_one(
+                    holder, location, sid
+                )
+                if candidate is None:
+                    fetch_errors.append(error)
+                    if corrupt_exc is not None:
+                        corrupt = corrupt_exc
+                        corrupt_holders.append(holder)
+                    continue
+                self._note_swapin_source(
+                    sid, holders, holder.device_id, attempt_index, root_span
+                )
+                return candidate, corrupt_holders
+        if corrupt is not None and all(
+            "digest" in message for message in fetch_errors
+        ):
+            # every copy was retrieved but corrupted: a codec
+            # problem, not an availability one
+            raise corrupt
+        raise AllStoresUnreachableError(
+            f"cannot fetch {location.key} from any of "
+            f"{len(holders)} device(s): {'; '.join(fetch_errors)}"
+        )
+
+    def _install_payload(
+        self, cluster: SwapCluster, xml_text: str
+    ) -> Tuple[int, int]:
+        """Decode a fetched payload and bring the cluster back resident:
+        replicas installed under their old oids, inbound proxies patched
+        back to them, the replacement-object freed.  Returns the object
+        count and the bytes restored."""
+        space = self._space
+        sid = cluster.sid
+        replacement = cluster.replacement
+        if self.validate_documents:
+            from repro.wire.schema import ensure_valid_cluster
+
+            ensure_valid_cluster(xml_text)
+        resolve_extern = None
+        if space.extern_resolver is not None:
+            resolve_extern = lambda attrs: space.extern_resolver(attrs, sid)  # noqa: E731
+        with self._obs_span(
+            "swap.in.decode", sid=sid, objects=len(cluster.oids)
+        ):
+            document = decode_cluster(
+                xml_text,
+                registry=space._registry,
+                resolve_out=replacement.outbound_at,
+                resolve_extern=resolve_extern,
+            )
+        if set(document.objects) != cluster.oids:
+            raise CodecError(
+                f"swap-cluster {sid}: stored membership does not match "
+                f"the manager's tables"
+            )
+
+        # Make room before adopting (the replacement's bytes come back
+        # once the reload succeeds).  Replicas are sized afresh: a
+        # write through a proxy does not resize its target.
+        replicas = {
+            oid: document.objects[oid] for oid in sorted(document.objects)
+        }
+        size_of = space.size_model.size_of
+        sizes = {oid: size_of(obj) for oid, obj in replicas.items()}
+        total = sum(sizes.values())
+        if not space.heap.would_fit(total):
+            self.ensure_room(total)
+        if not space.heap.would_fit(total):
+            raise HeapExhaustedError(
+                f"cannot reload swap-cluster {sid}: needs {total} bytes, "
+                f"{space.heap.free} free"
+            )
+
+        space._install_replicas(sid, replicas)
+        space.heap.allocate_cluster(sizes)
+
+        # Patch all inbound proxies back to the replicas.
+        for proxy in space.proxies_targeting(sid).values():
+            proxy._obi_patch(replicas[proxy._obi_target_oid])
+
+        space.heap.free_oid(replacement.oid)
+        space._set_cluster_state(cluster, SwapClusterState.RESIDENT)
+        cluster.replacement = None
+        cluster.location = None
+        cluster.swap_in_count += 1
+        self.stats.swap_ins += 1
+        self.stats.bytes_restored += total
+        if self.sched is not None:
+            # decode + install + proxy patch is the RELOAD-VERIFY
+            # stage of the op — pure CPU, completes at the instant
+            self.sched.note_reload(sid)
+        return len(document.objects), total
+
+    def _retain_or_drop(
+        self, sid: Sid, location: SwapLocation, holders: List[SwapStore]
+    ) -> None:
+        """After a reload: keep the store copies for the fast path, or
+        drop them with the rest of the delta chain."""
+        fastpath = self.fastpath
+        if (
+            fastpath is not None
+            and fastpath.config.retain_remote_copies
+            and holders
+        ):
+            # leave the copies in place: if the cluster comes back
+            # clean, the next swap-out is a metadata-only no-op (and
+            # the delta chain stays valid for a later delta ship)
+            fastpath.retained[sid] = (location.key, list(holders))
+            return
+        chain = fastpath.chains.pop(sid, None) if fastpath is not None else None
+        if self.keep_swapped_copies:
+            return
+        stale = _stale_keys(chain, location.key)
+        if self.sched is not None:
+            # invalidations ride the transfer channels
+            self.sched.defer_drops(sid, stale, list(holders))
+        else:
+            _drop_copies(holders, stale)
 
     # -- resilient store I/O ------------------------------------------------------
 
@@ -1762,12 +1812,9 @@ class SwappingManager:
         if fastpath is None or stream is None:
             return lambda: holder.store(key, xml_text)
         compression = fastpath.negotiate_for(holder)
-        data = compress_payload(xml_text, compression)
-        frame_bytes = fastpath.config.frame_bytes
-        frames = [
-            data[offset : offset + frame_bytes]
-            for offset in range(0, len(data), frame_bytes)
-        ] or [b""]
+        frames = _frames(
+            compress_payload(xml_text, compression), fastpath.config.frame_bytes
+        )
         return lambda: stream(key, frames, compression)
 
     def _fetch_verified(
@@ -1859,6 +1906,15 @@ class SwappingManager:
                     )
                 )
 
+    def _stores_by_id(self) -> Dict[str, SwapStore]:
+        """The stores a journal entry may name, by device id: every
+        nearby store plus the resilience pipeline's local pool."""
+        fallback = self.resilience._fallback
+        stores = {holder.device_id: holder for holder in self.available_stores()}
+        if fallback is not None:
+            stores.setdefault(fallback.device_id, fallback)
+        return stores
+
     def recover_journal(self) -> int:
         """Clean up after interrupted swap-outs; returns entries recovered.
 
@@ -1874,13 +1930,7 @@ class SwappingManager:
         if resilience is None:
             return 0
         recovered = 0
-        stores_by_id = {
-            holder.device_id: holder for holder in self.available_stores()
-        }
-        if resilience._fallback is not None:
-            stores_by_id.setdefault(
-                resilience._fallback.device_id, resilience._fallback
-            )
+        stores_by_id = self._stores_by_id()
         for entry in resilience.journal.pending():
             cluster = self._space._clusters.get(entry.sid)
             if (
@@ -1890,14 +1940,14 @@ class SwappingManager:
             ):
                 resilience.journal.commit(entry)
                 continue
-            for device_id in entry.writes:
-                holder = stores_by_id.get(device_id)
-                if holder is None:
-                    continue
-                try:
-                    holder.drop(entry.key)
-                except (TransportError, UnknownKeyError):
-                    pass
+            _drop_copies(
+                [
+                    stores_by_id[device_id]
+                    for device_id in entry.writes
+                    if device_id in stores_by_id
+                ],
+                [entry.key],
+            )
             resilience.journal.abort(entry)
             resilience.journal.stats.recoveries += 1
             self.stats.journal_recoveries += 1
@@ -1922,13 +1972,7 @@ class SwappingManager:
         resilience = self.resilience
         if resilience is None:
             return 0
-        stores_by_id: Dict[str, SwapStore] = {
-            holder.device_id: holder for holder in self.available_stores()
-        }
-        if resilience._fallback is not None:
-            stores_by_id.setdefault(
-                resilience._fallback.device_id, resilience._fallback
-            )
+        stores_by_id = self._stores_by_id()
         committed: Dict[tuple, Any] = {}
         for entry in reversed(resilience.journal.history()):
             if entry.state is JournalEntryState.COMMITTED:
@@ -2007,19 +2051,10 @@ class SwappingManager:
         if resilience is not None:
             if dead:
                 affected = resilience.placement.mark_device_lost(device_id)
-                rf = self.target_replicas()
                 for sid in affected:
-                    record = resilience.placement.get(sid)
-                    if record is not None and record.live_count < rf:
-                        self._space.bus.emit(
-                            ClusterUnderReplicatedEvent(
-                                space=self._space.name,
-                                sid=sid,
-                                live_replicas=record.live_count,
-                                target_replicas=rf,
-                                reason=f"{device_id}: store died",
-                            )
-                        )
+                    self._warn_if_under_replicated(
+                        sid, f"{device_id}: store died"
+                    )
             else:
                 affected = resilience.mark_device_suspect(
                     device_id, reason="store detached"
@@ -2271,32 +2306,12 @@ class SwappingManager:
         if self.resilience is not None:
             self.resilience.placement.forget(cluster.sid)
         if location is not None:
-            for holder in holders:
-                try:
-                    holder.drop(location.key)
-                except (TransportError, UnknownKeyError):
-                    pass  # unreachable device: the copy is orphaned, by design
+            _drop_copies(holders, [location.key])
         if self.fastpath is not None:
-            chain = self.fastpath.chains.pop(cluster.sid, None)
-            retained = self.fastpath.retained.pop(cluster.sid, None)
-            stale: List[str] = (
-                list(reversed(chain.keys)) if chain is not None else []
+            # the primary copies are already dropped
+            self._drop_retained(
+                cluster.sid, holders, location.key if location else None
             )
-            if retained is not None and retained[0] not in stale:
-                stale.insert(0, retained[0])
-            drop_from: List[SwapStore] = list(holders)
-            if retained is not None:
-                for holder in retained[1]:
-                    if holder not in drop_from:
-                        drop_from.append(holder)
-            for stale_key in stale:
-                if location is not None and stale_key == location.key:
-                    continue  # already dropped with the primary copies
-                for holder in drop_from:
-                    try:
-                        holder.drop(stale_key)
-                    except (TransportError, UnknownKeyError):
-                        pass
         if cluster.replacement is not None:
             space.heap.free_oid(cluster.replacement.oid)
             cluster.replacement = None
@@ -2326,22 +2341,26 @@ class SwappingManager:
             return
         if self.sched is not None:
             self.sched.on_cluster_collected(event.sid)
-        if self.fastpath is None:
-            return
-        chain = self.fastpath.chains.pop(event.sid, None)
-        retained = self.fastpath.retained.pop(event.sid, None)
-        if retained is None:
-            return
-        key, holders = retained
-        stale = list(reversed(chain.keys)) if chain is not None else []
-        if key not in stale:
-            stale.insert(0, key)
-        for stale_key in stale:
-            for holder in holders:
-                try:
-                    holder.drop(stale_key)
-                except (TransportError, UnknownKeyError):
-                    pass
+        if self.fastpath is not None:
+            self._drop_retained(event.sid)
+
+    def _drop_retained(
+        self,
+        sid: Sid,
+        holders: Iterable[SwapStore] = (),
+        skip: Optional[str] = None,
+    ) -> None:
+        """Forget a cluster's retained copies and delta chain, and drop
+        them from their holders and ``holders`` (all but ``skip``)."""
+        chain = self.fastpath.chains.pop(sid, None)
+        retained = self.fastpath.retained.pop(sid, None)
+        drop_from: List[SwapStore] = list(holders)
+        if retained is not None:
+            for holder in retained[1]:
+                if holder not in drop_from:
+                    drop_from.append(holder)
+        key = retained[0] if retained is not None else None
+        _drop_copies(drop_from, _stale_keys(chain, key, skip))
 
     def binding_for(self, sid: Sid) -> Optional[SwapStore]:
         """The primary store holding a swapped cluster (None if resident)."""
@@ -2394,20 +2413,13 @@ class SwappingManager:
                 if cluster is None or cluster.is_swapped:
                     continue
                 key, holders = fastpath.retained[sid]
-                chain = fastpath.chains.get(sid)
-                stale = list(reversed(chain.keys)) if chain is not None else []
-                if key not in stale:
-                    stale.insert(0, key)
+                stale = _stale_keys(fastpath.chains.get(sid), key)
                 kept: List[SwapStore] = []
                 for holder in holders:
                     if not in_fleet(holder):
                         kept.append(holder)
                         continue
-                    for stale_key in stale:
-                        try:
-                            holder.drop(stale_key)
-                        except (TransportError, UnknownKeyError):
-                            pass
+                    _drop_copies([holder], stale)
                     copies += 1
                     freed += cluster.clean_xml_bytes or 0
                 if kept:
@@ -2433,10 +2445,7 @@ class SwappingManager:
                 if not in_fleet(holder) or freed >= need_bytes:
                     survivors.append(holder)
                     continue
-                try:
-                    holder.drop(location.key)
-                except (TransportError, UnknownKeyError):
-                    pass
+                _drop_copies([holder], [location.key])
                 if self.resilience is not None:
                     self.resilience.placement.remove_replica(
                         sid, holder.device_id

@@ -253,7 +253,7 @@ class Tenant:
     def admit_ship(self, nbytes: int, replicas: int) -> Tuple[bool, str]:
         """May this tenant ship ``nbytes`` to ``replicas`` stores now?
 
-        Called by ``_ship_and_detach`` before store selection.  Returns
+        Called by ``_plan_holders`` before store selection.  Returns
         ``(admitted, denial_reason)``; a denial sends the swap-out down
         the degrade-to-local path instead of onto the fleet.
         """

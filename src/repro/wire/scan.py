@@ -426,7 +426,7 @@ def decode_members(
             raw, sep, value = piece.partition('">')
             name = names.get(raw)
             if name is None or not sep:
-                if not sep or not raw or _AVAL_OK.fullmatch(raw) is None:
+                if not sep or _AVAL_OK.fullmatch(raw) is None:
                     raise NotCanonical("malformed <field> tag")
                 name = _field_name(raw)
             # fast paths for the common wire tags; anything they do not

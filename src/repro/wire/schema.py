@@ -74,7 +74,7 @@ def validate_cluster_element(root: ET.Element) -> List[str]:
                 )
                 continue
             name = field_el.get("name")
-            if not name:
+            if name is None:
                 problems.append(f"object oid={oid}: <field> without name")
             elif name in seen_fields:
                 problems.append(f"object oid={oid}: duplicate field {name!r}")

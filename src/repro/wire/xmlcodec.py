@@ -22,6 +22,7 @@ alive while the cluster is away, and reload reconnects by index.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, Tuple
 
@@ -146,9 +147,22 @@ _FIELD_OPEN_CACHE: Dict[str, str] = {}
 _CLASS_OPEN_CACHE: Dict[str, str] = {}
 
 
+#: Characters no ``<field name="…">`` can carry: XML has no form for
+#: control characters, lone surrogates or U+FFFE/U+FFFF, and parsers
+#: normalize raw tabs and line breaks in attribute values.
+_UNWRITABLE_NAME = re.compile(
+    r"[\t\n\r\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
+)
+
+
 def _field_open(name: str) -> str:
     cached = _FIELD_OPEN_CACHE.get(name)
     if cached is None:
+        if _UNWRITABLE_NAME.search(name) is not None:
+            # refused before anything ships: the cluster stays resident
+            raise CodecError(
+                f"field name {name!r} cannot be written as swap-cluster XML"
+            )
         if len(_FIELD_OPEN_CACHE) > 4096:
             _FIELD_OPEN_CACHE.clear()
         cached = _FIELD_OPEN_CACHE[name] = (

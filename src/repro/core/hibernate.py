@@ -56,7 +56,7 @@ MANIFEST_NAME = "manifest.xml"
 
 #: an outbound reference in canonical text, where no raw "<" occurs
 #: outside markup: every match is an element
-_OUTREF = re.compile(r'<outref index="(\d+)"/>')
+_OUTREF = re.compile(r'<outref index="([0-9]+)"/>')
 
 
 def hibernate(space: Space, directory: str | Path) -> Path:
@@ -64,8 +64,12 @@ def hibernate(space: Space, directory: str | Path) -> Path:
 
     The space itself is untouched (hibernation is a snapshot, not a
     shutdown).  Swapped clusters are read back from their stores without
-    reloading them into the heap.
+    reloading them into the heap.  The roots are written first: a root
+    name XML cannot carry raises :class:`~repro.errors.CodecError`
+    before anything is written to ``directory``.
     """
+    roots: List[str] = []
+    emit_fields(roots, space._roots, _classifier(space), tag="root")
     destination = Path(directory)
     destination.mkdir(parents=True, exist_ok=True)
 
@@ -88,8 +92,6 @@ def hibernate(space: Space, directory: str | Path) -> Path:
                 "",
             )
         )
-    roots: List[str] = []
-    emit_fields(roots, space._roots, _classifier(space), tag="root")
     manifest = canonical_element(
         "hibernated-space",
         {"name": space.name},

@@ -44,6 +44,26 @@ def _xml_safe(text: str) -> bool:
     return _XML_SAFE_TEXT.match(text) is not None
 
 
+#: Characters no ``name="…"`` attribute can carry: XML has no form for
+#: control characters, lone surrogates or U+FFFE/U+FFFF, and parsers
+#: normalize raw tabs and line breaks in attribute values.
+_UNWRITABLE_NAME = re.compile(
+    r"[\t\n\r\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
+)
+
+
+def named_open_tag(tag: str, name: str) -> str:
+    """``<tag name="…">`` for ``name``.
+
+    A name XML cannot carry raises :class:`~repro.errors.CodecError`, so
+    a caller that writes all its names before shipping anything ships
+    nothing that would not read back.
+    """
+    if _UNWRITABLE_NAME.search(name) is not None:
+        raise CodecError(f"{tag} name {name!r} cannot be written as XML")
+    return f'<{tag} name="{_escape_attr(name)}">'
+
+
 def _str_element(value: str) -> str:
     """Canonical ``<str>`` element: escaped text, or base64 when the
     string is not XML-safe."""
@@ -148,9 +168,10 @@ def emit_fields(
 ) -> None:
     """Append a run of ``<tag name="…">value</tag>`` elements, one per
     item of ``values`` in order: an object's fields, an envelope's
-    params, a hibernation image's roots."""
+    params, a hibernation image's roots.  A name XML cannot carry raises
+    :class:`~repro.errors.CodecError` (:func:`named_open_tag`)."""
     for name, value in values.items():
-        parts.append(f'<{tag} name="{_escape_attr(name)}">')
+        parts.append(named_open_tag(tag, name))
         emit_value(parts, value, classify)
         parts.append(f"</{tag}>")
 

@@ -22,16 +22,16 @@ alive while the cluster is away, and reload reconnects by index.
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, Tuple
 
 from repro.errors import CodecError, IntegrityError
-from repro.runtime.classext import instance_fields, is_managed, is_proxy
+from repro.runtime import obicomp
+from repro.runtime.classext import is_managed, is_proxy
+from repro.runtime.obicomp import SHAPE_ENCODERS, compile_encoder
 from repro.runtime.registry import TypeRegistry
-from repro.wire.canonical import _escape_attr, canonical_element, canonical_open_tag
+from repro.wire.canonical import canonical_element, canonical_open_tag
 from repro.wire.scan import decode_members, scan_once, top_level
-from repro.wire.wrappers import emit_value
 
 
 @dataclass
@@ -139,50 +139,6 @@ def make_classifier(
     return classify
 
 
-#: Escaped-markup caches for the *bounded-cardinality* strings (class
-#: and field names) that repeat across every member of every cluster —
-#: value strings never go through these.  Cleared when they grow past
-#: any plausible schema population.
-_FIELD_OPEN_CACHE: Dict[str, str] = {}
-_CLASS_OPEN_CACHE: Dict[str, str] = {}
-
-
-#: Characters no ``<field name="…">`` can carry: XML has no form for
-#: control characters, lone surrogates or U+FFFE/U+FFFF, and parsers
-#: normalize raw tabs and line breaks in attribute values.
-_UNWRITABLE_NAME = re.compile(
-    r"[\t\n\r\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
-)
-
-
-def _field_open(name: str) -> str:
-    cached = _FIELD_OPEN_CACHE.get(name)
-    if cached is None:
-        if _UNWRITABLE_NAME.search(name) is not None:
-            # refused before anything ships: the cluster stays resident
-            raise CodecError(
-                f"field name {name!r} cannot be written as swap-cluster XML"
-            )
-        if len(_FIELD_OPEN_CACHE) > 4096:
-            _FIELD_OPEN_CACHE.clear()
-        cached = _FIELD_OPEN_CACHE[name] = (
-            f'<field name="{_escape_attr(name)}">'
-        )
-    return cached
-
-
-def _class_open(name: str) -> str:
-    """``<object class="..." oid="`` — the caller appends the oid."""
-    cached = _CLASS_OPEN_CACHE.get(name)
-    if cached is None:
-        if len(_CLASS_OPEN_CACHE) > 4096:
-            _CLASS_OPEN_CACHE.clear()
-        cached = _CLASS_OPEN_CACHE[name] = (
-            f'<object class="{_escape_attr(name)}" oid="'
-        )
-    return cached
-
-
 def encode_object_element(
     oid: int,
     obj: Any,
@@ -191,36 +147,32 @@ def encode_object_element(
 ) -> str:
     """Canonical ``<object>`` element for one managed instance.
 
-    ``local_oids`` maps ``id()`` of each object the document carries to
-    its oid: a field holding one of them is an intra-cluster ``<ref>``
-    by definition and is written without consulting the classifier, as
-    are exact ints and ``None`` (most real fields).
+    Written by the encoder compiled for the instance's shape, its class
+    and the keys of its dict in order
+    (:func:`~repro.runtime.obicomp.compile_encoder`).  ``local_oids``
+    maps ``id()`` of each object the document carries to its oid: a
+    field holding one of them is an intra-cluster ``<ref>`` by
+    definition and is written without consulting the classifier, as are
+    exact ints and ``None`` (most real fields).
     """
-    schema = getattr(type(obj), "_obi_schema", None)
+    cls = type(obj)
+    values = obj.__dict__
+    encode = SHAPE_ENCODERS.get((cls, tuple(values)))
+    if encode is None:
+        encode = _shape_encoder(oid, cls, tuple(values))
+    return encode(oid, values.values(), classify, local_oids)
+
+
+def _shape_encoder(oid: int, cls: type, keys: Tuple[Any, ...]) -> Callable[..., str]:
+    """Compile and cache the encoder of a shape met for the first time."""
+    schema = getattr(cls, "_obi_schema", None)
     if schema is None:
-        raise CodecError(
-            f"object oid={oid} of type {type(obj).__name__} is not @managed"
-        )
-    fields = instance_fields(obj)
-    if not fields:
-        return f'{_class_open(schema.name)}{oid}"/>'
-    parts = [f'{_class_open(schema.name)}{oid}">']
-    append = parts.append
-    for name, value in fields.items():
-        if type(value) is int:
-            append(f"{_field_open(name)}<int>{value}</int></field>")
-        elif value is None:
-            append(f"{_field_open(name)}<none/></field>")
-        else:
-            ref_oid = local_oids.get(id(value))
-            if ref_oid is not None:
-                append(f'{_field_open(name)}<ref oid="{ref_oid}"/></field>')
-            else:
-                append(_field_open(name))
-                emit_value(parts, value, classify)
-                append("</field>")
-    append("</object>")
-    return "".join(parts)
+        raise CodecError(f"object oid={oid} of type {cls.__name__} is not @managed")
+    encode = compile_encoder(schema.name, keys)
+    if len(SHAPE_ENCODERS) > obicomp.SHAPE_CACHE_LIMIT:
+        SHAPE_ENCODERS.clear()
+    SHAPE_ENCODERS[cls, keys] = encode
+    return encode
 
 
 def encode_cluster_stream(

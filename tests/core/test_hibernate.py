@@ -217,3 +217,33 @@ def test_hibernate_reads_a_holders_own_spelling(tmp_path):
     holder.store(key, holder.fetch(key).replace("><", ">\n  <"))
     hibernate(space, tmp_path)
     assert chain_values(restore(tmp_path).get_root("h")) == list(range(20))
+
+
+# -- root names -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["ctl\x01", "tab\there", "line\nbreak", "cr\r"])
+def test_a_root_name_xml_cannot_carry_is_refused_before_writing(tmp_path, name):
+    space = make_space()
+    space.ingest(build_chain(10), cluster_size=5, root_name="h")
+    space.set_root(name, 1)
+    image = tmp_path / "image"
+    with pytest.raises(CodecError, match="cannot be written"):
+        hibernate(space, image)
+    assert not image.exists()
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    with pytest.raises(CodecError):
+        hibernate(space, existing)
+    assert list(existing.iterdir()) == []
+
+
+def test_odd_but_writable_root_names_round_trip(tmp_path):
+    space = make_space()
+    names = ['a&b "q" <x>', "", "é{}'\\", "sp ace"]
+    for value, name in enumerate(names):
+        space.set_root(name, value)
+    hibernate(space, tmp_path)
+    revived = restore(tmp_path)
+    assert revived.root_names() == names
+    assert [revived.get_root(name) for name in names] == list(range(len(names)))

@@ -25,11 +25,14 @@ from repro.runtime.registry import TypeRegistry, global_registry
 from repro.wire.canonical import canonical_open_tag
 from repro.wire.delta import apply_cluster_delta, encode_cluster_delta
 from repro.wire.wrappers import emit_fields
+from repro.runtime import obicomp
 from repro.wire.scan import (
     NotCanonical,
     document_epoch,
     looks_foreign,
     read_fields,
+    read_value,
+    top_level,
     unescape,
 )
 from repro.wire.xmlcodec import (
@@ -574,6 +577,90 @@ def test_field_less_member_and_empty_cluster():
     assert decode_cluster(
         empty, registry=global_registry(), resolve_out=lambda index: None
     ).objects == {}
+
+
+# -- numbers are ASCII digits ----------------------------------------------------
+
+
+def _one_node(oid: str, value: str) -> str:
+    return (
+        '<swap-cluster count="1" epoch="0" sid="1" space="s">'
+        f'<object class="Node" oid="{oid}">'
+        f'<field name="value">{value}</field><field name="next"><none/></field>'
+        "</object></swap-cluster>"
+    )
+
+
+@pytest.mark.parametrize(
+    "oid, value",
+    [
+        ("1", "<int>\u00b2</int>"),  # "²".isdigit(), but int("²") fails
+        ("\u0661\u0662", "<int>\u0661</int>"),  # Arabic-Indic 12 and 1
+        ("\u0661", "<int>1</int>"),
+        ("1", "<int>-\u0661</int>"),
+        ("1", "<int>\uff11</int>"),  # fullwidth 1
+        ("1", '<ref oid="\u0661"/>'),
+        ("1", '<outref index="\u0661"/>'),
+    ],
+)
+@pytest.mark.parametrize("path", ["general", "compiled"])
+def test_non_ascii_digits_are_a_codec_error(oid, value, path):
+    if path == "general":
+        obicomp.SHAPE_DECODERS.clear()
+    else:  # the Node shape is compiled by a first read
+        decode_cluster(
+            _one_node("1", "<int>1</int>"),
+            registry=global_registry(),
+            resolve_out=lambda index: index,
+        )
+    with pytest.raises(CodecError):
+        decode_cluster(
+            _one_node(oid, value),
+            registry=global_registry(),
+            resolve_out=lambda index: index,
+        )
+
+
+def test_ascii_numbers_read_as_before():
+    def read(value):
+        return decode_cluster(
+            _one_node("1", value),
+            registry=global_registry(),
+            resolve_out=lambda index: index,
+        ).objects[1]
+
+    assert read("<int>-12</int>").value == -12
+    assert read("<int>007</int>").value == 7
+    node = read('<ref oid="1"/>')
+    assert node.value is node
+    assert read('<outref index="3"/>').value == 3
+
+
+def test_non_ascii_digits_in_the_general_readers():
+    def resolve(kind, ident):
+        return (kind, ident)
+
+    for text in (
+        "<int>\u00b2</int>",
+        '<ref oid="\u0661"/>',
+        '<outref index="\u0661"/>',
+    ):
+        with pytest.raises(CodecError):
+            read_value(text, resolve)
+        with pytest.raises(CodecError):
+            read_fields(f'<field name="x">{text}</field>', resolve)
+    assert read_value("<int>42</int>", resolve) == 42
+
+
+def test_a_tombstone_oid_is_ascii():
+    delta = (
+        '<swap-delta base-epoch="0" count="1" dead="1" epoch="1" sid="1" space="s">'
+        '<tombstone oid="{}"/></swap-delta>'
+    )
+    _attrs, events = top_level(delta.format("12"), "swap-delta")
+    assert events == [("tombstone", 12, "", "")]
+    with pytest.raises(NotCanonical):
+        top_level(delta.format("\u0661\u0662"), "swap-delta")
 
 
 def test_unsorted_attributes_read_through_one_canonicalization():

@@ -161,10 +161,6 @@ class DegradeLadder:
         self._sample_time: Optional[float] = None
         self._saturation = 0.0
         self._fallback: Optional[Any] = None
-        #: Optional per-tenant adjustment applied to every assessed
-        #: signal (``repro.fleet`` installs one so rungs escalate per
-        #: tenant, not globally).  ``None`` = signals pass through.
-        self.pressure_overlay: Optional[Any] = None
 
     # -- plumbing ----------------------------------------------------------
 
@@ -248,12 +244,9 @@ class DegradeLadder:
             )
             self._sample_time = now
             self._busy_at_sample = busy
-        signal = classify(
+        return classify(
             headroom, health, self._saturation, self.config.thresholds
         )
-        if self.pressure_overlay is not None:
-            signal = self.pressure_overlay(signal)
-        return signal
 
     def update(self) -> DegradeRung:
         """Re-assess pressure and move the rung; returns the new rung.

@@ -44,6 +44,7 @@ from repro.wire.scan import (
     member_fields,
     read_document,
     read_fields,
+    read_number,
     scan_once,
     top_level,
 )
@@ -132,7 +133,7 @@ def restore(
     instances: Dict[int, Any] = {}
     sid_of: Dict[int, Sid] = {}
     for entry in entries:
-        sid = int(entry["sid"])
+        sid = read_number(entry.get("sid"), "manifest cluster sid")
         documents[sid], members = scan_once(
             (source / entry["file"]).read_text(encoding="utf-8"),
             f"hibernated cluster {sid}",
@@ -152,14 +153,20 @@ def restore(
         registry=resolved_registry,
     )
     for entry in entries:
-        sid = int(entry["sid"])
+        sid = read_number(entry.get("sid"), "manifest cluster sid")
         if sid == ROOT_SID:
             cluster = space._clusters[ROOT_SID]
         else:
             cluster = SwapCluster(sid)
             space._add_cluster(cluster)
-        cluster.epoch = int(entry.get("epoch", "0"))
-        cluster.cids = [int(part) for part in entry.get("cids", "").split(",") if part]
+        cluster.epoch = read_number(
+            entry.get("epoch", "0"), "manifest cluster epoch"
+        )
+        cluster.cids = [
+            read_number(part, "manifest cluster cids")
+            for part in entry.get("cids", "").split(",")
+            if part
+        ]
     space._ids.sids.reserve_above(max(documents, default=0))
     for oid, instance in instances.items():
         sid = sid_of[oid]
@@ -175,9 +182,9 @@ def restore(
     def resolve(holder_sid: Sid):
         def _resolve(kind: str, ident: Any) -> Any:
             if kind == "local":
-                return instances[int(ident)]
+                return instances[ident]
             if kind == "ext":
-                target_oid = int(ident["toid"])
+                target_oid = read_number(ident.get("toid"), "<extref toid>")
                 if sid_of.get(target_oid) == holder_sid:
                     return instances[target_oid]
                 return space._proxy_for(holder_sid, target_oid)

@@ -74,7 +74,6 @@ from repro.events import (
     SwapFastPathEvent,
     SwapInEvent,
     SwapOutEvent,
-    TenantAdmissionDeniedEvent,
 )
 from repro.ids import Sid, format_swap_key
 from repro.obs.trace import NULL_SPAN
@@ -161,12 +160,6 @@ class ManagerStats:
     cell_outages: int = 0
     cell_recoveries: int = 0
     topology_rebuilds: int = 0
-    # -- fleet/tenancy counters (all zero while no tenant is bound) --
-    fleet_admission_denials: int = 0
-    fleet_reclaim_evictions: int = 0
-    fleet_reclaim_bytes: int = 0
-    fleet_config_updates: int = 0
-    tenant_pressure_bumps: int = 0
 
 
 #: Per swap-out tier: the ``ManagerStats`` counter it bumps (a classic
@@ -369,10 +362,6 @@ class SwappingManager:
         #: Optional sharded topology service (see :mod:`repro.topology`).
         #: ``None`` = placement stays per-key via ``plan_placement``.
         self.topology: Optional[Any] = None
-        #: Optional tenant binding (see :mod:`repro.fleet`): store-byte
-        #: quota admission, fair-share reclaim, per-tenant pressure.
-        #: ``None`` = the single-tenant path, bit-identical to before.
-        self.tenant: Optional[Any] = None
         #: Temporary replication-target override (the COMPRESS_LOCAL
         #: rung hibernates exactly one copy into the pool).
         self._replicas_override: Optional[int] = None
@@ -446,10 +435,6 @@ class SwappingManager:
 
         config = config if config is not None else DegradeLadderConfig()
         self.ladder = DegradeLadder(self, config)
-        if self.tenant is not None:
-            # rungs escalate per tenant: the fleet folds this tenant's
-            # share usage into every assessed signal
-            self.tenant.bind_ladder(self.ladder)
         if config.install_selector:
             from repro.policy.victims import make_selector
 
@@ -605,26 +590,6 @@ class SwappingManager:
         if self.obs is not None:
             self.obs.detach()
             self.obs = None
-
-    # -- introspection -----------------------------------------------------------
-
-    def feature_flags(self) -> Dict[str, bool]:
-        """Which opt-in subsystems are currently enabled.
-
-        The queryable surface for the ``enable_*`` toggles: the fleet
-        control plane validates feature-gated config changes against it
-        (e.g. a ``degrade.*`` change is rejected for a manager whose
-        ladder is off), and operators can log it alongside counters.
-        """
-        return {
-            "resilience": self.resilience is not None,
-            "fastpath": self.fastpath is not None,
-            "obs": self.obs is not None,
-            "degrade": self.ladder is not None,
-            "async_sched": self.sched is not None,
-            "topology": self.topology is not None,
-            "tenancy": self.tenant is not None,
-        }
 
     def _obs_span(self, name: str, **tags: Any):
         """A live span when observability is on, :data:`NULL_SPAN` when off."""
@@ -1227,7 +1192,7 @@ class SwappingManager:
             self.obs.observe_payload(xml_bytes)
 
         resilience = self.resilience
-        holders, admitted = self._plan_holders(sid, xml_bytes, chosen)
+        holders = self._plan_holders(sid, xml_bytes, chosen)
         with _Handoff(self, sid, key, epoch, xml_bytes, digest) as handoff:
             tried: List[SwapStore] = []
             first_failure: Optional[BaseException] = None
@@ -1258,7 +1223,7 @@ class SwappingManager:
                 and chosen is None
             ):
                 first_failure = self._ship_fallback(
-                    handoff, xml_text, holders, tried, admitted, first_failure
+                    handoff, xml_text, holders, tried, first_failure
                 )
             if not handoff.stored_on:
                 if resilience is not None:
@@ -1275,56 +1240,27 @@ class SwappingManager:
 
     def _plan_holders(
         self, sid: Sid, xml_bytes: int, chosen: SwapStore | None
-    ) -> Tuple[List[SwapStore], bool]:
-        """The stores a full payload ships to, and whether the tenant
-        admitted it: a caller-chosen store plus mirrors with room, or the
-        tenant admission gate and then placement.  With degrade-to-local
-        on, a denial or an empty neighborhood plans no holders."""
+    ) -> List[SwapStore]:
+        """The stores a full payload ships to: a caller-chosen store plus
+        mirrors with room, or placement.  With degrade-to-local on, an
+        empty neighborhood plans no holders."""
         if chosen is not None:
             replicas = self.target_replicas()
             if replicas > 1:
                 stores = self.available_stores()
-                return _with_room(stores, xml_bytes, replicas, [chosen]), True
-            return [chosen], True
-        resilience = self.resilience
-        degrade = resilience is not None and resilience.config.degrade_to_local
-        if self.tenant is not None:
-            # fleet admission: a tenant over its store-byte quota — or
-            # over its fair share while the fleet is under global store
-            # pressure — may not take more shared store room.  Denial
-            # routes the victim into the local compressed pool (this
-            # tenant's own heap pays, nobody else's share does).
-            admitted, denial_reason = self.tenant.admit_ship(
-                xml_bytes, self.target_replicas()
-            )
-            if not admitted:
-                space = self._space
-                self.stats.fleet_admission_denials += 1
-                space.bus.emit(
-                    TenantAdmissionDeniedEvent(
-                        space=space.name,
-                        tenant_id=self.tenant.tenant_id,
-                        nbytes=xml_bytes,
-                        reason=denial_reason,
-                    )
-                )
-                if not degrade:
-                    raise NoSwapDeviceError(
-                        f"tenant {self.tenant.tenant_id!r} denied store "
-                        f"admission for {xml_bytes} bytes: {denial_reason}"
-                    )
-                return [], False
+                return _with_room(stores, xml_bytes, replicas, [chosen])
+            return [chosen]
         try:
-            holders = self.select_stores(
+            return self.select_stores(
                 xml_bytes, self.target_replicas(), sid=sid
             )
         except NoSwapDeviceError:
             # with local degradation available an empty neighborhood
             # is not fatal: fall through to the compressed pool
-            if not degrade:
+            resilience = self.resilience
+            if resilience is None or not resilience.config.degrade_to_local:
                 raise
-            return [], True
-        return holders, True
+            return []
 
     def _ship_fallback(
         self,
@@ -1332,7 +1268,6 @@ class SwappingManager:
         xml_text: str,
         holders: List[SwapStore],
         tried: List[SwapStore],
-        admitted: bool,
         first_failure: Optional[BaseException],
     ) -> Optional[BaseException]:
         """No planned holder took the payload: fail over to a store the
@@ -1340,7 +1275,7 @@ class SwappingManager:
         Returns the failure to report when neither takes it."""
         space = self._space
         sid, key, xml_bytes = handoff.sid, handoff.key, handoff.xml_bytes
-        for candidate in self.available_stores() if admitted else ():
+        for candidate in self.available_stores():
             if candidate in tried:
                 continue
             tried.append(candidate)
@@ -2158,13 +2093,6 @@ class SwappingManager:
             if self.sched is not None:
                 # rising pressure reclaims speculative buffers first
                 self.sched.on_pressure(int(rung))
-        if self.tenant is not None:
-            # fair-share victim selection under global store pressure:
-            # before this tenant's victims ship, the fleet frees store
-            # room by evicting redundant copies of over-share tenants
-            # first — an under-share tenant's reclaim never touches
-            # anyone still inside their guaranteed share
-            self.tenant.prepare_room(need_bytes)
         freed = 0
         while not space.heap.would_fit(need_bytes):
             victim = self.victim_selector(space)
@@ -2370,91 +2298,3 @@ class SwappingManager:
     def bindings_for(self, sid: Sid) -> List[SwapStore]:
         """All stores holding copies of a swapped cluster."""
         return list(self._bindings.get(sid, []))
-
-    # -- fleet reclaim -----------------------------------------------------------
-
-    def reclaim_store_copies(
-        self,
-        need_bytes: int,
-        *,
-        store_ids: Optional[set] = None,
-    ) -> Tuple[int, int]:
-        """Drop *redundant* store copies to free shared store room.
-
-        Called by the fleet's fair-share reclaimer against a tenant over
-        its share.  Two safe tiers, cheapest consequence first:
-
-        1. retained clean copies of **resident** clusters — pure cache;
-           the only cost is that the next clean swap-out re-ships;
-        2. mirror replicas of **swapped** clusters beyond the primary —
-           durability narrows, data survives on the primary and the
-           scrubber re-replicates once pressure subsides.
-
-        The last copy of a swapped cluster is never touched.  With
-        ``store_ids`` given, only copies on those devices are dropped
-        (the fleet's stores, not e.g. a local compressed pool).  Returns
-        ``(copies_dropped, bytes_freed)``; stops once ``need_bytes``
-        have been freed.
-        """
-        space = self._space
-        fastpath = self.fastpath
-        copies = 0
-        freed = 0
-
-        def in_fleet(holder: SwapStore) -> bool:
-            return store_ids is None or holder.device_id in store_ids
-
-        # tier 1: retained clean copies of resident clusters
-        if fastpath is not None:
-            for sid in sorted(fastpath.retained):
-                if freed >= need_bytes:
-                    break
-                cluster = space._clusters.get(sid)
-                if cluster is None or cluster.is_swapped:
-                    continue
-                key, holders = fastpath.retained[sid]
-                stale = _stale_keys(fastpath.chains.get(sid), key)
-                kept: List[SwapStore] = []
-                for holder in holders:
-                    if not in_fleet(holder):
-                        kept.append(holder)
-                        continue
-                    _drop_copies([holder], stale)
-                    copies += 1
-                    freed += cluster.clean_xml_bytes or 0
-                if kept:
-                    fastpath.retained[sid] = (key, kept)
-                else:
-                    fastpath.retained.pop(sid, None)
-                    fastpath.chains.pop(sid, None)
-                self._bindings.pop(sid, None)
-
-        # tier 2: mirror replicas of swapped clusters (primary survives)
-        for sid in sorted(self._bindings):
-            if freed >= need_bytes:
-                break
-            cluster = space._clusters.get(sid)
-            if cluster is None or not cluster.is_swapped:
-                continue
-            location = cluster.location
-            holders = self._bindings.get(sid, [])
-            if location is None or len(holders) <= 1:
-                continue
-            survivors = [holders[0]]
-            for holder in holders[1:]:
-                if not in_fleet(holder) or freed >= need_bytes:
-                    survivors.append(holder)
-                    continue
-                _drop_copies([holder], [location.key])
-                if self.resilience is not None:
-                    self.resilience.placement.remove_replica(
-                        sid, holder.device_id
-                    )
-                copies += 1
-                freed += location.xml_bytes
-            self._bindings[sid] = survivors
-
-        if copies:
-            self.stats.fleet_reclaim_evictions += copies
-            self.stats.fleet_reclaim_bytes += freed
-        return copies, freed

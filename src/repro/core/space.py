@@ -151,11 +151,6 @@ class Space:
         return self._manager
 
     @property
-    def tenant(self) -> Optional[Any]:
-        """The fleet tenant this space is bound to (None outside a fleet)."""
-        return self._manager.tenant
-
-    @property
     def registry(self) -> TypeRegistry:
         return self._registry
 

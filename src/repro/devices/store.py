@@ -154,8 +154,8 @@ class InMemoryStore:
         """Bytes held under keys starting with ``prefix``.
 
         Swap keys are namespaced per space (``"{space}/sc-{sid}/..."``),
-        so this is the per-space footprint the fleet's tenant
-        accountant charges.  A pure metadata scan: no link traffic.
+        so this is one space's footprint on the store.  A pure metadata
+        scan: no link traffic.
         """
         return sum(
             utf8_len(text)
@@ -399,11 +399,10 @@ class XmlStoreDevice:
     def used_by_prefix(self, prefix: str) -> int:
         """Bytes at rest under keys starting with ``prefix``.
 
-        The fleet's tenant accountant reads per-space footprints this
-        way (swap keys are namespaced ``"{space}/sc-{sid}/..."``) —
-        what is *actually held*, deltas and negotiated compression
-        included, so quota and fair-share arithmetic line up with
-        ``used`` / ``capacity``.  A local metadata scan: no link charge.
+        Swap keys are namespaced ``"{space}/sc-{sid}/..."``, so this
+        reads one space's footprint as *actually held*, deltas and
+        negotiated compression included, in the same units as ``used``
+        / ``capacity``.  A local metadata scan: no link charge.
         """
         return sum(
             len(data)

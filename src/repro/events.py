@@ -503,86 +503,6 @@ class CellRecoveredEvent(Event):
 
 
 # ---------------------------------------------------------------------------
-# Fleet / tenancy events
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TenantRegisteredEvent(Event):
-    """A space/manager was bound to a tenant in the fleet registry."""
-
-    topic = "fleet.tenant.registered"
-    space: str
-    tenant_id: str
-    store_quota_bytes: int
-    guaranteed_share: float
-    priority_class: int
-
-
-@dataclass(frozen=True)
-class TenantAdmissionDeniedEvent(Event):
-    """A tenant's swap-out was refused remote store admission (over its
-    byte quota, or over its fair share while the fleet is under global
-    store pressure); the manager degrades to its local pool instead."""
-
-    topic = "fleet.tenant.admission_denied"
-    space: str
-    tenant_id: str
-    nbytes: int
-    reason: str
-
-
-@dataclass(frozen=True)
-class TenantEvictedEvent(Event):
-    """Fair-share reclaim dropped redundant store copies (mirrors or
-    retained clean copies) belonging to an over-share tenant to make
-    room for an under-share one."""
-
-    topic = "fleet.tenant.evicted"
-    space: str
-    tenant_id: str
-    copies_dropped: int
-    bytes_freed: int
-    requested_by: str
-
-
-@dataclass(frozen=True)
-class FleetLeaderElectedEvent(Event):
-    """A controller replica became leader (initial election or failover
-    after the previous leader died); the epoch fences stale requests."""
-
-    topic = "fleet.leader.elected"
-    space: str
-    replica_id: int
-    epoch: int
-    reason: str
-
-
-@dataclass(frozen=True)
-class FleetConfigAppliedEvent(Event):
-    """One accepted, versioned config change was delivered to (and
-    applied by) one registered manager — exactly once per version."""
-
-    topic = "fleet.config.applied"
-    space: str
-    version: int
-    epoch: int
-    tenant_id: str
-    keys: tuple
-
-
-@dataclass(frozen=True)
-class FleetConfigRejectedEvent(Event):
-    """The controller refused a config change request (unknown key,
-    out-of-range value, guarantees oversubscribed, or stale epoch)."""
-
-    topic = "fleet.config.rejected"
-    space: str
-    epoch: int
-    reason: str
-
-
-# ---------------------------------------------------------------------------
 # The bus
 # ---------------------------------------------------------------------------
 

@@ -257,16 +257,13 @@ def store_fleet_brownout() -> ScenarioSpec:
 
 
 def noisy_neighbor() -> ScenarioSpec:
-    """A neighbor tenant's burst squeezes the shared store fleet.
+    """A neighbor's burst squeezes the shared store fleet.
 
-    The single-space rendition of the multi-tenant aggressor
-    (:mod:`repro.bench.tenancy` runs the real two-tenant version over
-    one shared fleet): mid-run, an unseen neighbor's traffic takes
-    half of every store's capacity and most of the shared link
-    bandwidth, while the local workload keeps serving its foreground
-    task and absorbing a trickle of arrivals.  The squeeze lifts near
-    the end — the neighbor's burst drains — and the space must come
-    back without manual help.
+    Mid-run, an unseen neighbor's traffic takes half of every store's
+    capacity and most of the shared link bandwidth, while the local
+    workload keeps serving its foreground task and absorbing a trickle
+    of arrivals.  The squeeze lifts near the end — the neighbor's burst
+    drains — and the space must come back without manual help.
     """
     # scripted window: 8s warmup + 18s squeeze + 16s drain = 42s; the
     # burst lands early in the squeeze and lifts mid-drain, so recovery

@@ -70,10 +70,6 @@ class Observability:
         # object per access, so identity checks at detach need this handle
         self._link_hook = self._on_link_transfer
         self._attached = False
-        #: Tenant id used to label per-tenant series (``tenant.<id>.*``).
-        #: Set explicitly via :meth:`set_tenant_label`, else inferred
-        #: from ``manager.tenant`` at refresh time.
-        self._tenant_label: Optional[str] = None
         # pre-create the headline histograms so exports are stable even
         # before the first operation
         self.metrics.histogram(
@@ -203,41 +199,14 @@ class Observability:
 
     # -- unified counter view ----------------------------------------------
 
-    def set_tenant_label(self, tenant_id: Optional[str]) -> None:
-        """Label this manager's per-tenant series ``tenant.<id>.*``.
-
-        Called by :meth:`repro.fleet.tenancy.Tenant.bind`; ``None``
-        clears the label (refresh then falls back to ``manager.tenant``
-        when one is bound).
-        """
-        self._tenant_label = tenant_id
-
-    def tenant_label(self) -> Optional[str]:
-        if self._tenant_label is not None:
-            return self._tenant_label
-        tenant = getattr(self._manager, "tenant", None)
-        return tenant.tenant_id if tenant is not None else None
-
     def refresh(self) -> None:
         """Absorb the legacy ``ManagerStats`` counters (dot-named via
         :data:`repro.stats.COUNTER_NAMES`) and current gauges into the
         registry.  Called before every export/snapshot."""
         from repro.stats import counter_snapshot
 
-        counters = counter_snapshot(self._manager.stats)
-        for name, value in counters.items():
+        for name, value in counter_snapshot(self._manager.stats).items():
             self.metrics.counter(name).set_to(value)
-        label = self.tenant_label()
-        if label is not None:
-            # the same ManagerStats swap counters, re-registered under
-            # the tenant label.  ``set_to`` keeps the copy idempotent —
-            # repeated refreshes never double-count, and the global
-            # series above stay the single source of truth.
-            for name, value in counters.items():
-                if name.startswith("swap."):
-                    self.metrics.counter(f"tenant.{label}.{name}").set_to(
-                        value
-                    )
         heap = self._space.heap
         self.metrics.gauge("heap.used.bytes").set(heap.used)
         self.metrics.gauge("heap.capacity.bytes").set(heap.capacity)
@@ -372,35 +341,6 @@ class Observability:
             )
             self.metrics.gauge("topology.reparent.last_latency_s").set(
                 tstats.last_reparent_latency_s
-            )
-        tenant = getattr(self._manager, "tenant", None)
-        if tenant is not None:
-            registry = tenant._registry
-            self.metrics.gauge("tenant.store.bytes").set(tenant.store_bytes())
-            self.metrics.gauge("tenant.fair_share.bytes").set(
-                tenant.fair_share_bytes()
-            )
-            self.metrics.gauge("tenant.quota.bytes").set(
-                tenant.spec.store_quota_bytes
-            )
-            self.metrics.gauge("tenant.pressure.level").set(
-                int(tenant.pressure().level)
-            )
-            self.metrics.counter("tenant.evicted.copies").set_to(
-                tenant.evicted_copies
-            )
-            self.metrics.counter("tenant.evicted.bytes").set_to(
-                tenant.evicted_bytes
-            )
-            self.metrics.gauge("fleet.capacity.bytes").set(
-                registry.capacity_bytes()
-            )
-            self.metrics.gauge("fleet.used.bytes").set(registry.used_bytes())
-            self.metrics.gauge("fleet.free_fraction").set(
-                registry.free_fraction()
-            )
-            self.metrics.gauge("fleet.under_pressure").set(
-                1 if registry.under_pressure() else 0
             )
         self.metrics.counter("trace.spans.dropped").set_to(
             self.tracer.dropped_spans

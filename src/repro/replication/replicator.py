@@ -35,6 +35,7 @@ from repro.ids import ROOT_SID
 from repro.replication.proxies import ReplicationProxy
 from repro.replication.server import ServerClient, parse_replica_document
 from repro.runtime.classext import instance_fields
+from repro.wire.scan import read_number
 from repro.wire.xmlcodec import decode_cluster
 
 _object_setattr = object.__setattr__
@@ -358,8 +359,15 @@ class Replicator:
     # -- wire/GC integration ------------------------------------------------------------------------
 
     def _resolve_extern(self, attrs: Dict[str, str], sid: int) -> Any:
-        cid = int(attrs["cid"])
-        soid = int(attrs["soid"])
+        return self._resolve_frontier(
+            read_number(attrs.get("cid"), "<extref cid>"),
+            read_number(attrs.get("soid"), "<extref soid>"),
+            sid,
+        )
+
+    def _resolve_frontier(self, cid: int, soid: int, sid: int) -> Any:
+        """The object at master ``(cid, soid)`` as cluster ``sid`` sees
+        it: the instance, a swap-cluster-proxy, or a replication proxy."""
         known_oid = self._oid_by_soid.get(soid)
         if known_oid is not None:
             target_sid = self._space._sid_by_oid.get(known_oid)

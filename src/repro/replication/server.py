@@ -44,6 +44,7 @@ from repro.wire.scan import (
     member_fields,
     read_document,
     read_fields,
+    read_number,
     scan_once,
     top_level,
 )
@@ -237,8 +238,10 @@ class ObjectServer:
             before anything is mutated."""
             attrs, events = top_level(text, "push-cluster", id_attr="soid")
             root_name = attrs.get("root", "")
-            cid = int(attrs.get("cid", "-1"))
-            base_version = int(attrs.get("base_version", "-1"))
+            cid = read_number(attrs.get("cid", "-1"), "push-cluster cid")
+            base_version = read_number(
+                attrs.get("base_version", "-1"), "push-cluster base_version"
+            )
             graph = self._graph(root_name)
             if cid not in graph.clusters:
                 raise SyncError(f"root {root_name!r} has no cluster {cid}")
@@ -256,9 +259,9 @@ class ObjectServer:
 
             def resolve(kind: str, ident: Any) -> Any:
                 if kind == "local":
-                    soid = int(ident)
+                    soid = ident
                 elif kind == "ext":
-                    soid = int(ident["soid"])
+                    soid = read_number(ident.get("soid"), "<extref soid>")
                 else:
                     raise SyncError("push documents must not contain <outref>")
                 target = graph.soid_to_object.get(soid)
@@ -484,14 +487,17 @@ def parse_replica_document(
         if not body.startswith("<swap-cluster"):
             raise CodecError("replica document missing <frontier> or <swap-cluster>")
         frontier = [
-            (int(entry["cid"]), int(entry["oid"]))
+            (
+                read_number(entry.get("cid"), "frontier entry cid"),
+                read_number(entry.get("oid"), "frontier entry oid"),
+            )
             for entry in empty_elements(entries, "entry")
         ]
         return (
-            int(attrs.get("cid", "-1")),
+            read_number(attrs.get("cid", "-1"), "replica-cluster cid"),
             frontier,
             body,
-            int(attrs.get("version", "1")),
+            read_number(attrs.get("version", "1"), "replica-cluster version"),
         )
 
     return scan_once(text, "replica document", read, screen=True)

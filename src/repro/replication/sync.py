@@ -153,8 +153,8 @@ class ReplicaSync:
                 return space._objects[local_oid]
             if kind == "out":
                 frontier_cid, frontier_soid = frontier[int(ident)]
-                return self._repl._resolve_extern(
-                    {"cid": frontier_cid, "soid": frontier_soid}, sid
+                return self._repl._resolve_frontier(
+                    frontier_cid, frontier_soid, sid
                 )
             return self._repl._resolve_extern(ident, sid)
 

@@ -61,11 +61,6 @@ COUNTER_NAMES: Dict[str, str] = {
     "topology.cell.outages": "cell_outages",
     "topology.cell.recoveries": "cell_recoveries",
     "topology.rebuilds": "topology_rebuilds",
-    "fleet.admission.denials": "fleet_admission_denials",
-    "fleet.reclaim.evictions": "fleet_reclaim_evictions",
-    "fleet.reclaim.bytes": "fleet_reclaim_bytes",
-    "fleet.config.updates": "fleet_config_updates",
-    "tenant.pressure.bumps": "tenant_pressure_bumps",
 }
 
 _MISSING = object()
@@ -181,12 +176,6 @@ class SpaceTelemetry:
     cell_outages: int = 0
     cell_recoveries: int = 0
     topology_rebuilds: int = 0
-    # -- fleet/tenancy counters (zero while no tenant is bound) --
-    fleet_admission_denials: int = 0
-    fleet_reclaim_evictions: int = 0
-    fleet_reclaim_bytes: int = 0
-    fleet_config_updates: int = 0
-    tenant_pressure_bumps: int = 0
 
     def resident_clusters(self) -> List[ClusterTelemetry]:
         return [record for record in self.clusters if record.state == "resident"]
@@ -277,11 +266,6 @@ def snapshot(space: Any) -> SpaceTelemetry:
         cell_outages=stats.cell_outages,
         cell_recoveries=stats.cell_recoveries,
         topology_rebuilds=stats.topology_rebuilds,
-        fleet_admission_denials=stats.fleet_admission_denials,
-        fleet_reclaim_evictions=stats.fleet_reclaim_evictions,
-        fleet_reclaim_bytes=stats.fleet_reclaim_bytes,
-        fleet_config_updates=stats.fleet_config_updates,
-        tenant_pressure_bumps=stats.tenant_pressure_bumps,
         payload_cache_bytes=(
             manager.fastpath.cache.used_bytes
             if getattr(manager, "fastpath", None) is not None

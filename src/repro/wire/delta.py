@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Set, Tuple
 
 from repro.errors import CodecError
 from repro.wire.canonical import canonical_element, canonical_open_tag
-from repro.wire.scan import Event, scan_once, top_level
+from repro.wire.scan import Event, read_number, scan_once, top_level
 from repro.wire.xmlcodec import encode_object_element, make_classifier
 
 __all__ = [
@@ -153,8 +153,10 @@ def apply_cluster_delta(base_text: str, delta_text: str) -> str:
             f"does not belong to payload sid={base.get('sid')} "
             f"space={base.get('space')!r}"
         )
-    base_epoch = int(base.get("epoch", "0"))
-    declared_base = int(delta.get("base-epoch", "-1"))
+    base_epoch = read_number(base.get("epoch", "0"), "swap-cluster epoch")
+    declared_base = read_number(
+        delta.get("base-epoch", "-1"), "swap-delta base-epoch"
+    )
     if declared_base != base_epoch:
         raise CodecError(
             f"delta applies to base epoch {declared_base} but payload is at "
@@ -181,13 +183,19 @@ def apply_cluster_delta(base_text: str, delta_text: str) -> str:
         else:
             raise CodecError(f"unexpected element <{tag}> in swap-delta")
     declared_count = delta.get("count")
-    if declared_count is not None and int(declared_count) != replaced:
+    if (
+        declared_count is not None
+        and read_number(declared_count, "swap-delta count") != replaced
+    ):
         raise CodecError(
             f"swap-delta count attribute says {declared_count} objects, "
             f"document holds {replaced}"
         )
     declared_dead = delta.get("dead")
-    if declared_dead is not None and int(declared_dead) != dead:
+    if (
+        declared_dead is not None
+        and read_number(declared_dead, "swap-delta dead") != dead
+    ):
         raise CodecError(
             f"swap-delta dead attribute says {declared_dead} tombstones, "
             f"document holds {dead}"

@@ -241,11 +241,11 @@ def document_epoch(text: str) -> int:
 
     def read(candidate: str) -> int:
         attrs, _start, _end = _read_root(candidate)
-        return int(attrs.get("epoch", "0"))
+        return read_number(attrs.get("epoch", "0"), "swap-cluster epoch")
 
     try:
         return scan_once(text, "payload", read)
-    except (CodecError, ValueError) as exc:
+    except CodecError as exc:
         raise CodecError(f"unreadable payload epoch: {exc}") from exc
 
 
@@ -407,7 +407,10 @@ def decode_members(
         if fields:
             filled.append((oid, instance, fields, class_name))
 
-    if declared_count is not None and int(declared_count) != len(instances):
+    if (
+        declared_count is not None
+        and read_number(declared_count, "swap-cluster count") != len(instances)
+    ):
         raise CodecError(
             f"swap-cluster {sid}: count attribute says {declared_count} "
             f"objects, document holds {len(instances)}"
@@ -605,9 +608,11 @@ def _read_value(text: str, pos: int, resolve: Resolve) -> Tuple[Any, int]:
 _DIGITS = re.compile(r"-?[0-9]+")
 
 
-def _number(text: Optional[str], tag: str) -> int:
+def read_number(text: Optional[str], where: str) -> int:
+    """A number in an element or attribute, spelled as the encoders
+    write it; anything else (or ``None``) raises ``CodecError``."""
     if text is None or _DIGITS.fullmatch(text) is None:
-        raise CodecError(f"<{tag}> holds {text!r}, not a number")
+        raise CodecError(f"{where} holds {text!r}, not a number")
     return int(text)
 
 
@@ -615,11 +620,11 @@ def _leaf_value(
     tag: str, attrs: Dict[str, str], content: Optional[str], resolve: Resolve
 ) -> Any:
     if tag == "int":
-        return _number(content or "0", tag)
+        return read_number(content or "0", "<int>")
     if tag == "ref":
-        return resolve("local", _number(attrs.get("oid"), tag))
+        return resolve("local", read_number(attrs.get("oid"), "<ref>"))
     if tag == "outref":
-        return resolve("out", _number(attrs.get("index"), tag))
+        return resolve("out", read_number(attrs.get("index"), "<outref>"))
     if tag == "extref":
         return resolve("ext", attrs)
     if tag == "str":

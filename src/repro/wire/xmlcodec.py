@@ -31,7 +31,7 @@ from repro.runtime.classext import is_managed, is_proxy
 from repro.runtime.obicomp import SHAPE_ENCODERS, compile_encoder
 from repro.runtime.registry import TypeRegistry
 from repro.wire.canonical import canonical_element, canonical_open_tag
-from repro.wire.scan import decode_members, scan_once, top_level
+from repro.wire.scan import decode_members, read_number, scan_once, top_level
 
 
 @dataclass
@@ -238,8 +238,8 @@ def decode_cluster(
 
     def read(text: str) -> ClusterDocument:
         attrs, events = top_level(text, "swap-cluster")
-        sid = int(attrs.get("sid", "-1"))
-        epoch = int(attrs.get("epoch", "0"))
+        sid = read_number(attrs.get("sid", "-1"), "swap-cluster sid")
+        epoch = read_number(attrs.get("epoch", "0"), "swap-cluster epoch")
         objects = decode_members(
             events,
             sid=sid,

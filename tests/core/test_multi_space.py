@@ -1,10 +1,9 @@
 """Two spaces sharing one store fleet: key namespacing, pinning,
 placement-ledger separation.
 
-The tenancy layer (:mod:`repro.fleet`) leans on these invariants —
-per-space swap-key prefixes are what make physical per-tenant
-accounting possible — so they get their own direct coverage here,
-with no registry involved.
+Per-space swap-key prefixes are what let ``SwapStore.used_by_prefix``
+read one space's physical footprint on a shared store, so they get
+their own direct coverage here.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import pytest
 from repro.core.space import Space
 from repro.devices.store import XmlStoreDevice
 from repro.errors import ClusterPinnedError
-from repro.fleet import manager_store_bytes
 from repro.ids import format_swap_key
 from tests.helpers import build_chain, chain_values
 
@@ -25,6 +23,11 @@ def fleet():
         XmlStoreDevice(f"shared-{index}", capacity=64 << 10)
         for index in range(2)
     ]
+
+
+def at_rest(space, fleet):
+    """One space's bytes at rest across the shared stores."""
+    return sum(store.used_by_prefix(f"{space.name}/") for store in fleet)
 
 
 def make_space(name, fleet, heap=1 << 20):
@@ -69,10 +72,10 @@ def test_store_keys_partition_by_space_prefix(fleet):
     rights = [k for k in all_keys if k.startswith("part-right/")]
     assert len(lefts) == 2 and len(rights) == 2
     assert len(lefts) + len(rights) == len(all_keys)
-    # ... which is exactly what per-tenant physical accounting scans
-    assert manager_store_bytes(left.manager, fleet) + manager_store_bytes(
-        right.manager, fleet
-    ) == sum(store.used for store in fleet)
+    # ... so the per-space prefix scans add up to what the stores hold
+    assert at_rest(left, fleet) + at_rest(right, fleet) == sum(
+        store.used for store in fleet
+    )
 
 
 def test_pin_protects_one_space_while_the_other_swaps(fleet):
@@ -98,10 +101,10 @@ def test_swap_in_one_space_leaves_the_neighbor_at_rest(fleet):
     load(right)
     left.swap_out(1)
     right.swap_out(1)
-    right_bytes = manager_store_bytes(right.manager, fleet)
+    right_bytes = at_rest(right, fleet)
     chain_values(left_handle)  # swap left's cluster back in
-    assert manager_store_bytes(left.manager, fleet) == 0
-    assert manager_store_bytes(right.manager, fleet) == right_bytes
+    assert at_rest(left, fleet) == 0
+    assert at_rest(right, fleet) == right_bytes
 
 
 def test_two_spaces_fill_and_drain_without_crosstalk(fleet):
@@ -117,5 +120,5 @@ def test_two_spaces_fill_and_drain_without_crosstalk(fleet):
             right.swap_out(cluster.sid)
     assert chain_values(right_handle) == list(range(30))
     assert chain_values(left_handle) == list(range(30))
-    assert manager_store_bytes(left.manager, fleet) == 0
-    assert manager_store_bytes(right.manager, fleet) == 0
+    assert at_rest(left, fleet) == 0
+    assert at_rest(right, fleet) == 0

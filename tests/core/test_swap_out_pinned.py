@@ -5,8 +5,7 @@ below drives one way a cluster leaves the heap — a full ship at one and
 three replicas, a cached re-ship, a metadata-only clean no-op, the
 degrade ladder's DROP_CLEAN and COMPRESS_LOCAL rungs, delta ships with
 a diverged holder and with a chain compaction, failover past a store
-that dies on ship, degrade-to-local when every store refuses, tenant
-admission denial with and without the local fallback, and a
+that dies on ship, degrade-to-local when every store refuses, and a
 caller-chosen store with mirrors — then swaps clusters back in.  Its
 whole observable fingerprint must equal the constants pinned here: the
 simulated clock, every non-zero ``counter_snapshot`` entry, cluster
@@ -33,7 +32,6 @@ from repro.core.fastpath import FastPathConfig
 from repro.core.space import Space
 from repro.devices.store import XmlStoreDevice
 from repro.errors import ObiError, TransportError
-from repro.fleet import TenantRegistry, TenantSpec
 from repro.policy.pressure import classify
 from repro.resilience import ResilienceConfig
 from repro.stats import counter_snapshot
@@ -375,32 +373,6 @@ def _degrade_to_local() -> _Rig:
     return rig
 
 
-def _tenant(degrade: bool) -> Callable[[], _Rig]:
-    def shape() -> _Rig:
-        rig = _Rig(
-            stores=2,
-            resilience=ResilienceConfig(degrade_to_local=degrade)
-            if degrade
-            else None,
-        )
-        registry = TenantRegistry(rig.stores)
-        registry.register(
-            TenantSpec(
-                tenant_id="t",
-                heap_budget_bytes=1 << 20,
-                store_quota_bytes=16,
-            ),
-            rig.manager,
-        )
-        for sid in rig.sids():
-            rig.out(sid)
-        rig.walk()
-        assert rig.manager.stats.fleet_admission_denials == len(rig.sids())
-        return rig
-
-    return shape
-
-
 def _chosen_rf2() -> _Rig:
     rig = _Rig(
         stores=3,
@@ -427,8 +399,6 @@ SHAPES: Dict[str, Callable[[], _Rig]] = {
     "delta-unreachable": _delta_unreachable,
     "failover": _failover,
     "degrade-to-local": _degrade_to_local,
-    "tenant-denied": _tenant(False),
-    "tenant-denied-degrade": _tenant(True),
     "chosen-rf2": _chosen_rf2,
 }
 
@@ -1334,101 +1304,7 @@ PINNED: Dict[str, Dict[str, Any]] = {'chosen-rf2': {'clock': 0.6232914285714285,
                          2: ['pinned-out/sc-2/e1', ['s-0']],
                          3: ['pinned-out/sc-3/e1', ['s-0']],
                          4: ['pinned-out/sc-4/e1', ['s-0']]},
-            'chains': {}},
- 'tenant-denied': {'clock': 0.0,
-                   'outcomes': ['NoSwapDeviceError',
-                                'NoSwapDeviceError',
-                                'NoSwapDeviceError',
-                                'NoSwapDeviceError'],
-                   'values': [0,
-                              1,
-                              2,
-                              3,
-                              4,
-                              5,
-                              6,
-                              7,
-                              8,
-                              9,
-                              10,
-                              11,
-                              12,
-                              13,
-                              14,
-                              15,
-                              16,
-                              17,
-                              18,
-                              19],
-                   'epochs': {0: 0, 1: 0, 2: 0, 3: 0, 4: 0},
-                   'heap_used': 800,
-                   'stores': {'s-0': {}, 's-1': {}},
-                   'counters': {'replication.cluster.count': 4,
-                                'fastpath.encode.count': 4,
-                                'fleet.admission.denials': 4},
-                   'events': 'eb5166aae1e23c51ab2d9781dcec2d9a23ae5aa605be6ad56af47df000cf4e28'},
- 'tenant-denied-degrade': {'clock': 0.0,
-                           'outcomes': ['compressed-pool@1',
-                                        'compressed-pool@1',
-                                        'compressed-pool@1',
-                                        'compressed-pool@1'],
-                           'values': [0,
-                                      1,
-                                      2,
-                                      3,
-                                      4,
-                                      5,
-                                      6,
-                                      7,
-                                      8,
-                                      9,
-                                      10,
-                                      11,
-                                      12,
-                                      13,
-                                      14,
-                                      15,
-                                      16,
-                                      17,
-                                      18,
-                                      19],
-                           'epochs': {0: 0, 1: 1, 2: 1, 3: 1, 4: 1},
-                           'heap_used': 800,
-                           'stores': {'s-0': {}, 's-1': {}},
-                           'counters': {'swap.out.count': 4,
-                                        'swap.in.count': 4,
-                                        'swap.out.bytes': 2722,
-                                        'swap.in.bytes': 800,
-                                        'replication.cluster.count': 4,
-                                        'resilience.degraded.count': 4,
-                                        'fastpath.encode.count': 4,
-                                        'fleet.admission.denials': 4},
-                           'events': '7e0d4eff90aeafefce46cae5bd6a90ffa3cc89d3bae7161ee6974b44e1ed7b08',
-                           'journal': [[1,
-                                        'pinned-out/sc-1/e1',
-                                        'COMMITTED',
-                                        ['compressed-pool'],
-                                        False,
-                                        None],
-                                       [2,
-                                        'pinned-out/sc-2/e1',
-                                        'COMMITTED',
-                                        ['compressed-pool'],
-                                        False,
-                                        None],
-                                       [3,
-                                        'pinned-out/sc-3/e1',
-                                        'COMMITTED',
-                                        ['compressed-pool'],
-                                        False,
-                                        None],
-                                       [4,
-                                        'pinned-out/sc-4/e1',
-                                        'COMMITTED',
-                                        ['compressed-pool'],
-                                        False,
-                                        None]],
-                           'placement': {}}}
+            'chains': {}}}
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))

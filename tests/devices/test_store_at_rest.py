@@ -1,7 +1,7 @@
 """Canonical XML at rest: bitrot shows up in digests, prefixes account bytes.
 
 ``digest`` is the scrubber's cheap integrity probe and ``used_by_prefix``
-is the scan the fleet's tenant accountant charges, so both are checked
+reads one space's footprint from its key prefix, so both are checked
 against what each store kind actually holds.
 """
 

@@ -20,7 +20,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CodecError
+from repro.core.hibernate import hibernate, restore
+from repro.devices import InMemoryStore
+from repro.errors import CodecError, SyncError
+from repro.replication import DirectServerClient, ObjectServer, Replicator
+from repro.replication.server import parse_replica_document
+from repro.replication.sync import ReplicaSync
 from repro.runtime.registry import TypeRegistry, global_registry
 from repro.wire.canonical import canonical_open_tag
 from repro.wire.delta import apply_cluster_delta, encode_cluster_delta
@@ -40,7 +45,7 @@ from repro.wire.xmlcodec import (
     decode_cluster,
     encode_cluster_canonical,
 )
-from tests.helpers import Holder, Node, Pair
+from tests.helpers import Holder, Node, Pair, build_chain, chain_values, make_space
 from tests.wire.etree_reference import decode_value, serialize_element
 
 # -- the ElementTree references -----------------------------------------------
@@ -661,6 +666,141 @@ def test_a_tombstone_oid_is_ascii():
     assert events == [("tombstone", 12, "", "")]
     with pytest.raises(NotCanonical):
         top_level(delta.format("\u0661\u0662"), "swap-delta")
+
+
+_ARABIC_INDIC = str.maketrans(
+    "0123456789", "".join(chr(0x0660 + digit) for digit in range(10))
+)
+
+
+def _arabic(text: str, attr: str, value: str) -> str:
+    """``text`` with its first ``attr="value"`` spelled in Arabic-Indic
+    digits, which ``int()`` reads as the same number."""
+    ascii_attr = f' {attr}="{value}"'
+    assert ascii_attr in text
+    return text.replace(
+        ascii_attr, f' {attr}="{value.translate(_ARABIC_INDIC)}"', 1
+    )
+
+
+@pytest.mark.parametrize(
+    "attr, value", [("count", "1"), ("epoch", "0"), ("sid", "1")]
+)
+def test_non_ascii_digits_in_cluster_attributes(attr, value):
+    text = _one_node("1", "<int>1</int>")
+
+    def decode(text):
+        return decode_cluster(
+            text, registry=global_registry(), resolve_out=lambda index: index
+        )
+
+    assert decode(text).sid == 1
+    with pytest.raises(CodecError):
+        decode(_arabic(text, attr, value))
+
+
+def test_document_epoch_reads_ascii_digits_only():
+    text = '<swap-cluster count="0" epoch="2" sid="3" space="s"></swap-cluster>'
+    assert document_epoch(text) == 2
+    with pytest.raises(CodecError):
+        document_epoch(_arabic(_arabic(text, "epoch", "2"), "sid", "3"))
+
+
+_DELTA_BASE = (
+    '<swap-cluster count="1" epoch="1" sid="1" space="s">'
+    '<object class="Node" oid="1"><field name="value"><int>1</int></field>'
+    '<field name="next"><none/></field></object></swap-cluster>'
+)
+_DELTA = (
+    '<swap-delta base-epoch="1" count="1" dead="0" epoch="2" sid="1" space="s">'
+    '<object class="Node" oid="1"><field name="value"><int>2</int></field>'
+    '<field name="next"><none/></field></object></swap-delta>'
+)
+
+
+@pytest.mark.parametrize(
+    "which, attr, value",
+    [
+        ("base", "epoch", "1"),
+        ("delta", "base-epoch", "1"),
+        ("delta", "count", "1"),
+        ("delta", "dead", "0"),
+    ],
+)
+def test_non_ascii_digits_in_delta_attributes(which, attr, value):
+    assert ' epoch="2"' in apply_cluster_delta(_DELTA_BASE, _DELTA)
+    base, delta = _DELTA_BASE, _DELTA
+    if which == "base":
+        base = _arabic(base, attr, value)
+    else:
+        delta = _arabic(delta, attr, value)
+    with pytest.raises(CodecError):
+        apply_cluster_delta(base, delta)
+
+
+@pytest.mark.parametrize(
+    "attr, value", [("sid", "0"), ("epoch", "1"), ("cids", "1"), ("toid", "1")]
+)
+def test_non_ascii_digits_in_a_hibernation_manifest(tmp_path, attr, value):
+    space = make_space()
+    space.manager.add_store(InMemoryStore("pc"))
+    space.ingest(build_chain(20), cluster_size=5, root_name="items")
+    space.swap_out(2)
+    manifest = hibernate(space, tmp_path)
+    text = manifest.read_text(encoding="utf-8")
+    manifest.write_text(_arabic(text, attr, value), encoding="utf-8")
+    with pytest.raises(CodecError):
+        restore(tmp_path)
+    manifest.write_text(text, encoding="utf-8")
+    assert chain_values(restore(tmp_path).get_root("items")) == list(range(20))
+
+
+def _replica_world():
+    server = ObjectServer()
+    server.publish("data", build_chain(30), cluster_size=10)
+    replicator = Replicator(make_space(), DirectServerClient(server))
+    return server, replicator, replicator.replicate("data")
+
+
+@pytest.mark.parametrize(
+    "attr, value", [("cid", "1"), ("version", "1"), ("cid", "2"), ("oid", "11")]
+)
+def test_non_ascii_digits_in_a_replica_document(attr, value):
+    server, _replicator, _handle = _replica_world()
+    text = server.fetch_cluster("data", 1)
+    assert parse_replica_document(text)[1] == [(2, 11)]
+    with pytest.raises(CodecError):
+        parse_replica_document(_arabic(text, attr, value))
+
+
+@pytest.mark.parametrize(
+    "attr, value", [("cid", "1"), ("base_version", "2"), ("soid", "11")]
+)
+def test_non_ascii_digits_in_a_push_document(attr, value):
+    server, replicator, handle = _replica_world()
+    chain_values(handle)
+    pushed = []
+    apply_push = server.apply_push
+    server.apply_push = lambda text: pushed.append(text) or apply_push(text)
+    handle.set_value(999)
+    ReplicaSync(replicator).push(1)
+    # the same push again, based on the version the first one made
+    text = pushed[0].replace(' base_version="1"', ' base_version="2"')
+    with pytest.raises(SyncError) as caught:
+        apply_push(_arabic(text, attr, value))
+    assert isinstance(caught.value.__cause__, CodecError)
+    assert apply_push(text).accepted
+
+
+def test_non_ascii_digits_in_an_extref_the_replicator_resolves():
+    _server, replicator, _handle = _replica_world()
+    assert replicator._resolve_extern({"cid": "2", "soid": "11"}, 1) is not None
+    for attrs in (
+        {"cid": "\u0662", "soid": "11"},
+        {"cid": "2", "soid": "\u0661\u0661"},
+    ):
+        with pytest.raises(CodecError):
+            replicator._resolve_extern(attrs, 1)
 
 
 def test_unsorted_attributes_read_through_one_canonicalization():

@@ -2,21 +2,16 @@
 
 Runs the two delta scenarios (fastpath-full, delta) on identical
 skewed-write workloads (~10% of each cluster's members rewritten per
-cycle, replication factor 3 over simulated 700 Kbps Bluetooth links),
-writes ``BENCH_delta.json``, and asserts the issue's acceptance bar: at
-least a 3x reduction in bytes carried on the links *and* a 2x reduction
-in simulated swap-out phase cost.
+cycle, replication factor 3 over simulated 700 Kbps Bluetooth links)
+and asserts the acceptance bar: at least a 3x reduction in bytes carried
+on the links *and* a 2x reduction in simulated swap-out phase cost.
 
 Run:  pytest benchmarks/test_delta.py --benchmark-only
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.bench.delta import DeltaBenchConfig, format_table, run_delta_bench
-
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_delta.json"
 
 
 def test_delta_swap(benchmark):
@@ -25,7 +20,6 @@ def test_delta_swap(benchmark):
     )
     print()
     print(format_table(report))
-    OUTPUT.write_text(report.to_json() + "\n", encoding="utf-8")
 
     full = report.scenarios["fastpath_full"]
     delta = report.scenarios["delta"]

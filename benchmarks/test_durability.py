@@ -3,20 +3,15 @@
 Swaps a workload out at ``replication_factor=3`` across five stores,
 kills an increasing number of them with data loss, and measures the
 scrubber's recovery: simulated seconds and payload bytes re-replicated
-until full replication returns.  Writes ``BENCH_durability.json`` and
-asserts the issue's acceptance bar: zero clusters lost for every kill
-count below the replication factor.
+until full replication returns.  Asserts the acceptance bar: zero
+clusters lost for every kill count below the replication factor.
 
 Run:  pytest benchmarks/test_durability.py --benchmark-only
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.bench.durability import DurabilityConfig, format_table, run_durability
-
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_durability.json"
 
 
 def test_durability(benchmark):
@@ -25,7 +20,6 @@ def test_durability(benchmark):
     )
     print()
     print(format_table(report))
-    OUTPUT.write_text(report.to_json() + "\n", encoding="utf-8")
 
     factor = report.config.replication_factor
     # the durability claim: any minority of store deaths loses nothing

@@ -1,0 +1,35 @@
+"""Pressure and brownout scenarios — the degrade ladder's SLO floors.
+
+Runs every scenario twice per seed, degrade ladder on and off, on
+byte-identical scripts, at seeds 1, 2 and 3.  At each seed the ladder
+must keep every scenario inside its p95-stall SLO with no foreground OOM
+kill, and the ladder-off baseline must violate its SLO under store
+brownout and the memory spike (else the scenario no longer stresses
+anything).
+
+Run:  pytest benchmarks/test_scenarios.py --benchmark-only
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.bench.scenarios import ScenarioBenchConfig, format_table, run_scenarios
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_scenarios(benchmark, seed):
+    report = benchmark.pedantic(
+        lambda: run_scenarios(ScenarioBenchConfig.quick_config(seed)),
+        rounds=1,
+        iterations=1,
+    )
+    print()
+    print(format_table(report))
+
+    scenarios = report["scenarios"]
+    for name, entry in scenarios.items():
+        assert entry["slo"]["ladder_met"], f"{name}: ladder misses its SLO"
+        assert entry["ladder"]["foreground_oom"] == 0, name
+    for name in ("store_fleet_brownout", "memory_spike"):
+        assert scenarios[name]["slo"]["baseline_violates"], name

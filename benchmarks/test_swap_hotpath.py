@@ -2,20 +2,16 @@
 
 Runs the three hot-path scenarios (baseline, fastpath-clean,
 fastpath-mutating) on identical workloads over the simulated 700 Kbps
-Bluetooth link, writes ``BENCH_swap_hotpath.json``, and asserts the
-issue's acceptance bar: at least a 2x reduction in simulated swap-out
-cost *and* encoder invocations for unmodified clusters.
+Bluetooth link and asserts the acceptance bar: at least a 2x reduction
+in simulated swap-out cost *and* encoder invocations for unmodified
+clusters.
 
 Run:  pytest benchmarks/test_swap_hotpath.py --benchmark-only
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.bench.hotpath import HotPathConfig, format_table, run_hotpath
-
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_swap_hotpath.json"
 
 
 def test_swap_hotpath(benchmark):
@@ -24,7 +20,6 @@ def test_swap_hotpath(benchmark):
     )
     print()
     print(format_table(report))
-    OUTPUT.write_text(report.to_json() + "\n", encoding="utf-8")
 
     baseline = report.scenarios["baseline"]
     clean = report.scenarios["fastpath_clean"]

@@ -15,31 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-#: Relative tolerance for wall-clock fields when diffing two bench
-#: reports.  Simulated cost is deterministic and diffs exactly; real
-#: wall time jitters with the host (CI noise routinely hits tens of
-#: percent on sub-second figures), so a wall column only *flags* when it
-#: moved beyond half again the baseline...
-WALL_JITTER_REL = 0.5
-
-#: ...or when the absolute difference is inside plain scheduler noise.
-WALL_JITTER_ABS_S = 0.05
-
-
-def is_wall_path(path: str) -> bool:
-    """True when a dotted report path names a real-time wall reading."""
-    leaf = path.rsplit(".", 1)[-1]
-    return "wall" in leaf
-
-
-def within_wall_jitter(old: float, new: float) -> bool:
-    """Whether a wall-clock change is indistinguishable from host noise."""
-    if abs(new - old) <= WALL_JITTER_ABS_S:
-        return True
-    if old == 0.0:
-        return False
-    return abs(new - old) / abs(old) <= WALL_JITTER_REL
-
 
 def format_sim_wall(sim_s: float, wall_s: float) -> str:
     """Render a simulated cost next to the real time it took to compute

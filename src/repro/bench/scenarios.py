@@ -18,15 +18,16 @@ The run is deterministic end to end: the touch script is precomputed
 from (scenario, seed) before either run starts, so the ladder and the
 baseline face byte-identical workloads.
 
-``python -m repro.bench.scenarios`` writes ``BENCH_scenarios.json``.
+``benchmarks/test_scenarios.py`` asserts the SLO floors on the quick
+sizing at seeds 1-3; ``run_scenarios(ScenarioBenchConfig())`` is the
+full-size run.
 """
 
 from __future__ import annotations
 
-import json
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.clock import SimulatedClock
@@ -497,62 +498,3 @@ def format_table(report: Dict[str, Any]) -> str:
         )
     return "\n".join(lines)
 
-
-def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - CLI
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true", help="CI sizing: a single seed"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help="with --quick: which single seed to run",
-    )
-    parser.add_argument(
-        "--seeds", type=int, nargs="+", default=None,
-        help="explicit seed list (default 1 2 3)",
-    )
-    parser.add_argument(
-        "--scenario", action="append", default=None,
-        help="run only this scenario (repeatable)",
-    )
-    parser.add_argument(
-        "--output", default="BENCH_scenarios.json", help="JSON output path"
-    )
-    parser.add_argument(
-        "--obs", action="store_true",
-        help="attach observability and dump labeled traces/metrics",
-    )
-    parser.add_argument(
-        "--obs-output", default="BENCH_scenarios_obs.jsonl",
-        help="JSONL dump path (with --obs)",
-    )
-    arguments = parser.parse_args(argv)
-    if arguments.quick:
-        config = ScenarioBenchConfig.quick_config(arguments.seed)
-    else:
-        config = ScenarioBenchConfig()
-    if arguments.seeds:
-        config.seeds = tuple(arguments.seeds)
-    if arguments.scenario:
-        unknown = [s for s in arguments.scenario if s not in SCENARIOS]
-        if unknown:
-            parser.error(f"unknown scenario(s): {', '.join(unknown)}")
-        config.scenarios = tuple(arguments.scenario)
-    report = run_scenarios(
-        config,
-        observe=arguments.obs,
-        obs_path=arguments.obs_output if arguments.obs else None,
-    )
-    print(format_table(report))
-    if arguments.obs:
-        print(f"wrote {arguments.obs_output}")
-    with open(arguments.output, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {arguments.output}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -15,14 +15,15 @@ Two layers exercise the :mod:`repro.topology` service:
   kill each cell in turn via the churn injector, let ``tick`` reparent
   and the scrubber re-replicate, and verify every cluster swaps back in.
 
-``python -m repro.bench.topology`` writes ``BENCH_topology.json``.
+``benchmarks/test_topology.py`` asserts the floors on the quick sizing
+at seeds 0-3; ``run_topology_bench(TopologyBenchConfig())`` is the
+full-size run.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.workloads import build_list
@@ -134,26 +135,6 @@ class TopologyReport:
     @property
     def lookup_o1(self) -> bool:
         return self.scale is None or self.scale.lookup_o1
-
-    def to_json(self) -> str:
-        payload = {
-            "benchmark": "topology",
-            "observed": self.observed,
-            "config": asdict(self.config),
-            "scale": (
-                {
-                    **asdict(self.scale),
-                    "lookup_o1": self.scale.lookup_o1,
-                    "zero_loss_any_cell": self.scale.zero_loss_any_cell,
-                }
-                if self.scale is not None
-                else None
-            ),
-            "integration": [asdict(result) for result in self.integration],
-            "zero_loss": self.zero_loss,
-            "lookup_o1": self.lookup_o1,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 class _SyntheticRecord:
@@ -489,54 +470,3 @@ def format_table(report: TopologyReport) -> str:
     )
     return "\n".join(lines)
 
-
-def main(argv: List[str] | None = None) -> int:  # pragma: no cover - CLI
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true", help="CI smoke-test sizing"
-    )
-    parser.add_argument(
-        "--keys", type=int, default=None, help="override the key population"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="fault-injector seed"
-    )
-    parser.add_argument(
-        "--output", default="BENCH_topology.json", help="JSON output path"
-    )
-    parser.add_argument(
-        "--obs",
-        action="store_true",
-        help="run the integration scenarios with observability attached: "
-        "one labeled trace/metric dump per killed cell",
-    )
-    parser.add_argument(
-        "--obs-output",
-        default="BENCH_topology_obs.jsonl",
-        help="JSONL dump path (with --obs)",
-    )
-    arguments = parser.parse_args(argv)
-    config = (
-        TopologyBenchConfig.quick() if arguments.quick else TopologyBenchConfig()
-    )
-    if arguments.keys is not None:
-        config.keys = arguments.keys
-    config.seed = arguments.seed
-    report = run_topology_bench(
-        config,
-        observe=arguments.obs,
-        obs_path=arguments.obs_output if arguments.obs else None,
-    )
-    print(format_table(report))
-    if arguments.obs:
-        print(f"wrote {arguments.obs_output}")
-    with open(arguments.output, "w", encoding="utf-8") as handle:
-        handle.write(report.to_json() + "\n")
-    print(f"wrote {arguments.output}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -240,11 +240,20 @@ def _read_manifest(text: str) -> Tuple[Dict[str, str], List[Dict[str, str]], str
 
 def _read_members(text: str) -> Tuple[str, List[Tuple[int, str]]]:
     """The text read and ``(oid, class name)`` of each member of a
-    canonical ``<hibernated-cluster>`` document."""
-    _attrs, events = top_level(text, "hibernated-cluster")
+    canonical ``<hibernated-cluster>`` document.  A ``count`` attribute,
+    when present, must match the members found."""
+    attrs, events = top_level(text, "hibernated-cluster")
     for tag, _oid, _span, _class_name in events:
         if tag != "object":
             raise CodecError(f"unexpected <{tag}> in a hibernated cluster")
+    count = attrs.get("count")
+    if count is not None and read_number(
+        count, "hibernated cluster count"
+    ) != len(events):
+        raise CodecError(
+            f"hibernated cluster {attrs.get('sid')}: count attribute says "
+            f"{count} objects, document holds {len(events)}"
+        )
     return text, [(oid, class_name) for _tag, oid, _span, class_name in events]
 
 

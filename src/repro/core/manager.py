@@ -28,7 +28,7 @@ protocol*:
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import (
     TYPE_CHECKING,
@@ -52,7 +52,6 @@ from repro.errors import (
     CodecError,
     HeapExhaustedError,
     NoSwapDeviceError,
-    ObiError,
     RetryExhaustedError,
     StoreFullError,
     SwapError,

@@ -4,8 +4,6 @@ Subcommands::
 
     python -m repro obs check DUMP [DUMP ...]   # schema-validate (CI gate)
     python -m repro obs report DUMP             # human-readable snapshot
-    python -m repro obs report BENCH.json --compare BASELINE.json
-                                                # diff two bench reports
     python -m repro obs prom DUMP               # Prometheus text rendering
 """
 
@@ -161,162 +159,6 @@ def _cmd_report(path: str, max_traces: int) -> int:
     return 0
 
 
-def _load_bench(path: str) -> Dict[str, Any]:
-    """Load a ``BENCH_*.json`` report (as written by the bench CLIs)."""
-    import json
-
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict) or "benchmark" not in payload:
-        raise ValueError(
-            f"{path}: not a bench report (no top-level 'benchmark' key)"
-        )
-    return payload
-
-
-def _schema_kind(value: Any) -> str:
-    if isinstance(value, bool):
-        return "bool"
-    if isinstance(value, dict):
-        return "mapping"
-    if isinstance(value, list):
-        return "array"
-    if isinstance(value, (int, float)):
-        return "number"
-    if value is None:
-        return "null"
-    return "string"
-
-
-def _schema_mismatches(current: Any, baseline: Any) -> List[str]:
-    """Structural conflicts that make a field-by-field diff meaningless.
-
-    Two reports disagree on schema when a path holds different *kinds*
-    of value (a mapping in one, a number in the other) at any depth, or
-    when the top-level keys themselves differ.  Nested keys missing on
-    one side are ordinary drift — the diff shows them as ``(new)`` /
-    ``(gone)`` — not a schema break.
-    """
-    problems: List[str] = []
-
-    def walk(cur: Any, base: Any, path: str) -> None:
-        kind_cur, kind_base = _schema_kind(cur), _schema_kind(base)
-        if kind_cur != kind_base:
-            problems.append(
-                f"{path or '(top level)'}: baseline has {kind_base}, "
-                f"current has {kind_cur}"
-            )
-            return
-        if isinstance(cur, dict) and isinstance(base, dict):
-            if not path:  # top level: the key set is part of the schema
-                for key in sorted(set(cur) ^ set(base)):
-                    side = "current" if key in cur else "baseline"
-                    problems.append(f"{key}: only in {side}")
-            for key in sorted(set(cur) & set(base)):
-                walk(cur[key], base[key], f"{path}.{key}" if path else key)
-
-    walk(current, baseline, "")
-    return problems
-
-
-def _numeric_leaves(value: Any, prefix: str = "") -> Dict[str, float]:
-    """Flatten nested dicts to dotted-path -> numeric leaf."""
-    leaves: Dict[str, float] = {}
-    if isinstance(value, bool):
-        return leaves
-    if isinstance(value, (int, float)):
-        leaves[prefix] = float(value)
-    elif isinstance(value, dict):
-        for key in sorted(value):
-            path = f"{prefix}.{key}" if prefix else str(key)
-            leaves.update(_numeric_leaves(value[key], path))
-    return leaves
-
-
-def _print_diff(current: Dict[str, float], baseline: Dict[str, float],
-                indent: str = "  ") -> None:
-    from repro.bench.report import is_wall_path, within_wall_jitter
-
-    for path in sorted(set(current) | set(baseline)):
-        new = current.get(path)
-        old = baseline.get(path)
-        if new is None:
-            print(f"{indent}{path:<28} {old:>14.4g} -> (gone)")
-        elif old is None:
-            print(f"{indent}{path:<28} {'(new)':>14} -> {new:.4g}")
-        else:
-            if old != 0:
-                change = f"{(new - old) / abs(old) * 100.0:+.1f}%"
-            else:
-                change = "+0.0%" if new == old else "(was 0)"
-            if new == old:
-                marker = ""
-            elif is_wall_path(path) and within_wall_jitter(old, new):
-                # real-time readings jitter with the host; inside the
-                # tolerance the change is noise, not a regression
-                marker = "  ~"
-            else:
-                marker = "  *"
-            print(
-                f"{indent}{path:<28} {old:>14.4g} -> {new:<14.4g} "
-                f"{change}{marker}"
-            )
-
-
-def _cmd_compare(path: str, baseline_path: str) -> int:
-    """Diff two bench JSON reports field-by-field.
-
-    Every numeric leaf (scenario counters, phase costs, reductions) is
-    shown as ``baseline -> current`` with the relative change; changed
-    rows are starred.  Works on any pair of ``BENCH_*.json`` files.
-    """
-    try:
-        current = _load_bench(path)
-        baseline = _load_bench(baseline_path)
-    except (OSError, ValueError) as exc:
-        print(f"compare: {exc}")
-        return 1
-    name = current.get("benchmark")
-    if baseline.get("benchmark") != name:
-        print(
-            f"compare: different benchmarks — {path} is {name!r}, "
-            f"{baseline_path} is {baseline.get('benchmark')!r}"
-        )
-        return 1
-    mismatches = _schema_mismatches(current, baseline)
-    if mismatches:
-        print(f"compare: schema mismatch between {path} and {baseline_path}:")
-        for line in mismatches[:20]:
-            print(f"  {line}")
-        if len(mismatches) > 20:
-            print(f"  ... and {len(mismatches) - 20} more")
-        return 1
-    print(f"benchmark {name!r}: {baseline_path} -> {path}")
-
-    current_scenarios = current.get("scenarios", {})
-    baseline_scenarios = baseline.get("scenarios", {})
-    for scenario in sorted(set(current_scenarios) | set(baseline_scenarios)):
-        print()
-        if scenario not in baseline_scenarios:
-            print(f"scenario {scenario!r}: only in {path}")
-            continue
-        if scenario not in current_scenarios:
-            print(f"scenario {scenario!r}: only in {baseline_path}")
-            continue
-        print(f"scenario {scenario!r}:")
-        _print_diff(
-            _numeric_leaves(current_scenarios[scenario]),
-            _numeric_leaves(baseline_scenarios[scenario]),
-        )
-    reductions = _numeric_leaves(current.get("reductions", {}))
-    baseline_reductions = _numeric_leaves(baseline.get("reductions", {}))
-    if reductions or baseline_reductions:
-        print()
-        print("reductions:")
-        _print_diff(reductions, baseline_reductions)
-    return 0
-
-
 def _cmd_prom(path: str) -> int:
     records = load_dump(path)
     print(render_prometheus(registry_from_dump(records)), end="")
@@ -336,9 +178,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     report.add_argument("path", metavar="DUMP")
     report.add_argument("--traces", type=int, default=5,
                         help="span trees to show (default 5)")
-    report.add_argument("--compare", metavar="BASELINE", default=None,
-                        help="treat PATH and BASELINE as bench JSON reports "
-                        "and diff them field-by-field")
     prom = commands.add_parser("prom", help="Prometheus text rendering")
     prom.add_argument("path", metavar="DUMP")
     arguments = parser.parse_args(argv)
@@ -346,8 +185,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if arguments.command == "check":
         return _cmd_check(arguments.paths)
     if arguments.command == "report":
-        if arguments.compare is not None:
-            return _cmd_compare(arguments.path, arguments.compare)
         return _cmd_report(arguments.path, arguments.traces)
     return _cmd_prom(arguments.path)
 

@@ -22,7 +22,7 @@ reload, and listens to swap-in events to re-register holder sites.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ReplicationError
 from repro.events import (

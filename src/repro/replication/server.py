@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional, Protocol, Tuple
 
 from repro.comm.webservice import WebServiceClient, WebServiceEndpoint
 from repro.core.clustering import partition_sequential, walk_graph
-from repro.errors import CodecError, ReplicationError, SyncConflictError, SyncError
+from repro.errors import CodecError, ReplicationError, SyncError
 from repro.ids import IdAllocator
 from repro.replication.cluster import ObjectCluster
 from repro.runtime.registry import TypeRegistry, global_registry

@@ -26,7 +26,7 @@ writes were made — raw, via proxies, or via methods).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.errors import SyncConflictError, SyncError
 from repro.events import ClusterReplicatedEvent

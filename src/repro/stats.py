@@ -8,8 +8,8 @@ Everything is read-only and cheap; nothing here touches the hot path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Union
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Union
 
 from repro.ids import ROOT_SID
 

@@ -4,9 +4,10 @@ Replaying the hot-path bench — same workload, same simulated clock —
 and comparing the *entire* scenario result (simulated percentiles, link
 bytes, every counter) against the tracked reference in
 ``hotpath_quick.json`` guards the whole swap pipeline against behaviour
-drift.  The reference holds the ``config`` and ``scenarios`` entries of
-``python -m repro.bench.hotpath --quick``; regenerate it only for a
-change that is meant to move those results.
+drift.  The reference holds the quick ``config`` and, under
+``scenarios``, ``asdict(run_scenario(name, config, fastpath=...,
+mutate=...))`` for each plan in ``PLANS`` with that committed config;
+regenerate it only for a change that is meant to move those results.
 """
 
 from __future__ import annotations

@@ -165,6 +165,26 @@ def test_restores_a_directory_written_by_elementtree():
     revived.verify_integrity()
 
 
+def test_restore_rejects_a_cluster_whose_count_disagrees(tmp_path):
+    space = make_space()
+    space.ingest(build_chain(20), cluster_size=5, root_name="h")
+    hibernate(space, tmp_path)
+    path = tmp_path / "cluster-4.xml"
+    text = path.read_text(encoding="utf-8")
+    assert 'count="5"' in text
+    last = text.index('<object class="Node" oid="20">')
+    text = text[:last] + "</hibernated-cluster>"
+    path.write_text(text.replace('<ref oid="20"/>', "<none/>"), encoding="utf-8")
+    with pytest.raises(CodecError, match="count attribute says 5"):
+        restore(tmp_path)
+    # without a count the shortened document restores
+    path.write_text(
+        path.read_text(encoding="utf-8").replace(' count="5"', ""),
+        encoding="utf-8",
+    )
+    assert chain_values(restore(tmp_path).get_root("h")) == list(range(19))
+
+
 def test_rehibernating_the_fixture_writes_its_canonical_form(tmp_path):
     hibernate(restore(FIXTURE), tmp_path)
     for path in sorted(FIXTURE.iterdir()):

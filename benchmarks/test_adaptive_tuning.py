@@ -75,32 +75,36 @@ def test_traversal_after_tuning(benchmark):
 
 
 def test_tuning_payoff(benchmark):
-    def timed_walk(handle, rounds=5):
-        # best-of-n, timed INSIDE the big-stack thread so the thread
-        # spawn cost (comparable to the ~1 ms walk itself) stays out of
-        # the measurement
+    def timed_walks(handles, rounds=5):
+        # best-of-n per graph, the graphs' walks interleaved so that a
+        # slow phase of the host hits every graph alike; timed INSIDE the
+        # big-stack thread so the thread spawn cost (comparable to the
+        # ~1 ms walk itself) stays out of the measurement
         def body():
-            best = float("inf")
+            best = [float("inf")] * len(handles)
             for _ in range(rounds):
-                started = time.perf_counter()
-                depth = handle.depth(1)
-                best = min(best, time.perf_counter() - started)
-                assert depth == OBJECTS
+                for index, handle in enumerate(handles):
+                    started = time.perf_counter()
+                    depth = handle.depth(1)
+                    best[index] = min(best[index], time.perf_counter() - started)
+                    assert depth == OBJECTS
             return best
 
         return run_deep(body)
 
     def measure():
+        # two copies of the graph side by side: one left as ingested,
+        # one tuned
+        untuned_space, untuned = _fixture()
         space, handle = _fixture()
-        before = timed_walk(handle)
-        clusters_before = len(space.clusters()) - 1
+        clusters_before = len(untuned_space.clusters()) - 1
 
         tuner = AdaptiveTuner(
             space, hot_crossings=5, max_cluster_objects=OBJECTS, cooldown_ticks=0
         )
         _converge(space, handle, tuner)
-        after = timed_walk(handle)
         clusters_after = len(space.clusters()) - 1
+        before, after = timed_walks((untuned, handle))
 
         # deterministic mediation count: crossings recorded by one walk
         crossings_before_walk = sum(
@@ -111,6 +115,7 @@ def test_tuning_payoff(benchmark):
             cluster.crossings for cluster in space.clusters().values()
         ) - crossings_before_walk
         space.verify_integrity()
+        untuned_space.verify_integrity()
         return before, after, clusters_before, clusters_after, mediations_per_walk
 
     (

@@ -523,11 +523,16 @@ def compile_proxy_class(cls: Type[Any]) -> Type[Any]:
 
 #: ``(class, keys of an instance dict in order)`` -> compiled encoder
 SHAPE_ENCODERS: Dict[Tuple[type, Tuple[Any, ...]], Callable[..., str]] = {}
-#: class name -> compiled decoder of the newest field-name run read for it
-SHAPE_DECODERS: Dict[str, Callable[..., bool]] = {}
-#: field-name run -> its compiled decoder, so a class whose members
-#: alternate between shapes compiles each shape once
-RUN_DECODERS: Dict[Tuple[str, ...], Callable[..., bool]] = {}
+#: ``(match, fill)``: ``match(text, pos, end)`` matches one member at
+#: ``pos`` (group 1 is its oid); ``fill(match, instance.__dict__,
+#: instances, resolve, resolve_out, oid)`` writes its fields
+MemberDecoder = Tuple[Callable[..., Any], Callable[..., None]]
+#: class name as written -> the member decoder of the newest field-name
+#: run read for it
+SHAPE_DECODERS: Dict[str, MemberDecoder] = {}
+#: ``(class name as written, field-name run)`` -> its member decoder, so
+#: a class whose members alternate between shapes compiles each shape once
+RUN_DECODERS: Dict[Tuple[str, Tuple[str, ...]], MemberDecoder] = {}
 #: a shape cache holding more entries than this is cleared
 SHAPE_CACHE_LIMIT = 4096
 
@@ -604,24 +609,20 @@ def _braced(text: str) -> str:
     return text.replace("{", "{{").replace("}", "}}")
 
 
-# The decoder of one shape: one anchored regex over a member's
-# ``<field>`` run, with six alternatives per field (int, ref, none,
-# outref, literal str, any other value), and the value of each field
-# written into the instance dict in document order.  A run the regex
-# does not match returns False: the caller reads it with the general
-# reader.  The last alternative never starts where one of the five
-# typed ones would, so at most one alternative fits each field and a
-# failed match costs time linear in the run: with overlapping
-# alternatives, Python's backtracking re would retry every split of the
-# fields before the failure, 2**n tries.
-_DECODER_TEMPLATE = """\
-def decode(_run, _slots, _instances, _resolve, _resolve_out, _oid):
-    _match = _fullmatch(_run)
-    if _match is None:
-        return False
-    {groups}, = _match.groups()
+# The decoder of one shape is a pair.  Its *matcher* is one anchored
+# regex over a whole member: the literal ``<object class="…" oid="``
+# head, the oid, then per field six alternatives (int, ref, none, outref,
+# literal str, any other value), then ``</object>``.  Its *filler* writes
+# the value of each field of a matched member into the instance dict in
+# document order.  The last alternative never starts where one of the
+# five typed ones would, and never runs past a ``</field>``, so at most
+# one alternative fits each field and a failed match costs time linear
+# in the member: with overlapping alternatives, Python's backtracking re
+# would retry every split of the fields before the failure, 2**n tries.
+_FILLER_TEMPLATE = """\
+def fill(_match, _slots, _instances, _resolve, _resolve_out, _oid):
+    _, {groups}, = _match.groups()
 {fields}\
-    return True
 """
 
 _DECODE_FIELD = """\
@@ -645,12 +646,16 @@ _DECODE_FIELD = """\
 """
 
 
-def compile_decoder(names: Tuple[str, ...]) -> Callable[..., bool]:
-    """Compile the decoder of a ``<field>`` run naming ``names`` in order.
+def _no_fields(_match: Any, *_args: Any) -> None:
+    """The filler of a field-less (self-closing) member."""
 
-    The decoder is called as ``decode(run, instance.__dict__, instances,
-    resolve, resolve_out, oid)``; it returns False, writing nothing,
-    when ``run`` is not such a run.  Only ASCII digits read as numbers.
+
+def compile_decoder(class_name: str, names: Tuple[str, ...]) -> MemberDecoder:
+    """Compile the decoder of a member of class ``class_name``, spelled
+    as the document writes it (escaped), with a ``<field>`` run naming
+    ``names`` in order; a member with no fields is self-closing.
+
+    Only ASCII digits read as numbers.
     """
     import re
 
@@ -663,6 +668,9 @@ def compile_decoder(names: Tuple[str, ...]) -> Callable[..., bool]:
     )
     from repro.wire.wrappers import named_open_tag
 
+    head = re.escape(f'<object class="{class_name}" oid="') + '(-?[0-9]+)"'
+    if not names:
+        return re.compile(head + "/>").match, _no_fields
     value = (
         r'(?:<int>(-?[0-9]+)</int>|<ref oid="([0-9]+)"/>|(<none/>)'
         rf'|<outref index="([0-9]+)"/>|<str>({_LATIN_TEXT})</str>'
@@ -673,7 +681,7 @@ def compile_decoder(names: Tuple[str, ...]) -> Callable[..., bool]:
     pattern = "".join(
         re.escape(named_open_tag("field", name)) + value for name in names
     )
-    source = _DECODER_TEMPLATE.format(
+    source = _FILLER_TEMPLATE.format(
         groups=", ".join(
             f"_{kind}{n}" for n in range(len(names)) for kind in "irnosx"
         ),
@@ -682,14 +690,15 @@ def compile_decoder(names: Tuple[str, ...]) -> Callable[..., bool]:
         ),
     )
     namespace: Dict[str, Any] = {
-        "_fullmatch": re.compile(pattern).fullmatch,
         "_unescape": unescape,
         "_text_ok": _TEXT_OK.fullmatch,
         "_NotCanonical": NotCanonical,
         "_field_value": _field_value,
     }
-    exec(source, namespace)  # noqa: S102 - generated decoder, fixed template
-    return namespace["decode"]
+    exec(source, namespace)  # noqa: S102 - generated filler, fixed template
+    fill = namespace["fill"]
+    fill.__qualname__ = f"fill<{class_name}>"
+    return re.compile(f"{head}>{pattern}</object>").match, fill
 
 
 # Install the compiler on the global registry at import time; isolated

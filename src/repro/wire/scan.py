@@ -13,10 +13,13 @@ spelling per document:
   &quot;`` in attribute values; no comments, CDATA or declarations.
 
 So the swap path reads it with ``str.split``/``find`` and anchored
-regexes instead of building an element tree: a document splits into its
-root attributes and one span per member ``<object>``, and member fields
-are read straight from those spans (:func:`decode_members` on the swap
-path, :func:`read_fields` for any run of named values).
+regexes instead of building an element tree.  Swap-in
+(:func:`scan_members`) reads a ``<swap-cluster>`` body in one scan: one
+regex match per member, head, fields and close, by the decoder compiled
+for the member's class name and field names.  The other readers split a
+document into its root attributes and one span per top-level element
+(:func:`top_level`) and read member fields from those spans with
+:func:`read_fields`, the general reader of any run of named values.
 
 **Canonicalize once.**  The readers here accept exactly the canonical
 form and raise :class:`NotCanonical` on anything else.
@@ -198,7 +201,7 @@ _ROOTS = {
 }
 
 
-def _read_root(
+def read_root(
     text: str, root: str = "swap-cluster"
 ) -> Tuple[Dict[str, str], int, int]:
     """``(attributes, body start, body end)`` of a canonical document.
@@ -240,7 +243,7 @@ def document_epoch(text: str) -> int:
     """
 
     def read(candidate: str) -> int:
-        attrs, _start, _end = _read_root(candidate)
+        attrs, _start, _end = read_root(candidate)
         return read_number(attrs.get("epoch", "0"), "swap-cluster epoch")
 
     try:
@@ -251,7 +254,7 @@ def document_epoch(text: str) -> int:
 
 def read_document(text: str, root: str) -> Tuple[Dict[str, str], str]:
     """Root attributes and body text of a canonical ``<root>`` document."""
-    attrs, start, end = _read_root(text, root)
+    attrs, start, end = read_root(text, root)
     return attrs, text[start:end]
 
 
@@ -312,7 +315,7 @@ def top_level(
     callers that read them do so inside the same :func:`scan_once`.
     """
     object_head = _OBJECT_HEADS[id_attr]
-    attrs, start, end = _read_root(text, root)
+    attrs, start, end = read_root(text, root)
     events: List[Event] = []
     parts = text[start:end].split("<object ")
     if parts[0] and not _other_events(parts[0], events):
@@ -359,15 +362,16 @@ def _other_events(text: str, events: List[Event]) -> bool:
     return True
 
 
-# -- member fields ------------------------------------------------------------
+# -- swap-cluster members ------------------------------------------------------
 
-#: raw field name (between ``<field name="`` and ``">``) -> field name;
-#: cleared past 4,096 names like the compiled shape caches
-_FIELD_NAMES: Dict[str, str] = {}
+#: the head of any ``<object>`` member: class as written, oid, "/" or ""
+_OBJECT_HEAD = re.compile("<object " + _OBJECT_HEADS["oid"].pattern)
 
 
-def decode_members(
-    events: List[Event],
+def scan_members(
+    text: str,
+    start: int,
+    end: int,
     *,
     sid: int,
     declared_count: Optional[str],
@@ -375,38 +379,74 @@ def decode_members(
     resolve_out: Callable[[int], Any],
     resolve_extern: Optional[Callable[[Dict[str, str]], Any]],
 ) -> Dict[int, Any]:
-    """Rebuild the members of a ``<swap-cluster>`` from its
-    :func:`top_level` events.
+    """Rebuild the members of a ``<swap-cluster>`` from its body,
+    ``text[start:end]``, in one scan.
 
-    Pass one allocates every member uninitialized (so circular
-    references resolve); pass two writes each field into the instance's
-    ``__dict__`` — the inverse of
+    Pass one matches each member whole, head, field run and close, with
+    the decoder compiled for its shape
+    (:func:`~repro.runtime.obicomp.compile_decoder`) and allocates it
+    uninitialized, so that circular references resolve; pass two writes
+    each field into the instance's ``__dict__`` — the inverse of
     :func:`~repro.runtime.classext.instance_fields`, which reads
     ``vars(obj)``.  ``resolve_out`` maps a replacement-array index back
     to the live swap-cluster-proxy; ``resolve_extern`` maps ``<extref>``
     attributes back to an unreplicated-frontier handle.
 
-    A member's fields are read by the decoder compiled for the run of
-    field names its class name last had
-    (:func:`~repro.runtime.obicomp.compile_decoder`).  A member that
-    decoder does not match is read by :func:`read_fields`, which raises
-    :class:`NotCanonical` on foreign text, and the decoder of its shape
-    becomes its class name's.
+    A member is tried first against the decoder of the member before it,
+    then against the decoder of the newest shape read for its class
+    name.  A member neither matches is read by :func:`read_fields`,
+    which raises :class:`NotCanonical` on foreign text, and the decoder
+    of its shape becomes its class name's.
     """
     instances: Dict[int, Any] = {}
     classes: Dict[str, type] = {}
-    filled: List[Tuple[int, Any, str, str]] = []
-    for tag, oid, span, class_name in events:
-        if tag != "object":
-            raise CodecError(f"unexpected element <{tag}> in swap-cluster")
-        cls = classes.get(class_name)
-        if cls is None:
-            cls = classes[class_name] = resolve_class(class_name)
-        instance = instances[oid] = object.__new__(cls)
-        fields = member_fields(span)
-        if fields:
-            filled.append((oid, instance, fields, class_name))
+    # (fill, match or (run, class name), instance, oid) per member
+    pending: List[Tuple[Callable[..., None], Any, Any, int]] = []
+    append = pending.append
+    new = object.__new__
+    # the first member is read from its head: _NO_DECODER never matches
+    match, fill = _NO_DECODER
+    cls = object
+    pos = start
+    while pos < end:
+        found = match(text, pos, end)
+        if found is not None:
+            pos = found.end()
+            oid = int(found[1])
+        else:
+            head = _OBJECT_HEAD.match(text, pos, end)
+            if head is None:
+                raise _not_a_member(text, pos, end)
+            class_name = head[1]
+            cls = classes.get(class_name)
+            if cls is None:
+                cls = classes[class_name] = resolve_class(unescape(class_name))
+            match, fill = SHAPE_DECODERS.get(class_name, _NO_DECODER)
+            found = match(text, pos, end)
+            if found is not None:
+                pos = found.end()
+                oid = int(found[1])
+            else:
+                oid = int(head[2])
+                pos = head.end()
+                if head[3]:
+                    found = "", class_name
+                else:
+                    close = text.find("</object>", pos, end)
+                    if close < 0:
+                        raise NotCanonical(f"<object oid={oid}> is not closed")
+                    found = text[pos:close], class_name
+                    pos = close + 9
+                match, fill = _NO_DECODER
+        instance = instances[oid] = new(cls)
+        append((fill, found, instance, oid))
 
+    if len(instances) != len(pending):
+        seen = set()
+        for _fill, _found, _instance, oid in pending:
+            if oid in seen:
+                raise CodecError(f"swap-cluster {sid}: member oid={oid} is repeated")
+            seen.add(oid)
     if (
         declared_count is not None
         and read_number(declared_count, "swap-cluster count") != len(instances)
@@ -433,29 +473,59 @@ def decode_members(
             return resolve_extern(ident)
         return resolve_out(ident)
 
-    for oid, instance, fields, class_name in filled:
-        slots = instance.__dict__
-        decode = SHAPE_DECODERS.get(class_name)
-        if decode is None or not decode(
-            fields, slots, instances, resolve, resolve_out, oid
-        ):
-            values = read_fields(fields, resolve)
-            slots.update(values)
-            _learn_shape(class_name, tuple(values))
+    for fill, found, instance, oid in pending:
+        fill(found, instance.__dict__, instances, resolve, resolve_out, oid)
     return instances
+
+
+def _read_member(
+    found: Tuple[str, str],
+    slots: Dict[str, Any],
+    instances: Dict[int, Any],
+    resolve: Resolve,
+    resolve_out: Callable[[int], Any],
+    oid: int,
+) -> None:
+    """The filler of a member no compiled decoder matched: its field
+    run read by :func:`read_fields`."""
+    run, class_name = found
+    values = read_fields(run, resolve)
+    slots.update(values)
+    _learn_shape(class_name, tuple(values))
+
+
+#: the decoder a scan starts with: its matcher never matches
+_NO_DECODER = (re.compile("(?!)").match, _read_member)
+
+
+def _not_a_member(text: str, pos: int, end: int) -> Exception:
+    """The error for ``text[pos:end]``, which does not start with an
+    ``<object>`` member."""
+    other = _OPEN_TAG.match(text, pos, end)
+    if other is None or other[1] == "object":
+        return NotCanonical(f"no <object> member at offset {pos}")
+    return CodecError(f"unexpected element <{other[1]}> in swap-cluster")
 
 
 def _learn_shape(class_name: str, names: Tuple[str, ...]) -> None:
     """Make the decoder of a member shape the general reader read the
     one its class name tries first, compiling it if it is new."""
-    decode = RUN_DECODERS.get(names)
+    shape = (class_name, names)
+    decode = RUN_DECODERS.get(shape)
     if decode is None:
         if len(RUN_DECODERS) > obicomp.SHAPE_CACHE_LIMIT:
             RUN_DECODERS.clear()
-        decode = RUN_DECODERS[names] = compile_decoder(names)
+        decode = RUN_DECODERS[shape] = compile_decoder(class_name, names)
     if len(SHAPE_DECODERS) > obicomp.SHAPE_CACHE_LIMIT:
         SHAPE_DECODERS.clear()
     SHAPE_DECODERS[class_name] = decode
+
+
+# -- member fields ------------------------------------------------------------
+
+#: raw field name (between ``<field name="`` and ``">``) -> field name;
+#: cleared past 4,096 names like the compiled shape caches
+_FIELD_NAMES: Dict[str, str] = {}
 
 
 def _field_value(value: str, resolve: Resolve, oid: int) -> Any:

@@ -31,7 +31,7 @@ from repro.runtime.classext import is_managed, is_proxy
 from repro.runtime.obicomp import SHAPE_ENCODERS, compile_encoder
 from repro.runtime.registry import TypeRegistry
 from repro.wire.canonical import canonical_element, canonical_open_tag
-from repro.wire.scan import decode_members, read_number, scan_once, top_level
+from repro.wire.scan import read_number, read_root, scan_members, scan_once
 
 
 @dataclass
@@ -228,20 +228,23 @@ def decode_cluster(
 
     The text is read with :mod:`repro.wire.scan`: canonical text directly,
     anything else once more after :func:`~repro.wire.canonical.
-    canonical_text`.  Two passes: first allocate every instance
-    uninitialized (so circular intra-cluster references resolve), then
-    fill fields.  ``resolve_out`` maps a replacement-array index back to
-    the live swap-cluster-proxy; ``resolve_extern`` maps ``<extref>``
-    attributes back to an unreplicated-frontier handle (installed by the
-    replicator).
+    canonical_text`.  One scan of the body matches each member whole and
+    allocates its instance uninitialized (so circular intra-cluster
+    references resolve); a second pass over the matches fills fields
+    (:func:`~repro.wire.scan.scan_members`).  ``resolve_out`` maps a
+    replacement-array index back to the live swap-cluster-proxy;
+    ``resolve_extern`` maps ``<extref>`` attributes back to an
+    unreplicated-frontier handle (installed by the replicator).
     """
 
     def read(text: str) -> ClusterDocument:
-        attrs, events = top_level(text, "swap-cluster")
+        attrs, start, end = read_root(text)
         sid = read_number(attrs.get("sid", "-1"), "swap-cluster sid")
         epoch = read_number(attrs.get("epoch", "0"), "swap-cluster epoch")
-        objects = decode_members(
-            events,
+        objects = scan_members(
+            text,
+            start,
+            end,
             sid=sid,
             declared_count=attrs.get("count"),
             resolve_class=registry.resolve,

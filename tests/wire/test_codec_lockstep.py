@@ -2,11 +2,13 @@
 
 ``tests/wire/codec_reference.py`` keeps the member encoder and decoder
 that interpreted every field.  Here random clusters are written by both
-encoders and read by both decoders, and must agree: byte-identical
-text, and decoded ``__dict__``s equal in content and key order.  The
-clusters churn shapes the way applications do: a field added after the
-first encode, a field deleted, the same names in another dict order,
-subclasses, and caches small enough to be cleared mid-run.
+encoders and read by ``decode_cluster`` and by the reference decoder
+over :func:`~repro.wire.scan.top_level`'s member spans, and must agree:
+byte-identical text, and decoded ``__dict__``s equal in content and key
+order.  The clusters churn shapes the way applications do: a field added
+after the first encode, a field deleted, the same names in another dict
+order, subclasses, members of one class whose shapes differ, and caches
+small enough to be cleared mid-run.
 
 ``CHAOS_SEED`` in the environment picks the hypothesis seed (default 1)
 and, when set, raises the example budget.
@@ -19,7 +21,8 @@ import enum
 import math
 import os
 import signal
-from typing import Any, Dict, Iterator, List
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, Iterator, List
 
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
@@ -32,7 +35,7 @@ from repro.errors import CodecError
 from repro.runtime import obicomp
 from repro.runtime.registry import global_registry
 from repro.wire import scan
-from repro.wire.scan import decode_members, scan_once, top_level
+from repro.wire.scan import scan_once, top_level
 from repro.wire.xmlcodec import decode_cluster, encode_object_element
 from tests.wire import codec_reference as reference
 
@@ -54,8 +57,18 @@ class PlainSubShape(Shape):
     """Not decorated: it writes as its base class's schema name."""
 
 
-CLASSES = (Shape, SubShape, PlainSubShape)
-RESOLVE_CLASS = {"Shape": Shape, "SubShape": SubShape}.__getitem__
+class _Escaped(Shape):
+    pass
+
+
+# a schema name the document writes escaped: class="A&amp;&quot;&lt;B&gt;"
+_Escaped.__qualname__ = 'A&"<B>'
+Escaped = managed(_Escaped)
+
+CLASSES = (Shape, SubShape, PlainSubShape, Escaped)
+RESOLVE_CLASS = {"Shape": Shape, "SubShape": SubShape, 'A&"<B>': Escaped}.__getitem__
+#: what ``decode_cluster`` reads class names with
+REGISTRY = SimpleNamespace(resolve=RESOLVE_CLASS)
 
 
 class Level(enum.IntEnum):
@@ -193,13 +206,26 @@ def _encode(encode, members: List[Any]):
     ), None
 
 
-def _decode(decode, text: str) -> List[List[tuple]]:
-    """Each decoded member's ``__dict__`` items, in order, with members
-    named by oid and references by kind."""
+def _decode(text: str) -> List[List[tuple]]:
+    """The members :func:`decode_cluster` reads from ``text`` (see
+    :func:`_members`)."""
+    return _members(
+        lambda: decode_cluster(
+            text,
+            registry=REGISTRY,
+            resolve_out=lambda index: ("out", index),
+            resolve_extern=lambda attrs: ("ext", sorted(attrs.items())),
+        ).objects
+    )
+
+
+def _reference_decode(text: str) -> List[List[tuple]]:
+    """The members the reference decoder reads from ``text``'s
+    :func:`top_level` events (see :func:`_members`)."""
 
     def read(canonical: str):
         attrs, events = top_level(canonical, "swap-cluster")
-        return decode(
+        return reference.decode_members(
             events,
             sid=1,
             declared_count=attrs["count"],
@@ -208,8 +234,14 @@ def _decode(decode, text: str) -> List[List[tuple]]:
             resolve_extern=lambda attrs: ("ext", sorted(attrs.items())),
         )
 
+    return _members(lambda: scan_once(text, "swap-cluster", read))
+
+
+def _members(decode: Callable[[], Dict[int, Any]]) -> List[List[tuple]]:
+    """Each decoded member's ``__dict__`` items, in order, with members
+    named by oid and references by kind; or the type of the error."""
     try:
-        instances = scan_once(text, "swap-cluster", read)
+        instances = decode()
     except Exception as exc:  # noqa: BLE001 - both readers must fail alike
         return [[("error", type(exc))]]
     oid_of = {id(instance): oid for oid, instance in instances.items()}
@@ -238,7 +270,7 @@ def _lockstep(members: List[Any]) -> None:
     expected_text, expected_error = _encode(reference.encode_object_element, members)
     assert (text, error) == (expected_text, expected_error)
     if text is not None:
-        assert _decode(decode_members, text) == _decode(reference.decode_members, text)
+        assert _decode(text) == _reference_decode(text)
 
 
 @pytest.fixture(params=["default", "tiny"])
@@ -264,6 +296,77 @@ def test_compiled_codec_matches_interpreted_reference(shape_limits, rounds):
         for member, (_cls, _fields, churn, extra) in zip(members, spec):
             _churn(member, churn, extra, members)
         _lockstep(members)
+
+
+#: a few field-name runs, so that the scanner meets each shape again
+#: (the empty run writes a self-closing member)
+RUNS = st.sampled_from([(), ("a",), ("a", "b"), ("b", "a"), ("a", "b", "next")])
+#: field values weighted towards references, forward ones included
+MEMBER_VALUES = st.one_of(st.integers(0, 7).map(Local), SCALARS)
+SHAPED = st.lists(
+    st.tuples(
+        st.sampled_from(CLASSES),
+        RUNS,
+        st.lists(MEMBER_VALUES, min_size=3, max_size=3),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@seed(SEED)
+@settings(
+    max_examples=EXAMPLES,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(rounds=st.lists(SHAPED, min_size=1, max_size=3))
+def test_scanner_follows_shapes_that_change_within_a_cluster(shape_limits, rounds):
+    """Mixed classes, an escaped class name and runs that change from
+    member to member; later rounds meet the shapes earlier ones taught
+    the scanner."""
+    for spec in rounds:
+        members = [cls() for cls, _run, _values in spec]
+        for member, (_cls, run, values) in zip(members, spec):
+            for name, value in zip(run, values):
+                vars(member)[name] = _resolve(value, members)
+        _lockstep(members)
+
+
+def _pair_text() -> str:
+    """Two members that refer to each other, the first one forward."""
+    first, second = Shape(), Shape()
+    first.a, first.b = 1, second
+    second.a, second.b = 2, first
+    text, error = _encode(encode_object_element, [first, second])
+    assert error is None
+    return text
+
+
+@pytest.mark.parametrize(
+    "old, new, fails",
+    [
+        ("</object><object", '</object><tombstone oid="3"/><object', True),
+        # foreign text: its canonical form drops the character data
+        ("</object><object", "</object>text<object", False),
+        ("</object><object", "<object", True),  # the first member is not closed
+        ('count="2"', 'count="3"', True),
+        ('<ref oid="2"/>', '<ref oid="9"/>', True),  # dangling
+    ],
+    ids=["tombstone", "text", "unclosed", "count", "dangling"],
+)
+@pytest.mark.parametrize("path", ["general", "compiled"])
+def test_a_broken_cluster_reads_like_the_reference(path, old, new, fails):
+    text = _pair_text()
+    obicomp.SHAPE_DECODERS.clear()
+    if path == "compiled":
+        assert _decode(text) == _reference_decode(text)  # learns the shape
+        assert "Shape" in obicomp.SHAPE_DECODERS
+    assert old in text
+    broken = text.replace(old, new, 1)
+    outcome = _decode(broken)
+    assert (outcome[0][0][0] == "error") is fails
+    assert outcome == _reference_decode(broken)
 
 
 def test_a_subclass_decorated_after_its_first_encode():
@@ -315,15 +418,26 @@ def _deadline(seconds: float) -> Iterator[None]:
         signal.signal(signal.SIGALRM, previous)
 
 
-def _wide_document(last: str) -> str:
-    """A :class:`WideRecord` member: fields ``f0`` to ``f39``, then
-    ``last``."""
+def _wide_document(last: str, *, members: int = 1, close: str = "</object>") -> str:
+    """``members`` :class:`WideRecord` members with fields ``f0`` to
+    ``f39``; the first has ``last`` after them and ends in ``close``."""
     fields = "".join(
         f'<field name="f{index}"><int>{index}</int></field>' for index in range(40)
     )
+    body = "".join(
+        f'<object class="WideRecord" oid="{oid}">{fields}'
+        + (f"{last}{close}" if oid == 1 else "</object>")
+        for oid in range(1, members + 1)
+    )
     return (
-        '<swap-cluster count="1" epoch="0" sid="1" space="s">'
-        f'<object class="WideRecord" oid="1">{fields}{last}</object></swap-cluster>'
+        f'<swap-cluster count="{members}" epoch="0" sid="1" space="s">'
+        f"{body}</swap-cluster>"
+    )
+
+
+def _decode_wide(text: str) -> Any:
+    return decode_cluster(
+        text, registry=global_registry(), resolve_out=lambda index: index
     )
 
 
@@ -352,26 +466,55 @@ def test_a_member_that_gained_a_field_swaps_in_promptly():
     ],
 )
 def test_a_corrupted_last_field_fails_promptly(last):
-    def decode(text: str) -> Any:
-        return decode_cluster(
-            text, registry=global_registry(), resolve_out=lambda index: index
-        )
-
     with _deadline(5):
-        decode(_wide_document('<field name="f40"><int>40</int></field>'))
+        _decode_wide(_wide_document('<field name="f40"><int>40</int></field>'))
     with _deadline(5), pytest.raises(CodecError):
-        decode(_wide_document(last))  # the 41-field decoder is tried first
+        _decode_wide(_wide_document(last))  # the 41-field decoder is tried first
     obicomp.SHAPE_DECODERS.clear()  # the general reader fails alike
     with _deadline(5), pytest.raises(CodecError):
-        decode(_wide_document(last))
+        _decode_wide(_wide_document(last))
+
+
+_F40 = '<field name="f40"><int>40</int></field>'
+
+
+@pytest.mark.parametrize("primed", ["", _F40], ids=["40-field", "41-field"])
+@pytest.mark.parametrize(
+    "last, close",
+    [
+        ('<field name="f40"><int>x</int></field>', "</object>"),  # corrupted
+        (_F40, ""),  # not closed: a match runs on into the next member's head
+        ('<field name="f40"><list><int>40</int></list></field>', ""),
+        ("", ""),
+    ],
+    ids=["corrupted", "unclosed", "unclosed-other-value", "unclosed-40"],
+)
+def test_a_member_the_matcher_misses_fails_promptly(primed, last, close):
+    """The whole-member matcher of a 40- or 41-field shape, tried on the
+    first of three members, which is broken."""
+    with _deadline(5):
+        _decode_wide(_wide_document(primed))
+    with _deadline(5), pytest.raises(CodecError):
+        _decode_wide(_wide_document(last, members=3, close=close))
+
+
+@pytest.mark.parametrize("primed", ["", _F40], ids=["40-field", "41-field"])
+def test_a_grown_member_among_others_decodes_promptly(primed):
+    """The first of three members gained a field: the 40-field matcher
+    misses it and fits the others, the 41-field one the other way round."""
+    with _deadline(5):
+        _decode_wide(_wide_document(primed))
+        objects = _decode_wide(_wide_document(_F40, members=3)).objects
+    assert objects[1].f40 == 40 and objects[1].f39 == 39
+    assert "f40" not in vars(objects[2]) and objects[3].f39 == 39
 
 
 def test_alternating_shapes_compile_each_shape_once(monkeypatch):
     compiled: List[tuple] = []
 
-    def compile_decoder(names):
-        compiled.append(names)
-        return obicomp.compile_decoder(names)
+    def compile_decoder(class_name, names):
+        compiled.append((class_name, names))
+        return obicomp.compile_decoder(class_name, names)
 
     monkeypatch.setattr(scan, "compile_decoder", compile_decoder)
     obicomp.SHAPE_DECODERS.clear()
@@ -384,5 +527,5 @@ def test_alternating_shapes_compile_each_shape_once(monkeypatch):
     text, error = _encode(encode_object_element, members)
     assert error is None
     for _ in range(2):
-        assert _decode(decode_members, text) == _decode(reference.decode_members, text)
-    assert compiled == [("left",), ("left", "right")]
+        assert _decode(text) == _reference_decode(text)
+    assert compiled == [("Shape", ("left",)), ("Shape", ("left", "right"))]

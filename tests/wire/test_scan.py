@@ -641,6 +641,34 @@ def test_ascii_numbers_read_as_before():
     assert read('<outref index="3"/>').value == 3
 
 
+def _twice_node(count: str) -> str:
+    """Two members with oid 1: the second's fields differ."""
+    member = (
+        '<object class="Node" oid="1"><field name="value"><int>{}</int></field>'
+        '<field name="next"><none/></field></object>'
+    )
+    return (
+        f'<swap-cluster count="{count}" epoch="0" sid="1" space="s">'
+        f"{member.format(1)}{member.format(2)}</swap-cluster>"
+    )
+
+
+@pytest.mark.parametrize("count", ["1", "2"])
+@pytest.mark.parametrize("path", ["general", "compiled"])
+def test_a_repeated_oid_is_a_codec_error(count, path):
+    def decode(text):
+        return decode_cluster(
+            text, registry=global_registry(), resolve_out=lambda index: index
+        )
+
+    if path == "general":
+        obicomp.SHAPE_DECODERS.clear()
+    else:  # the Node shape is compiled by a first read
+        decode(_one_node("1", "<int>1</int>"))
+    with pytest.raises(CodecError, match="oid=1 is repeated"):
+        decode(_twice_node(count))
+
+
 def test_non_ascii_digits_in_the_general_readers():
     def resolve(kind, ident):
         return (kind, ident)

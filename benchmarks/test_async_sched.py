@@ -13,39 +13,37 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.async_sched import (
-    AsyncBenchConfig,
-    format_table,
-    run_async_bench,
-)
+from repro.bench.async_sched import AsyncBenchConfig, cases
+from repro.bench.runner import ratio, run_cases
+from repro.bench.sweep import format_records
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_async_sched(benchmark, seed):
-    report = benchmark.pedantic(
-        lambda: run_async_bench(AsyncBenchConfig.quick(seed=seed)),
+    results = benchmark.pedantic(
+        lambda: run_cases("async_sched", cases(AsyncBenchConfig.quick(seed=seed))),
         rounds=1,
         iterations=1,
     )
     print()
-    print(format_table(report))
+    print(format_records(list(results.values())))
 
-    sync = report.scenarios["sync"]
-    async_ = report.scenarios["async"]
+    sync = results["sync"]
+    async_ = results["async"]
 
     # same walk everywhere: the comparison is apples-to-apples
-    assert sync.steps == async_.steps
+    assert sync["steps"] == async_["steps"]
 
     # acceptance bar: >=2x lower p95 fault stall on the async schedule
-    assert report.p95_stall_reduction >= 2.0
-    assert report.mean_stall_reduction >= 2.0
+    assert ratio(sync, async_, "fault_stall_p95_s") >= 2.0
+    assert ratio(sync, async_, "fault_stall_mean_s") >= 2.0
 
     # the speculation story must be real and honestly accounted: hits
     # landed, and the waste ratio is present in the report
-    assert async_.sched_prefetch_issued > 0
-    assert async_.sched_prefetch_hits > 0
-    assert 0.0 <= async_.prefetch_waste_ratio <= 1.0
+    assert async_["sched_prefetch_issued"] > 0
+    assert async_["sched_prefetch_hits"] > 0
+    assert 0.0 <= async_["prefetch_waste_ratio"] <= 1.0
 
     # write-back and stale-drop traffic actually rode the channels
-    assert async_.sched_writebacks > 0
-    assert async_.sched_stale_drops > 0
+    assert async_["sched_writebacks"] > 0
+    assert async_["sched_stale_drops"] > 0

@@ -15,36 +15,26 @@ Run:  pytest benchmarks/test_obs_overhead.py --benchmark-disable
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
-from repro.bench.async_sched import AsyncBenchConfig, run_async_bench
-from repro.bench.delta import DeltaBenchConfig, run_delta_bench
-from repro.bench.durability import DurabilityConfig, run_durability
-from repro.bench.hotpath import HotPathConfig, run_hotpath, run_scenario
-from repro.bench.scenarios import ScenarioBenchConfig, run_scenarios
-from repro.bench.topology import TopologyBenchConfig, run_topology_bench
+from repro.bench import async_sched, delta, durability, hotpath, scenarios, topology
+from repro.bench.runner import run_cases
 from repro.obs import cli as obs_cli
 
-CONFIG = HotPathConfig.quick()
+CONFIG = hotpath.HotPathConfig.quick()
 
 
-def _mean_swap_out(observe: bool) -> float:
-    result = run_scenario(
-        "overhead-probe",
-        CONFIG,
-        fastpath=False,
-        mutate=False,
-        observe=observe,
-    )
-    return result.swap_out_mean_s
+def _baseline(observe: bool) -> dict:
+    probe = [hotpath.case("baseline", CONFIG)]
+    return run_cases("hotpath", probe, observe=observe)["baseline"]
 
 
 def test_observability_adds_no_simulated_cost(benchmark):
-    plain = _mean_swap_out(observe=False)
+    plain = _baseline(observe=False)["swap_out_mean_s"]
     observed = benchmark.pedantic(
-        lambda: _mean_swap_out(observe=True), rounds=1, iterations=1
+        lambda: _baseline(observe=True)["swap_out_mean_s"],
+        rounds=1,
+        iterations=1,
     )
     assert plain > 0
     # issue bar: <10% added simulated swap-out cost; actual: zero
@@ -53,60 +43,56 @@ def test_observability_adds_no_simulated_cost(benchmark):
 
 
 def test_observability_reports_phases_without_perturbing_counters():
-    base = run_scenario(
-        "counters-plain", CONFIG, fastpath=False, mutate=False
-    )
-    seen = run_scenario(
-        "counters-observed", CONFIG, fastpath=False, mutate=False, observe=True
-    )
-    assert seen.phases and not base.phases
-    assert seen.encode_calls == base.encode_calls
-    assert seen.bytes_on_link == base.bytes_on_link
-    assert seen.link_seconds == base.link_seconds
+    base = _baseline(observe=False)
+    seen = _baseline(observe=True)
+    assert seen["phases"] and not base["phases"]
+    assert seen["encode_calls"] == base["encode_calls"]
+    assert seen["bytes_on_link"] == base["bytes_on_link"]
+    assert seen["link_seconds"] == base["link_seconds"]
 
 
-def _every_scenario_encodes(report) -> None:
-    for name, scenario in report.scenarios.items():
-        assert "encode" in scenario.phases, name
+def _every_scenario_encodes(results) -> None:
+    for name, result in results.items():
+        assert "encode" in result["phases"], name
 
 
-def _every_kill_count_has_phases(report) -> None:
-    for kills, result in report.results.items():
-        assert result.phases, f"kills={kills}: empty phase breakdown"
+def _every_kill_count_has_phases(results) -> None:
+    for name, result in results.items():
+        assert result["phases"], f"{name}: empty phase breakdown"
 
 
-def _delta_matches_the_unobserved_run(report) -> None:
-    plain = run_delta_bench(DeltaBenchConfig.quick())
-    assert set(report.scenarios) == set(plain.scenarios)
-    for name, result in report.scenarios.items():
-        assert result.phases, name
-        assert replace(result, phases={}) == plain.scenarios[name]
+def _delta_matches_the_unobserved_run(results) -> None:
+    plain = run_cases("delta", delta.cases(delta.DeltaBenchConfig.quick()))
+    assert set(results) == set(plain)
+    for name, result in results.items():
+        assert result["phases"], name
+        assert {**result, "phases": {}} == plain[name]
 
 
-#: harness -> (quick observed run, extra check on its report)
+#: harness -> (its quick cases, extra check on the observed results)
 HARNESSES = {
     "hotpath": (
-        lambda **obs: run_hotpath(HotPathConfig.quick(), **obs),
+        lambda: hotpath.cases(CONFIG),
         _every_scenario_encodes,
     ),
     "delta": (
-        lambda **obs: run_delta_bench(DeltaBenchConfig.quick(), **obs),
+        lambda: delta.cases(delta.DeltaBenchConfig.quick()),
         _delta_matches_the_unobserved_run,
     ),
     "async_sched": (
-        lambda **obs: run_async_bench(AsyncBenchConfig.quick(), **obs),
+        lambda: async_sched.cases(async_sched.AsyncBenchConfig.quick()),
         None,
     ),
     "scenarios": (
-        lambda **obs: run_scenarios(ScenarioBenchConfig.quick_config(), **obs),
+        lambda: scenarios.cases(scenarios.ScenarioBenchConfig.quick_config()),
         None,
     ),
     "durability": (
-        lambda **obs: run_durability(DurabilityConfig.quick(), **obs),
+        lambda: durability.cases(durability.DurabilityConfig.quick()),
         _every_kill_count_has_phases,
     ),
     "topology": (
-        lambda **obs: run_topology_bench(TopologyBenchConfig.quick(), **obs),
+        lambda: topology.cases(topology.TopologyBenchConfig.quick()),
         None,
     ),
 }
@@ -114,10 +100,10 @@ HARNESSES = {
 
 @pytest.mark.parametrize("harness", sorted(HARNESSES))
 def test_observed_harness_dumps_a_valid_trace(harness, tmp_path):
-    run, check = HARNESSES[harness]
+    cases, check = HARNESSES[harness]
     path = str(tmp_path / f"{harness}_obs.jsonl")
-    report = run(observe=True, obs_path=path)
+    results = run_cases(harness, cases(), observe=True, obs_path=path)
     assert obs_cli.main(["check", path]) == 0
     assert obs_cli.main(["report", path]) == 0
     if check is not None:
-        check(report)
+        check(results)

@@ -14,20 +14,23 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.scenarios import ScenarioBenchConfig, format_table, run_scenarios
+from repro.bench.runner import run_cases
+from repro.bench.scenarios import ScenarioBenchConfig, cases, score
+from repro.bench.sweep import format_records
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_scenarios(benchmark, seed):
-    report = benchmark.pedantic(
-        lambda: run_scenarios(ScenarioBenchConfig.quick_config(seed)),
+    config = ScenarioBenchConfig.quick_config(seed)
+    results = benchmark.pedantic(
+        lambda: run_cases("scenarios", cases(config)),
         rounds=1,
         iterations=1,
     )
     print()
-    print(format_table(report))
+    print(format_records(list(results.values())))
 
-    scenarios = report["scenarios"]
+    scenarios = score(config, results)
     for name, entry in scenarios.items():
         assert entry["slo"]["ladder_met"], f"{name}: ladder misses its SLO"
         assert entry["ladder"]["foreground_oom"] == 0, name

@@ -6,7 +6,14 @@
   tests go 10000+ frames deep);
 * :mod:`repro.bench.figure5` — tests A1/A2/B1/B2 across swap-cluster
   sizes 20/50/100 and the NO-SWAP lower bound;
-* :mod:`repro.bench.report` — paper-vs-measured tables and shape checks.
+* :mod:`repro.bench.report` — paper-vs-measured tables and shape checks;
+* :mod:`repro.bench.sweep` — parameter sweeps and :func:`format_records`,
+  the one table printer for lists of records;
+* :mod:`repro.bench.runner` — :func:`run_cases`, the one runner of the
+  feature harnesses (``hotpath``, ``delta``, ``async_sched``,
+  ``durability``, ``topology``, ``scenarios``): each names its cases,
+  the runner builds a fresh world per case, optionally observes it, and
+  returns each case's metrics as a plain dict.
 
 Run the full Figure 5 reproduction with::
 
@@ -29,19 +36,8 @@ from repro.bench.model import (
     fit_traversal_model,
     holdout_error,
 )
-from repro.bench.sweep import Sweep
-from repro.bench.hotpath import (
-    HotPathConfig,
-    HotPathReport,
-    run_hotpath,
-    format_table as format_hotpath_table,
-)
-from repro.bench.delta import (
-    DeltaBenchConfig,
-    DeltaBenchReport,
-    run_delta_bench,
-    format_table as format_delta_table,
-)
+from repro.bench.sweep import Sweep, format_records
+from repro.bench.runner import Case, World, run_cases, ratio
 
 __all__ = [
     "BenchNode",
@@ -61,12 +57,9 @@ __all__ = [
     "fit_traversal_model",
     "holdout_error",
     "Sweep",
-    "HotPathConfig",
-    "HotPathReport",
-    "run_hotpath",
-    "format_hotpath_table",
-    "DeltaBenchConfig",
-    "DeltaBenchReport",
-    "run_delta_bench",
-    "format_delta_table",
+    "format_records",
+    "Case",
+    "World",
+    "run_cases",
+    "ratio",
 ]

@@ -19,42 +19,27 @@ Two scenarios on byte-identical workloads:
 
 Headline: p95 fault-stall reduction (simulated seconds an access was
 blocked on a reload), with the prefetch waste ratio and overlap ratio
-reported alongside.  Each scenario also reports the real wall-clock time
-it took to compute next to its simulated cost.
-``benchmarks/test_async_sched.py`` asserts the ≥ 2x floor on the quick
-sizing at seeds 1-3; ``run_async_bench(AsyncBenchConfig())`` is the
-full-size run.
+reported alongside.  ``benchmarks/test_async_sched.py`` asserts the
+≥ 2x floor on the quick sizing at seeds 1-3;
+``run_cases("async_sched", cases(AsyncBenchConfig()))`` is the full-size
+run.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
-import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Dict, List, Optional
 
+from repro.bench.runner import Case, World, percentile, swappable_sids
+from repro.bench.workloads import blob
 from repro.clock import SimulatedClock
 from repro.comm.transport import bluetooth_link
+from repro.core.sched import SchedStats
 from repro.core.space import Space
 from repro.devices.store import XmlStoreDevice
 from repro.runtime.obicomp import managed
-
-
-def _blob(seed_a: int, seed_b: int, nbytes: int) -> str:
-    """Deterministic high-entropy hex content (defeats the codec's zlib
-    pass, as real application state would)."""
-    chunks: List[str] = []
-    length = 0
-    counter = 0
-    while length < nbytes:
-        digest = hashlib.sha256(
-            f"{seed_a}:{seed_b}:{counter}".encode("ascii")
-        ).hexdigest()
-        chunks.append(digest)
-        length += len(digest)
-        counter += 1
-    return "".join(chunks)[:nbytes]
 
 
 @managed(size=192)
@@ -79,7 +64,7 @@ def build_ring(n: int, blob_bytes: int, seed: int) -> ChaseNode:
     crossing goes through the fault path.
     """
     rng = random.Random(seed)
-    nodes = [ChaseNode(index, _blob(index, seed, blob_bytes)) for index in range(n)]
+    nodes = [ChaseNode(index, blob(index, seed, blob_bytes)) for index in range(n)]
     for left, right in zip(nodes, nodes[1:]):
         left.next = right
     nodes[-1].next = nodes[0]
@@ -115,75 +100,7 @@ class AsyncBenchConfig:
         return cls(objects=240, cluster_size=4, steps=300, seed=seed)
 
 
-@dataclass
-class ScenarioResult:
-    name: str
-    steps: int
-    faults: int
-    swap_outs: int
-    fault_stall_mean_s: float
-    fault_stall_p50_s: float
-    fault_stall_p95_s: float
-    fault_stall_total_s: float
-    sim_clock_s: float
-    #: real time this scenario took to compute (host-dependent; compares
-    #: with jitter tolerance only — see repro.bench.report)
-    wall_s: float
-    bytes_on_link: int
-    link_seconds: float
-    # -- scheduler counters (zero for the sync scenario) --
-    sched_demand_fetches: int = 0
-    sched_prefetch_issued: int = 0
-    sched_prefetch_hits: int = 0
-    sched_prefetch_waste: int = 0
-    sched_prefetch_cancelled: int = 0
-    sched_prefetch_preempted: int = 0
-    sched_writebacks: int = 0
-    sched_stale_drops: int = 0
-    sched_max_queue_depth: int = 0
-    sched_stall_saved_s: float = 0.0
-    sched_backpressure_stall_s: float = 0.0
-    sched_overlap_ratio: float = 0.0
-    prefetch_waste_ratio: float = 0.0
-    #: per-phase simulated/wall cost from the profiler (``observe=True`` only)
-    phases: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-
-@dataclass
-class AsyncBenchReport:
-    config: AsyncBenchConfig
-    scenarios: Dict[str, ScenarioResult] = field(default_factory=dict)
-    observed: bool = False
-
-    @property
-    def p95_stall_reduction(self) -> float:
-        """sync / async p95 fault-stall seconds — the headline."""
-        sync = self.scenarios["sync"].fault_stall_p95_s
-        fast = self.scenarios["async"].fault_stall_p95_s
-        return sync / fast if fast > 0 else float("inf")
-
-    @property
-    def mean_stall_reduction(self) -> float:
-        sync = self.scenarios["sync"].fault_stall_mean_s
-        fast = self.scenarios["async"].fault_stall_mean_s
-        return sync / fast if fast > 0 else float("inf")
-
-    @property
-    def total_stall_reduction(self) -> float:
-        sync = self.scenarios["sync"].fault_stall_total_s
-        fast = self.scenarios["async"].fault_stall_total_s
-        return sync / fast if fast > 0 else float("inf")
-
-
-def _percentile(samples: List[float], fraction: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(round(fraction * (len(ordered) - 1))))
-    return ordered[index]
-
-
-def _build_space(config: AsyncBenchConfig) -> Tuple[Space, SimulatedClock, list]:
+def _world(config: AsyncBenchConfig) -> World:
     """Space + stores + fully swapped-out ring, identical per scenario.
 
     The prep phase runs entirely on the blocking path (the scheduler, when
@@ -198,29 +115,28 @@ def _build_space(config: AsyncBenchConfig) -> Tuple[Space, SimulatedClock, list]
     manager = space.manager
     manager.enable_resilience()
     manager.replication_factor = config.replication_factor
-    links = []
-    for index in range(config.stores):
-        link = bluetooth_link(clock, name=f"bt-{index}")
-        links.append(link)
-        manager.add_store(
-            XmlStoreDevice(
-                f"peer-{index}", capacity=config.store_capacity, link=link
-            )
-        )
+    links = [
+        bluetooth_link(clock, name=f"bt-{index}") for index in range(config.stores)
+    ]
+    stores = [
+        XmlStoreDevice(f"peer-{index}", capacity=config.store_capacity, link=link)
+        for index, link in enumerate(links)
+    ]
+    for store in stores:
+        manager.add_store(store)
     space.ingest(
         build_ring(config.objects, config.blob_bytes, config.seed),
         cluster_size=config.cluster_size,
         root_name="head",
     )
-    for sid, cluster in sorted(space._clusters.items()):
-        if cluster.swappable() and cluster.oids:
-            manager.swap_out(sid)
+    for sid in swappable_sids(space):
+        manager.swap_out(sid)
     # clamp the heap so only ~resident_clusters fit during the chase:
     # every few crossings must evict a victim (write-back) AND fetch
     space.heap.capacity = space.heap.used + int(
         config.resident_clusters * config.cluster_size * 192 * 1.5
     )
-    return space, clock, links
+    return World(space, stores, links)
 
 
 def _chase_plan(config: AsyncBenchConfig) -> List[bool]:
@@ -230,33 +146,24 @@ def _chase_plan(config: AsyncBenchConfig) -> List[bool]:
     return [rng.random() < config.jump_fraction for _ in range(config.steps)]
 
 
-def run_scenario(
-    name: str,
-    config: AsyncBenchConfig,
-    *,
-    channels: Optional[int],
-    prefetch: bool,
-    observe: bool = False,
-    obs_path: str | None = None,
-    obs_append: bool = True,
-) -> ScenarioResult:
-    """One chase.  ``channels=None`` means no scheduler (blocking path)."""
-    space, clock, links = _build_space(config)
-    manager = space.manager
-    obs = manager.enable_observability() if observe else None
+def _run(
+    world: World, config: AsyncBenchConfig, channels: Optional[int]
+) -> Dict[str, Any]:
+    """One chase.  ``channels=None`` means no scheduler (blocking path);
+    otherwise the scheduler prefetches."""
+    space, links = world.space, world.links
+    manager, clock = space.manager, space.clock
     sched = None
     if channels is not None:
         sched = manager.enable_async_scheduler(
             channels=channels,
-            prefetch=prefetch,
+            prefetch=True,
             prefetch_depth=config.prefetch_depth,
         )
 
-    plan = _chase_plan(config)
     node: Any = space.roots()["head"]
     stalls: List[float] = []
-    wall_started = time.perf_counter()
-    for jump in plan:
+    for jump in _chase_plan(config):
         before = clock.now()
         faults_before = manager.stats.swap_ins
         _ = node.index  # the proxy fault, if the cluster is swapped
@@ -265,99 +172,42 @@ def run_scenario(
         node = node.alt if jump else node.next
     if sched is not None:
         sched.drain()
-    wall_s = time.perf_counter() - wall_started
-
-    phases: Dict[str, Dict[str, float]] = {}
-    if obs is not None:
-        obs.refresh()
-        phases = obs.profiler.breakdown()
-        if obs_path is not None:
-            obs.export_jsonl(obs_path, label=f"async:{name}", append=obs_append)
 
     stats = manager.stats
-    result = ScenarioResult(
-        name=name,
-        steps=config.steps,
-        faults=len(stalls),
-        swap_outs=stats.swap_outs,
-        fault_stall_mean_s=(sum(stalls) / len(stalls)) if stalls else 0.0,
-        fault_stall_p50_s=_percentile(stalls, 0.50),
-        fault_stall_p95_s=_percentile(stalls, 0.95),
-        fault_stall_total_s=sum(stalls),
-        sim_clock_s=clock.now(),
-        wall_s=wall_s,
-        bytes_on_link=sum(link.stats.bytes_carried for link in links),
-        link_seconds=sum(link.stats.seconds_charged for link in links),
-    )
-    if sched is not None:
-        sstats = sched.stats
-        result.sched_demand_fetches = sstats.demand_fetches
-        result.sched_prefetch_issued = sstats.prefetch_issued
-        result.sched_prefetch_hits = sstats.prefetch_hits
-        result.sched_prefetch_waste = sstats.prefetch_waste
-        result.sched_prefetch_cancelled = sstats.prefetch_cancelled
-        result.sched_prefetch_preempted = sstats.prefetch_preempted
-        result.sched_writebacks = sstats.writebacks
-        result.sched_stale_drops = sstats.stale_drops
-        result.sched_max_queue_depth = sstats.max_queue_depth
-        result.sched_stall_saved_s = sstats.stall_saved_s
-        result.sched_backpressure_stall_s = sstats.backpressure_stall_s
-        result.sched_overlap_ratio = sched.overlap_ratio()
-        result.prefetch_waste_ratio = sstats.waste_ratio
-    result.phases = phases
-    return result
+    sstats = sched.stats if sched is not None else SchedStats()  # zeros
+    return {
+        "steps": config.steps,
+        "faults": len(stalls),
+        "swap_outs": stats.swap_outs,
+        "fault_stall_mean_s": (sum(stalls) / len(stalls)) if stalls else 0.0,
+        "fault_stall_p50_s": percentile(stalls, 0.50),
+        "fault_stall_p95_s": percentile(stalls, 0.95),
+        "fault_stall_total_s": sum(stalls),
+        "sim_clock_s": clock.now(),
+        "bytes_on_link": sum(link.stats.bytes_carried for link in links),
+        "link_seconds": sum(link.stats.seconds_charged for link in links),
+        "sched_demand_fetches": sstats.demand_fetches,
+        "sched_prefetch_issued": sstats.prefetch_issued,
+        "sched_prefetch_hits": sstats.prefetch_hits,
+        "sched_prefetch_waste": sstats.prefetch_waste,
+        "sched_prefetch_cancelled": sstats.prefetch_cancelled,
+        "sched_prefetch_preempted": sstats.prefetch_preempted,
+        "sched_writebacks": sstats.writebacks,
+        "sched_stale_drops": sstats.stale_drops,
+        "sched_max_queue_depth": sstats.max_queue_depth,
+        "sched_stall_saved_s": sstats.stall_saved_s,
+        "sched_backpressure_stall_s": sstats.backpressure_stall_s,
+        "sched_overlap_ratio": (
+            sched.overlap_ratio() if sched is not None else 0.0
+        ),
+        "prefetch_waste_ratio": sstats.waste_ratio,
+    }
 
 
-def run_async_bench(
-    config: AsyncBenchConfig | None = None,
-    *,
-    observe: bool = False,
-    obs_path: str | None = None,
-) -> AsyncBenchReport:
-    """Run both scenarios on byte-identical workloads."""
-    config = config if config is not None else AsyncBenchConfig()
-    report = AsyncBenchReport(config=config, observed=observe)
-    plans = [("sync", None, False), ("async", config.channels, True)]
-    for index, (name, channels, prefetch) in enumerate(plans):
-        report.scenarios[name] = run_scenario(
-            name,
-            config,
-            channels=channels,
-            prefetch=prefetch,
-            observe=observe,
-            obs_path=obs_path,
-            obs_append=index > 0,
-        )
-    return report
-
-
-def format_table(report: AsyncBenchReport) -> str:
-    from repro.bench.report import format_sim_wall
-
-    header = (
-        f"{'scenario':<9} {'faults':>6} {'stall p50 s':>12} "
-        f"{'stall p95 s':>12} {'stall sum s':>12} {'hits':>5} "
-        f"{'waste':>6} {'overlap':>8}"
-    )
-    lines = [header, "-" * len(header)]
-    for result in report.scenarios.values():
-        lines.append(
-            f"{result.name:<9} {result.faults:>6} "
-            f"{result.fault_stall_p50_s:>12.4f} "
-            f"{result.fault_stall_p95_s:>12.4f} "
-            f"{result.fault_stall_total_s:>12.2f} "
-            f"{result.sched_prefetch_hits:>5} "
-            f"{result.prefetch_waste_ratio:>6.2f} "
-            f"{result.sched_overlap_ratio:>8.2f}"
-        )
-    for result in report.scenarios.values():
-        lines.append(
-            f"{result.name:<9} {format_sim_wall(result.sim_clock_s, result.wall_s)}"
-        )
-    lines.append(
-        f"reductions vs sync: p95 stall {report.p95_stall_reduction:.1f}x, "
-        f"mean stall {report.mean_stall_reduction:.1f}x, total stall "
-        f"{report.total_stall_reduction:.1f}x"
-    )
-    return "\n".join(lines)
-
+def cases(config: AsyncBenchConfig) -> List[Case]:
+    """The blocking path vs the scheduler, on byte-identical chases."""
+    world = partial(_world, config)
+    return [
+        Case("sync", world, partial(_run, config=config, channels=None)),
+        Case("async", world, partial(_run, config=config, channels=config.channels)),
+    ]

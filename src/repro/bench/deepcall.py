@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sys
 import threading
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable
 
 DEFAULT_STACK_BYTES = 512 * 1024 * 1024
 DEFAULT_RECURSION_LIMIT = 200_000

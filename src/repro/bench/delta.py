@@ -21,37 +21,23 @@ simulated swap-out phase cost (the phase ends at ``sched.drain()``,
 so pipelined transfers are fully paid inside the measured window),
 bytes carried across every link, and the delta/pipeline counters.
 ``benchmarks/test_delta.py`` asserts the floors on the quick sizing;
-``run_delta_bench(DeltaBenchConfig())`` is the full-size run.
+``run_cases("delta", cases(DeltaBenchConfig()))`` is the full-size run.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Dict, List, Optional
 
+from repro.bench.runner import Case, World, percentile, swappable_sids
+from repro.bench.workloads import blob
 from repro.clock import SimulatedClock
 from repro.comm.transport import bluetooth_link
 from repro.core.fastpath import FastPathConfig
 from repro.core.space import Space
 from repro.devices.store import XmlStoreDevice
 from repro.runtime.obicomp import managed
-
-
-def _blob(seed_a: int, seed_b: int, nbytes: int) -> str:
-    """Deterministic high-entropy hex content (defeats the codec's zlib
-    pass, as real application state would)."""
-    chunks: List[str] = []
-    length = 0
-    counter = 0
-    while length < nbytes:
-        digest = hashlib.sha256(
-            f"{seed_a}:{seed_b}:{counter}".encode("ascii")
-        ).hexdigest()
-        chunks.append(digest)
-        length += len(digest)
-        counter += 1
-    return "".join(chunks)[:nbytes]
 
 
 @managed(size=192)
@@ -69,10 +55,10 @@ class BlobNode:
 
 
 def build_blob_list(n: int, blob_bytes: int) -> BlobNode:
-    head = BlobNode(0, _blob(0, -1, blob_bytes))
+    head = BlobNode(0, blob(0, -1, blob_bytes))
     node = head
     for index in range(1, n):
-        node.next = BlobNode(index, _blob(index, -1, blob_bytes))
+        node.next = BlobNode(index, blob(index, -1, blob_bytes))
         node = node.next
     return head
 
@@ -105,90 +91,28 @@ class DeltaBenchConfig:
         return cls(objects=400, cluster_size=50, cycles=8)
 
 
-@dataclass
-class ScenarioResult:
-    name: str
-    cycles: int
-    swap_outs: int
-    encode_calls: int
-    bytes_on_link: int
-    link_seconds: float
-    #: simulated cost of one full swap-out phase (all clusters out,
-    #: scheduler drained) — per-cycle, not per-cluster
-    swap_out_phase_mean_s: float
-    swap_out_phase_p50_s: float
-    swap_out_phase_p95_s: float
-    bytes_shipped: int
-    delta_ships: int
-    delta_fallbacks: int
-    delta_compactions: int
-    delta_bytes_shipped: int
-    delta_bytes_saved: int
-    pipeline_transfers: int
-    pipeline_saved_s: float
-    #: per-phase simulated/wall cost from the profiler (``observe=True`` only)
-    phases: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-
-@dataclass
-class DeltaBenchReport:
-    config: DeltaBenchConfig
-    scenarios: Dict[str, ScenarioResult] = field(default_factory=dict)
-    observed: bool = False
-
-    @property
-    def link_bytes_reduction(self) -> float:
-        """fastpath_full / delta bytes carried across all links."""
-        delta = self.scenarios["delta"].bytes_on_link
-        full = self.scenarios["fastpath_full"].bytes_on_link
-        return full / delta if delta > 0 else float("inf")
-
-    @property
-    def swap_out_cost_reduction(self) -> float:
-        """fastpath_full / delta mean simulated swap-out phase cost."""
-        delta = self.scenarios["delta"].swap_out_phase_mean_s
-        full = self.scenarios["fastpath_full"].swap_out_phase_mean_s
-        return full / delta if delta > 0 else float("inf")
-
-    @property
-    def shipped_bytes_reduction(self) -> float:
-        delta = self.scenarios["delta"].bytes_shipped
-        full = self.scenarios["fastpath_full"].bytes_shipped
-        return full / delta if delta > 0 else float("inf")
-
-
-def _percentile(samples: List[float], fraction: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(round(fraction * (len(ordered) - 1))))
-    return ordered[index]
-
-
-def _build_space(config: DeltaBenchConfig) -> tuple:
+def _world(config: DeltaBenchConfig, delta: bool) -> World:
     clock = SimulatedClock()
     space = Space("delta", heap_capacity=config.heap_capacity, clock=clock)
-    links = []
-    for index in range(config.stores):
-        link = bluetooth_link(clock)
-        links.append(link)
-        space.manager.add_store(
-            XmlStoreDevice(
-                f"peer-{index}", capacity=config.store_capacity, link=link
-            )
-        )
+    links = [bluetooth_link(clock) for _ in range(config.stores)]
+    stores = [
+        XmlStoreDevice(f"peer-{index}", capacity=config.store_capacity, link=link)
+        for index, link in enumerate(links)
+    ]
+    for store in stores:
+        space.manager.add_store(store)
     space.manager.replication_factor = config.replication_factor
     space.ingest(
         build_blob_list(config.objects, config.blob_bytes),
         cluster_size=config.cluster_size,
         root_name="head",
     )
-    sids = [
-        sid
-        for sid, cluster in sorted(space._clusters.items())
-        if cluster.swappable() and cluster.oids
-    ]
-    return space, clock, links, sids
+    space.manager.enable_fastpath(FastPathConfig(delta=delta))
+    if delta:
+        space.manager.enable_async_scheduler(
+            channels=config.channels, prefetch=False
+        )
+    return World(space, stores, links)
 
 
 def _mutate_fraction(
@@ -208,30 +132,13 @@ def _mutate_fraction(
         oid = oids[(start + step) % len(oids)]
         node = space._objects[oid]
         node.index = node.index + 1
-        node.blob = _blob(oid, cycle, config.blob_bytes)
+        node.blob = blob(oid, cycle, config.blob_bytes)
 
 
-def run_scenario(
-    name: str,
-    config: DeltaBenchConfig,
-    *,
-    delta: bool,
-    observe: bool = False,
-    obs_path: str | None = None,
-    obs_append: bool = True,
-) -> ScenarioResult:
-    space, clock, links, sids = _build_space(config)
-    manager = space.manager
-    manager.enable_fastpath(FastPathConfig(delta=delta))
-    sched = (
-        manager.enable_async_scheduler(
-            channels=config.channels, prefetch=False
-        )
-        if delta
-        else None
-    )
-    obs = manager.enable_observability() if observe else None
-
+def _run(world: World, config: DeltaBenchConfig) -> Dict[str, Any]:
+    space, links = world.space, world.links
+    manager, clock, sched = space.manager, space.clock, space.manager.sched
+    sids = swappable_sids(space)
     phase_costs: List[float] = []
     for cycle in range(config.cycles):
         for sid in sids:
@@ -245,84 +152,33 @@ def run_scenario(
         for sid in sids:
             manager.swap_in(sid)
 
-    phases: Dict[str, Dict[str, float]] = {}
-    if obs is not None:
-        obs.refresh()
-        phases = obs.profiler.breakdown()
-        if obs_path is not None:
-            obs.export_jsonl(obs_path, label=f"delta:{name}", append=obs_append)
-
     stats = manager.stats
     pipeline = sched.transfers.stats if sched is not None else None
-    return ScenarioResult(
-        name=name,
-        cycles=config.cycles,
-        swap_outs=stats.swap_outs,
-        encode_calls=stats.encode_calls,
-        bytes_on_link=sum(link.stats.bytes_carried for link in links),
-        link_seconds=sum(link.stats.seconds_charged for link in links),
-        swap_out_phase_mean_s=sum(phase_costs) / len(phase_costs),
-        swap_out_phase_p50_s=_percentile(phase_costs, 0.50),
-        swap_out_phase_p95_s=_percentile(phase_costs, 0.95),
-        bytes_shipped=stats.bytes_shipped,
-        delta_ships=stats.fastpath_delta_ships,
-        delta_fallbacks=stats.fastpath_delta_fallbacks,
-        delta_compactions=stats.fastpath_delta_compactions,
-        delta_bytes_shipped=stats.delta_bytes_shipped,
-        delta_bytes_saved=stats.delta_bytes_saved,
-        pipeline_transfers=pipeline.transfers if pipeline is not None else 0,
-        pipeline_saved_s=pipeline.saved_s if pipeline is not None else 0.0,
-        phases=phases,
-    )
+    return {
+        "cycles": config.cycles,
+        "swap_outs": stats.swap_outs,
+        "encode_calls": stats.encode_calls,
+        "bytes_on_link": sum(link.stats.bytes_carried for link in links),
+        "link_seconds": sum(link.stats.seconds_charged for link in links),
+        # one full swap-out phase (all clusters out, scheduler drained)
+        "swap_out_phase_mean_s": sum(phase_costs) / len(phase_costs),
+        "swap_out_phase_p50_s": percentile(phase_costs, 0.50),
+        "swap_out_phase_p95_s": percentile(phase_costs, 0.95),
+        "bytes_shipped": stats.bytes_shipped,
+        "delta_ships": stats.fastpath_delta_ships,
+        "delta_fallbacks": stats.fastpath_delta_fallbacks,
+        "delta_compactions": stats.fastpath_delta_compactions,
+        "delta_bytes_shipped": stats.delta_bytes_shipped,
+        "delta_bytes_saved": stats.delta_bytes_saved,
+        "pipeline_transfers": pipeline.transfers if pipeline is not None else 0,
+        "pipeline_saved_s": pipeline.saved_s if pipeline is not None else 0.0,
+    }
 
 
-def run_delta_bench(
-    config: DeltaBenchConfig | None = None,
-    *,
-    observe: bool = False,
-    obs_path: str | None = None,
-) -> DeltaBenchReport:
-    """Run both scenarios on identical workloads.
-
-    With ``observe`` each scenario runs under a fresh observability
-    attachment and reports its per-phase cost breakdown; ``obs_path``
-    additionally appends one labeled JSONL dump per scenario.
-    """
-    config = config if config is not None else DeltaBenchConfig()
-    report = DeltaBenchReport(config=config, observed=observe)
-    plans = [("fastpath_full", False), ("delta", True)]
-    for index, (name, delta) in enumerate(plans):
-        report.scenarios[name] = run_scenario(
-            name,
-            config,
-            delta=delta,
-            observe=observe,
-            obs_path=obs_path,
-            obs_append=index > 0,
-        )
-    return report
-
-
-def format_table(report: DeltaBenchReport) -> str:
-    header = (
-        f"{'scenario':<15} {'phase p50 s':>12} {'phase p95 s':>12} "
-        f"{'link bytes':>11} {'deltas':>7} {'fallbacks':>9} "
-        f"{'compact':>7} {'saved B':>9}"
-    )
-    lines = [header, "-" * len(header)]
-    for result in report.scenarios.values():
-        lines.append(
-            f"{result.name:<15} {result.swap_out_phase_p50_s:>12.4f} "
-            f"{result.swap_out_phase_p95_s:>12.4f} "
-            f"{result.bytes_on_link:>11} {result.delta_ships:>7} "
-            f"{result.delta_fallbacks:>9} {result.delta_compactions:>7} "
-            f"{result.delta_bytes_saved:>9}"
-        )
-    lines.append(
-        f"reductions vs fastpath_full: link bytes "
-        f"{report.link_bytes_reduction:.1f}x, swap-out cost "
-        f"{report.swap_out_cost_reduction:.1f}x, shipped bytes "
-        f"{report.shipped_bytes_reduction:.1f}x"
-    )
-    return "\n".join(lines)
-
+def cases(config: DeltaBenchConfig) -> List[Case]:
+    """Full re-ships vs deltas, on identical workloads."""
+    run = partial(_run, config=config)
+    return [
+        Case("fastpath_full", partial(_world, config, False), run),
+        Case("delta", partial(_world, config, True), run),
+    ]

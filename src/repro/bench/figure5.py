@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bench.deepcall import run_deep
-from repro.bench.workloads import BenchNode, build_list
+from repro.bench.workloads import build_list
 from repro.core.space import Space
 from repro.core.utils import SwapClusterUtils
 from repro.devices.store import InMemoryStore

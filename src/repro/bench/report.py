@@ -16,12 +16,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 
-def format_sim_wall(sim_s: float, wall_s: float) -> str:
-    """Render a simulated cost next to the real time it took to compute
-    (``1.234s sim / 0.056s wall``) for bench tables."""
-    return f"{sim_s:.3f}s sim / {wall_s:.3f}s wall"
-
-
 #: The values read off Figure 5 of the paper (milliseconds).
 PAPER_FIGURE5: Dict[str, Dict[Optional[int], float]] = {
     "A1": {20: 43.0, 50: 38.0, 100: 36.0, None: 35.0},

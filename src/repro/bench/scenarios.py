@@ -19,7 +19,8 @@ from (scenario, seed) before either run starts, so the ladder and the
 baseline face byte-identical workloads.
 
 ``benchmarks/test_scenarios.py`` asserts the SLO floors on the quick
-sizing at seeds 1-3; ``run_scenarios(ScenarioBenchConfig())`` is the
+sizing at seeds 1-3; ``score(config, run_cases("scenarios",
+cases(config)))`` with ``config = ScenarioBenchConfig()`` is the
 full-size run.
 """
 
@@ -28,8 +29,10 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.bench.runner import Case, World
 from repro.clock import SimulatedClock
 from repro.comm.transport import bluetooth_link
 from repro.core.degrade import DegradeLadderConfig
@@ -173,29 +176,21 @@ def _p95(values: List[float]) -> float:
     return ordered[index]
 
 
-def run_once(
-    spec: ScenarioSpec,
-    seed: int,
-    script: List[ScriptStep],
-    *,
-    ladder: bool,
-    observe: bool = False,
-    obs_path: Optional[str] = None,
-    obs_append: bool = True,
-) -> Dict[str, Any]:
-    """Execute one scenario run; returns the scored result dict."""
+def _mode(ladder: bool) -> str:
+    return "ladder" if ladder else "baseline"
+
+
+def _world(spec: ScenarioSpec, seed: int, ladder: bool) -> World:
     clock = SimulatedClock()
-    mode = "ladder" if ladder else "baseline"
     space = Space(
-        f"{spec.name}-{mode}-{seed}",
+        f"{spec.name}-{_mode(ladder)}-{seed}",
         heap_capacity=spec.heap_capacity,
         clock=clock,
     )
     manager = space.manager
     injector = FaultInjector(FaultPlan.empty(seed=seed), clock)
-    stores: Dict[str, FlakyStore] = {}
-    for index in range(spec.store_count):
-        store = FlakyStore(
+    stores = [
+        FlakyStore(
             XmlStoreDevice(
                 device_name(index),
                 capacity=spec.store_capacity,
@@ -203,9 +198,10 @@ def run_once(
             ),
             injector,
         )
-        stores[store.device_id] = store
+        for index in range(spec.store_count)
+    ]
+    for store in stores:
         manager.add_store(store)
-    churn = ChurnInjector(spec.churn, clock)
     manager.enable_resilience(
         ResilienceConfig(
             seed=seed,
@@ -220,12 +216,22 @@ def run_once(
             delta=True,
         )
     )
-    ladder_obj = None
     if ladder:
-        ladder_obj = manager.enable_degrade_ladder(
+        manager.enable_degrade_ladder(
             DegradeLadderConfig(slo_p95_stall_s=spec.slo_p95_stall_s)
         )
-    obs = manager.enable_observability() if observe else None
+    return World(space, stores)
+
+
+def run_once(
+    world: World, spec: ScenarioSpec, seed: int, script: List[ScriptStep]
+) -> Dict[str, Any]:
+    """Drive ``script`` on ``world``; returns the scored result dict."""
+    space = world.space
+    manager, clock, ladder_obj = space.manager, space.clock, space.manager.ladder
+    mode = _mode(ladder_obj is not None)
+    stores = {store.device_id: store for store in world.stores}
+    churn = ChurnInjector(spec.churn, clock)
 
     def ingest_task(index: int, objects: int, priority: int) -> Any:
         content = random.Random(seed * 1_000_003 + index)
@@ -381,14 +387,6 @@ def run_once(
         result["manager_fault_stall_p95_s"] = round(
             ladder_obj.fault_stalls.p95(), 4
         )
-    if obs is not None:
-        obs.refresh()
-        if obs_path is not None:
-            obs.export_jsonl(
-                obs_path,
-                label=f"scenario:{spec.name}:{mode}:seed={seed}",
-                append=obs_append,
-            )
     return result
 
 
@@ -401,12 +399,34 @@ def run_once(
 class ScenarioBenchConfig:
     seeds: Tuple[int, ...] = (1, 2, 3)
     scenarios: Tuple[str, ...] = tuple(SCENARIOS)
-    quick: bool = False
 
     @classmethod
     def quick_config(cls, seed: Optional[int] = None) -> "ScenarioBenchConfig":
         """CI sizing: one seed, every scenario."""
-        return cls(seeds=(seed if seed is not None else 1,), quick=True)
+        return cls(seeds=(seed if seed is not None else 1,))
+
+
+def _case_name(scenario: str, mode: str, seed: int) -> str:
+    return f"{scenario}:{mode}:seed={seed}"
+
+
+def case(spec: ScenarioSpec, seed: int, ladder: bool) -> Case:
+    """One run of ``spec`` at ``seed``, ladder on or off."""
+    return Case(
+        _case_name(spec.name, _mode(ladder), seed),
+        partial(_world, spec, seed, ladder),
+        partial(run_once, spec=spec, seed=seed, script=build_script(spec, seed)),
+    )
+
+
+def cases(config: ScenarioBenchConfig) -> List[Case]:
+    """Every scenario at every seed, ladder first, then the baseline."""
+    return [
+        case(SCENARIOS[name](), seed, ladder)
+        for name in config.scenarios
+        for seed in config.seeds
+        for ladder in (True, False)
+    ]
 
 
 def _worst(results: List[Dict[str, Any]]) -> Dict[str, Any]:
@@ -423,78 +443,26 @@ def _worst(results: List[Dict[str, Any]]) -> Dict[str, Any]:
     }
 
 
-def run_scenarios(
-    config: Optional[ScenarioBenchConfig] = None,
-    *,
-    observe: bool = False,
-    obs_path: Optional[str] = None,
-) -> Dict[str, Any]:
-    config = config if config is not None else ScenarioBenchConfig()
-    scenarios: Dict[str, Any] = {}
-    first_export = True
+def score(
+    config: ScenarioBenchConfig, results: Dict[str, Dict[str, Any]]
+) -> Dict[str, Dict[str, Any]]:
+    """Per scenario: the ladder's and the baseline's worst-of-seeds
+    summaries, and whether the ladder met its SLO at every seed while
+    the baseline violated it at every seed."""
+    report: Dict[str, Dict[str, Any]] = {}
     for name in config.scenarios:
-        spec: ScenarioSpec = SCENARIOS[name]()
-        per_seed: Dict[str, Any] = {}
-        ladder_results: List[Dict[str, Any]] = []
-        baseline_results: List[Dict[str, Any]] = []
-        for seed in config.seeds:
-            script = build_script(spec, seed)
-            ladder_run = run_once(
-                spec, seed, script, ladder=True,
-                observe=observe, obs_path=obs_path,
-                obs_append=not first_export,
-            )
-            first_export = False
-            baseline_run = run_once(
-                spec, seed, script, ladder=False,
-                observe=observe, obs_path=obs_path, obs_append=True,
-            )
-            per_seed[str(seed)] = {
-                "ladder": ladder_run,
-                "baseline": baseline_run,
-            }
-            ladder_results.append(ladder_run)
-            baseline_results.append(baseline_run)
-        scenarios[name] = {
-            "description": spec.description,
-            "slo_p95_stall_s": spec.slo_p95_stall_s,
-            "seeds": per_seed,
-            "ladder": _worst(ladder_results),
-            "baseline": _worst(baseline_results),
+        runs = {
+            mode: [results[_case_name(name, mode, seed)] for seed in config.seeds]
+            for mode in ("ladder", "baseline")
+        }
+        report[name] = {
+            "ladder": _worst(runs["ladder"]),
+            "baseline": _worst(runs["baseline"]),
             "slo": {
-                "ladder_met": all(r["slo_met"] for r in ladder_results),
+                "ladder_met": all(r["slo_met"] for r in runs["ladder"]),
                 "baseline_violates": all(
-                    not r["slo_met"] for r in baseline_results
+                    not r["slo_met"] for r in runs["baseline"]
                 ),
             },
         }
-    return {
-        "benchmark": "scenarios",
-        "observed": observe,
-        "config": {
-            "seeds": list(config.seeds),
-            "scenarios": list(config.scenarios),
-            "quick": config.quick,
-        },
-        "scenarios": scenarios,
-    }
-
-
-def format_table(report: Dict[str, Any]) -> str:
-    header = (
-        f"{'scenario':<24} {'slo s':>6} {'ladder p95':>11} {'base p95':>9} "
-        f"{'fg oom L/B':>11} {'ladder':>7} {'base':>9}"
-    )
-    lines = [header, "-" * len(header)]
-    for name, entry in report["scenarios"].items():
-        ladder = entry["ladder"]
-        base = entry["baseline"]
-        lines.append(
-            f"{name:<24} {entry['slo_p95_stall_s']:>6.1f} "
-            f"{ladder['p95_stall_s']:>11.3f} {base['p95_stall_s']:>9.3f} "
-            f"{ladder['foreground_oom']:>5}/{base['foreground_oom']:<5} "
-            f"{'met' if entry['slo']['ladder_met'] else 'MISS':>7} "
-            f"{'violates' if entry['slo']['baseline_violates'] else 'met':>9}"
-        )
-    return "\n".join(lines)
-
+    return report

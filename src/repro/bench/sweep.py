@@ -73,12 +73,7 @@ class Sweep:
     # -- output -----------------------------------------------------------------
 
     def columns(self) -> List[str]:
-        ordered: List[str] = []
-        for record in self.records:
-            for key in record:
-                if key not in ordered:
-                    ordered.append(key)
-        return ordered
+        return _keys(self.records)
 
     def write_csv(self, path: str | Path) -> Path:
         if not self.records:
@@ -95,28 +90,7 @@ class Sweep:
     def format_table(self, float_digits: int = 3) -> str:
         if not self.records:
             return f"(sweep {self.name!r}: no records)"
-        columns = self.columns()
-
-        def render(value: Any) -> str:
-            if isinstance(value, float):
-                return f"{value:.{float_digits}f}"
-            return str(value)
-
-        rows = [[render(record.get(column, "")) for column in columns]
-                for record in self.records]
-        widths = [
-            max(len(column), *(len(row[index]) for row in rows))
-            for index, column in enumerate(columns)
-        ]
-        header = "  ".join(
-            column.ljust(width) for column, width in zip(columns, widths)
-        )
-        lines = [header, "-" * len(header)]
-        lines.extend(
-            "  ".join(cell.ljust(width) for cell, width in zip(row, widths))
-            for row in rows
-        )
-        return "\n".join(lines)
+        return format_records(self.records, self.columns(), float_digits)
 
     def aggregate(
         self, value_column: str, by: Sequence[str]
@@ -137,3 +111,56 @@ class Sweep:
             }
             for key, values in sorted(groups.items(), key=lambda kv: repr(kv[0]))
         ]
+
+
+def _keys(records: Iterable[Mapping[str, Any]]) -> List[str]:
+    """Every key of ``records``, in first-seen order."""
+    ordered: List[str] = []
+    for record in records:
+        for key in record:
+            if key not in ordered:
+                ordered.append(key)
+    return ordered
+
+
+def format_records(
+    records: Sequence[Mapping[str, Any]],
+    columns: Optional[Sequence[str]] = None,
+    float_digits: int = 3,
+) -> str:
+    """Render ``records`` as an aligned table, one row per record.
+
+    ``columns`` defaults to every key, in first-seen order, whose values
+    are all scalars: nested values (a case's ``phases``, a scenario's
+    ``counters``) are left out.
+    """
+    if columns is None:
+        columns = [
+            column
+            for column in _keys(records)
+            if not any(
+                isinstance(record.get(column), (dict, list, tuple))
+                for record in records
+            )
+        ]
+
+    def render(value: Any) -> str:
+        if isinstance(value, float):
+            return f"{value:.{float_digits}f}"
+        return str(value)
+
+    rows = [[render(record.get(column, "")) for column in columns]
+            for record in records]
+    widths = [
+        max(len(column), *(len(row[index]) for row in rows))
+        for index, column in enumerate(columns)
+    ]
+    header = "  ".join(
+        column.ljust(width) for column, width in zip(columns, widths)
+    )
+    lines = [header, "-" * len(header)]
+    lines.extend(
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths))
+        for row in rows
+    )
+    return "\n".join(lines)

@@ -16,16 +16,19 @@ Two layers exercise the :mod:`repro.topology` service:
   and the scrubber re-replicate, and verify every cluster swaps back in.
 
 ``benchmarks/test_topology.py`` asserts the floors on the quick sizing
-at seeds 0-3; ``run_topology_bench(TopologyBenchConfig())`` is the
-full-size run.
+at seeds 0-3.  The scale layer is :func:`run_scale`; the integration
+layer is ``run_cases("topology", cases(config))``
+(:mod:`repro.bench.runner`).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Dict, List, Tuple
 
+from repro.bench.runner import Case, World, swappable_sids
 from repro.bench.workloads import build_list
 from repro.clock import SimulatedClock
 from repro.comm.transport import bluetooth_link
@@ -68,73 +71,6 @@ class TopologyBenchConfig:
             churn_cells=3,
             it_objects=120,
         )
-
-
-@dataclass
-class ScaleResult:
-    """Fleet-scale routing and churn numbers (synthetic key population)."""
-
-    stores: int
-    cells: int
-    shards: int
-    keys: int
-    register_s: float
-    #: ns per shard lookup with 1% of keys registered vs all of them —
-    #: the ratio is the O(1) claim (a per-key index would scale ~100x)
-    lookup_ns_small: float
-    lookup_ns_full: float
-    lookup_ratio: float
-    #: worst case over every cell: clusters with no holder outside it
-    worst_cell_lost_clusters: int
-    cells_killed: int
-    reparents: int
-    reparent_wall_ms_mean: float
-    reparent_latency_s_total: float  # simulated, from TopologyStats
-    rebalance_moves: int
-    rebalance_wall_ms: float
-    rebuild_wall_ms: float
-    rebuild_inventory_replicas: int
-
-    @property
-    def lookup_o1(self) -> bool:
-        return self.lookup_ratio < 3.0
-
-    @property
-    def zero_loss_any_cell(self) -> bool:
-        return self.worst_cell_lost_clusters == 0
-
-
-@dataclass
-class CellKillResult:
-    """One integration scenario: a full cell dies mid-swap."""
-
-    cell: str
-    clusters: int
-    clusters_lost: int
-    reparents: int
-    recovery_s: float
-    replicas_repaired: int
-    fully_replicated: int  # clusters back at the target factor
-    swap_in_ok: int
-
-
-@dataclass
-class TopologyReport:
-    config: TopologyBenchConfig
-    scale: Optional[ScaleResult] = None
-    integration: List[CellKillResult] = field(default_factory=list)
-    observed: bool = False
-
-    @property
-    def zero_loss(self) -> bool:
-        scale_ok = self.scale is None or self.scale.zero_loss_any_cell
-        return scale_ok and all(
-            result.clusters_lost == 0 for result in self.integration
-        )
-
-    @property
-    def lookup_o1(self) -> bool:
-        return self.scale is None or self.scale.lookup_o1
 
 
 class _SyntheticRecord:
@@ -217,7 +153,9 @@ def _lost_by_cell(topology, shard_sid_counts: Dict[int, int]) -> int:
     return worst
 
 
-def run_scale(config: TopologyBenchConfig) -> ScaleResult:
+def run_scale(config: TopologyBenchConfig) -> Dict[str, Any]:
+    """The scale layer: routing and churn numbers over a synthetic key
+    population (its wall-clock metrics are host-dependent)."""
     space, topology, by_cell = _scale_fleet(config)
 
     # registration: 1% first (small-population lookup baseline), then
@@ -276,58 +214,55 @@ def run_scale(config: TopologyBenchConfig) -> ScaleResult:
     rebuild = topology.rebuild()
     rebuild_wall_ms = (time.perf_counter() - started) * 1e3
 
-    return ScaleResult(
-        stores=config.cells * config.stores_per_cell,
-        cells=config.cells,
-        shards=config.shards,
-        keys=config.keys,
-        register_s=register_s,
-        lookup_ns_small=lookup_ns_small,
-        lookup_ns_full=lookup_ns_full,
-        lookup_ratio=ratio,
-        worst_cell_lost_clusters=worst_lost,
-        cells_killed=killed,
-        reparents=reparents,
-        reparent_wall_ms_mean=(
+    return {
+        "stores": config.cells * config.stores_per_cell,
+        "cells": config.cells,
+        "shards": config.shards,
+        "keys": config.keys,
+        "register_s": register_s,
+        # ns per shard lookup with 1% of keys registered vs all of them:
+        # the ratio is the O(1) claim (a per-key index would scale ~100x)
+        "lookup_ns_small": lookup_ns_small,
+        "lookup_ns_full": lookup_ns_full,
+        "lookup_ratio": ratio,
+        # worst case over every cell: clusters with no holder outside it
+        "worst_cell_lost_clusters": worst_lost,
+        "cells_killed": killed,
+        "reparents": reparents,
+        "reparent_wall_ms_mean": (
             reparent_wall_s / reparents * 1e3 if reparents else 0.0
         ),
-        reparent_latency_s_total=topology.stats.total_reparent_latency_s,
-        rebalance_moves=moves,
-        rebalance_wall_ms=rebalance_wall_ms,
-        rebuild_wall_ms=rebuild_wall_ms,
-        rebuild_inventory_replicas=rebuild["inventory_replicas"],
-    )
+        # simulated, from TopologyStats
+        "reparent_latency_s_total": topology.stats.total_reparent_latency_s,
+        "rebalance_moves": moves,
+        "rebalance_wall_ms": rebalance_wall_ms,
+        "rebuild_wall_ms": rebuild_wall_ms,
+        "rebuild_inventory_replicas": rebuild["inventory_replicas"],
+    }
 
 
-def run_cell_kill(
-    config: TopologyBenchConfig,
-    victim: int,
-    *,
-    observe: bool = False,
-    obs_path: Optional[str] = None,
-    obs_append: bool = True,
-) -> CellKillResult:
-    """One real-data scenario: swap out, kill cell ``victim``, recover."""
+def _cell_world(config: TopologyBenchConfig, victim: int) -> World:
     clock = SimulatedClock()
     space = Space(
         f"topo-it-{victim}", heap_capacity=config.heap_capacity, clock=clock
     )
-    stores: Dict[str, FlakyStore] = {}
-    for cell in range(config.it_cells):
-        for i in range(config.it_stores_per_cell):
-            store = FlakyStore(
-                XmlStoreDevice(
-                    f"c{cell}s{i}",
-                    capacity=config.store_capacity,
-                    placement_group=f"cell-{cell}",
-                    link=bluetooth_link(clock),
-                ),
-                FaultInjector(
-                    FaultPlan.empty(seed=config.seed * 1000 + victim), clock
-                ),
-            )
-            stores[store.device_id] = store
-            space.manager.add_store(store)
+    stores = [
+        FlakyStore(
+            XmlStoreDevice(
+                f"c{cell}s{i}",
+                capacity=config.store_capacity,
+                placement_group=f"cell-{cell}",
+                link=bluetooth_link(clock),
+            ),
+            FaultInjector(
+                FaultPlan.empty(seed=config.seed * 1000 + victim), clock
+            ),
+        )
+        for cell in range(config.it_cells)
+        for i in range(config.it_stores_per_cell)
+    ]
+    for store in stores:
+        space.manager.add_store(store)
     space.manager.enable_resilience(
         ResilienceConfig(
             replication_factor=config.replication_factor,
@@ -335,138 +270,76 @@ def run_cell_kill(
             scrub_interval_s=1.0,
         )
     )
-    topology = space.manager.enable_topology(shards=config.it_shards)
-    obs = space.manager.enable_observability() if observe else None
+    space.manager.enable_topology(shards=config.it_shards)
+    return World(space, stores)
 
+
+def _cell_kill(
+    world: World, config: TopologyBenchConfig, victim: int
+) -> Dict[str, Any]:
+    """Swap out, kill cell ``victim`` with its data, recover, swap in."""
+    space, manager = world.space, world.space.manager
+    topology = manager.topology
     space.ingest(
         build_list(config.it_objects),
         cluster_size=config.it_cluster_size,
         root_name="head",
     )
-    sids = [
-        sid
-        for sid, cluster in sorted(space.clusters().items())
-        if sid != 0 and cluster.swappable() and cluster.oids
-    ]
+    sids = swappable_sids(space)
     for sid in sids:
-        space.manager.swap_out(sid)
+        manager.swap_out(sid)
 
     cell_name = f"cell-{victim}"
     plan = ChurnPlan(
         events=(ChurnEvent(0.0, "", "kill_cell", cell=cell_name, lose_data=True),)
     )
-    ChurnInjector(plan, clock).apply(stores)
+    stores = {store.device_id: store for store in world.stores}
+    ChurnInjector(plan, space.clock).apply(stores)
     reparents_before = topology.stats.reparents
     repairs_before = topology.stats.repair_replicas
-    started = clock.now()
+    started = space.clock.now()
     # the fleet notices the dead cell: detach strikes its replicas from
     # the ledger (kill alone leaves them ACTIVE-but-unreachable) and
     # lets tick + scrub do the real recovery work
-    for store in list(stores.values()):
+    for store in world.stores:
         if store.placement_group == cell_name:
-            space.manager.detach_store(store, dead=True)
+            manager.detach_store(store, dead=True)
     topology.tick()
-    space.manager.resilience.scrubber.run_until_stable()
-    recovery_s = clock.now() - started
+    manager.resilience.scrubber.run_until_stable()
+    recovery_s = space.clock.now() - started
 
-    placement = space.manager.resilience.placement
-    lost = sum(
-        1 for record in placement.records().values() if record.live_count == 0
-    )
+    records = manager.resilience.placement.records().values()
+    lost = sum(1 for record in records if record.live_count == 0)
+    # clusters back at the target factor
     full = sum(
-        1
-        for record in placement.records().values()
-        if record.live_count >= config.replication_factor
+        1 for record in records if record.live_count >= config.replication_factor
     )
-    ok = 0
+    swapped_in = 0
     for sid in sids:
         try:
-            space.manager.swap_in(sid)
-            ok += 1
+            manager.swap_in(sid)
+            swapped_in += 1
         except Exception:
             pass
-    if obs is not None:
-        obs.refresh()
-        if obs_path is not None:
-            obs.export_jsonl(
-                obs_path, label=f"topology:cell={cell_name}", append=obs_append
-            )
-    return CellKillResult(
-        cell=cell_name,
-        clusters=len(sids),
-        clusters_lost=lost,
-        reparents=topology.stats.reparents - reparents_before,
-        recovery_s=recovery_s,
-        replicas_repaired=topology.stats.repair_replicas - repairs_before,
-        fully_replicated=full,
-        swap_in_ok=ok,
-    )
+    return {
+        "cell": cell_name,
+        "clusters": len(sids),
+        "clusters_lost": lost,
+        "reparents": topology.stats.reparents - reparents_before,
+        "recovery_s": recovery_s,
+        "replicas_repaired": topology.stats.repair_replicas - repairs_before,
+        "fully_replicated": full,
+        "swap_in_ok": swapped_in,
+    }
 
 
-def run_topology_bench(
-    config: TopologyBenchConfig | None = None,
-    *,
-    observe: bool = False,
-    obs_path: Optional[str] = None,
-) -> TopologyReport:
-    config = config if config is not None else TopologyBenchConfig()
-    report = TopologyReport(config=config, observed=observe)
-    report.scale = run_scale(config)
-    for victim in range(config.it_cells):
-        report.integration.append(
-            run_cell_kill(
-                config,
-                victim,
-                observe=observe,
-                obs_path=obs_path,
-                obs_append=victim > 0,
-            )
+def cases(config: TopologyBenchConfig) -> List[Case]:
+    """The integration layer, as cases: one per cell killed."""
+    return [
+        Case(
+            f"cell-{victim}",
+            partial(_cell_world, config, victim),
+            partial(_cell_kill, config=config, victim=victim),
         )
-    return report
-
-
-def format_table(report: TopologyReport) -> str:
-    lines: List[str] = []
-    scale = report.scale
-    if scale is not None:
-        lines.append(
-            f"scale: {scale.stores} stores / {scale.cells} cells / "
-            f"{scale.shards} shards / {scale.keys} keys "
-            f"(registered in {scale.register_s:.2f}s)"
-        )
-        lines.append(
-            f"  lookup: {scale.lookup_ns_small:.0f} ns @1% -> "
-            f"{scale.lookup_ns_full:.0f} ns @100% "
-            f"(x{scale.lookup_ratio:.2f}, O(1): "
-            f"{'yes' if scale.lookup_o1 else 'NO'})"
-        )
-        lines.append(
-            f"  any-cell loss: {scale.worst_cell_lost_clusters} clusters "
-            f"(zero-loss: {'yes' if scale.zero_loss_any_cell else 'NO'})"
-        )
-        lines.append(
-            f"  churn: {scale.cells_killed} cells killed, "
-            f"{scale.reparents} reparents @ "
-            f"{scale.reparent_wall_ms_mean:.2f} ms mean; rebalance "
-            f"{scale.rebalance_moves} moves in "
-            f"{scale.rebalance_wall_ms:.1f} ms; rebuild "
-            f"{scale.rebuild_wall_ms:.1f} ms"
-        )
-    header = (
-        f"{'cell':>8} {'clusters':>9} {'lost':>5} {'reparents':>10} "
-        f"{'recovery s':>11} {'repairs':>8} {'full rf':>8} {'swap-in ok':>11}"
-    )
-    lines.extend([header, "-" * len(header)])
-    for result in report.integration:
-        lines.append(
-            f"{result.cell:>8} {result.clusters:>9} {result.clusters_lost:>5} "
-            f"{result.reparents:>10} {result.recovery_s:>11.3f} "
-            f"{result.replicas_repaired:>8} {result.fully_replicated:>8} "
-            f"{result.swap_in_ok:>11}"
-        )
-    lines.append(
-        "zero loss on any full cell death: "
-        + ("yes" if report.zero_loss else "NO")
-    )
-    return "\n".join(lines)
-
+        for victim in range(config.it_cells)
+    ]

@@ -14,10 +14,27 @@ exactly the paper's test primitives:
 
 from __future__ import annotations
 
+import hashlib
 import random
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from repro.runtime.obicomp import managed
+
+
+def blob(seed_a: int, seed_b: int, nbytes: int) -> str:
+    """Deterministic high-entropy hex content (defeats the codec's zlib
+    pass, as real application state would)."""
+    chunks: List[str] = []
+    length = 0
+    counter = 0
+    while length < nbytes:
+        digest = hashlib.sha256(
+            f"{seed_a}:{seed_b}:{counter}".encode("ascii")
+        ).hexdigest()
+        chunks.append(digest)
+        length += len(digest)
+        counter += 1
+    return "".join(chunks)[:nbytes]
 
 
 @managed(size=64)

@@ -53,13 +53,20 @@ def _spans_of(records: List[Dict[str, Any]]) -> List[_DumpSpan]:
     ]
 
 
+def _load(path: str) -> Optional[List[Dict[str, Any]]]:
+    """The dump's records, or ``None`` (reported) when it cannot be read."""
+    try:
+        return load_dump(path)
+    except (OSError, ValueError) as exc:
+        print(f"{path}: UNREADABLE — {exc}")
+        return None
+
+
 def _cmd_check(paths: List[str]) -> int:
     failed = False
     for path in paths:
-        try:
-            records = load_dump(path)
-        except (OSError, ValueError) as exc:
-            print(f"{path}: UNREADABLE — {exc}")
+        records = _load(path)
+        if records is None:
             failed = True
             continue
         problems = check_dump(records)
@@ -79,7 +86,9 @@ def _cmd_check(paths: List[str]) -> int:
 
 
 def _cmd_report(path: str, max_traces: int) -> int:
-    records = load_dump(path)
+    records = _load(path)
+    if records is None:
+        return 1
     problems = check_dump(records)
     if problems:
         print(f"{path}: malformed dump ({problems[0]}); run `obs check`")
@@ -160,7 +169,9 @@ def _cmd_report(path: str, max_traces: int) -> int:
 
 
 def _cmd_prom(path: str) -> int:
-    records = load_dump(path)
+    records = _load(path)
+    if records is None:
+        return 1
     print(render_prometheus(registry_from_dump(records)), end="")
     return 0
 

@@ -97,7 +97,11 @@ def canonical_element(tag: str, attrib: dict, content: str) -> str:
 def _strip_whitespace(element: ET.Element) -> None:
     if element.text is not None and not element.text.strip() and len(element):
         element.text = None
-    if element.tail is not None and not element.tail.strip():
+    if element.tail is not None:
+        if element.tail.strip():
+            raise CodecError(
+                f"character data {element.tail.strip()[:20]!r} after <{element.tag}>"
+            )
         element.tail = None
     for child in element:
         _strip_whitespace(child)

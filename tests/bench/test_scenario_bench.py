@@ -1,15 +1,17 @@
 """Scenario bench harness: script determinism, scoring math, one real run."""
 
+from repro.bench.runner import run_cases
 from repro.bench.scenarios import (
     ScenarioBenchConfig,
     _p95,
     _worst,
     build_script,
-    format_table,
-    run_once,
-    run_scenarios,
+    case,
+    cases,
+    score,
     script_seed,
 )
+from repro.bench.sweep import format_records
 from repro.faults.scenarios import SCENARIOS, ScenarioPhase, ScenarioSpec
 
 
@@ -83,26 +85,30 @@ def _tiny_spec():
     )
 
 
+def _run_once(spec, seed, ladder):
+    """One unobserved case: its ``run_once`` result on a fresh world."""
+    one = case(spec, seed, ladder)
+    return one.run(one.build())
+
+
 def test_run_once_scores_both_modes():
     spec = _tiny_spec()
-    script = build_script(spec, 1)
     for ladder in (True, False):
-        result = run_once(spec, 1, script, ladder=ladder)
+        result = _run_once(spec, 1, ladder)
         assert result["mode"] == ("ladder" if ladder else "baseline")
         assert result["stall_samples"] > 0
         assert result["p95_stall_s"] >= 0.0
         assert isinstance(result["slo_met"], bool)
         assert result["sim_duration_s"] > 0.0
-    ladder_result = run_once(spec, 1, script, ladder=True)
+    ladder_result = _run_once(spec, 1, True)
     assert "rung_transitions" in ladder_result
     assert "final_rung" in ladder_result
 
 
 def test_run_once_is_deterministic_per_seed():
     spec = _tiny_spec()
-    script = build_script(spec, 2)
-    first = run_once(spec, 2, script, ladder=True)
-    second = run_once(spec, 2, script, ladder=True)
+    first = _run_once(spec, 2, True)
+    second = _run_once(spec, 2, True)
     for key in ("p95_stall_s", "stall_samples", "oom_kills",
                 "foreground_oom", "sim_duration_s"):
         assert first[key] == second[key]
@@ -118,12 +124,15 @@ def test_report_shape_and_table(monkeypatch):
     # shrink the world so the full pipeline stays test-sized
     monkeypatch.setitem(SCENARIOS, "memory_spike", _tiny_spec)
     config = ScenarioBenchConfig(seeds=(1,), scenarios=("memory_spike",))
-    report = run_scenarios(config)
-    assert report["benchmark"] == "scenarios"
-    entry = report["scenarios"]["memory_spike"]
-    assert set(entry["seeds"]) == {"1"}
-    assert {"ladder", "baseline"} <= set(entry["seeds"]["1"])
+    results = run_cases("scenarios", cases(config))
+    assert list(results) == [
+        "memory_spike:ladder:seed=1",
+        "memory_spike:baseline:seed=1",
+    ]
+    report = score(config, results)
+    entry = report["memory_spike"]
+    assert {"ladder", "baseline"} <= set(entry)
     assert set(entry["slo"]) == {"ladder_met", "baseline_violates"}
-    table = format_table(report)
-    assert "memory_spike" in table
-    assert "scenario" in table
+    table = format_records(list(results.values()))
+    assert "memory_spike:ladder:seed=1" in table
+    assert "p95_stall_s" in table

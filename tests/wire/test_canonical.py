@@ -4,8 +4,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from types import SimpleNamespace
+
 from repro.errors import CodecError
-from repro.wire.canonical import canonical_text, payload_digest, utf8_len
+from repro.wire.canonical import (
+    canonical_text,
+    payload_digest,
+    utf8_len,
+    verify_payload,
+)
+from repro.wire.xmlcodec import decode_cluster
 
 
 def test_whitespace_insensitive():
@@ -47,6 +55,31 @@ def test_malformed_raises():
 
 def test_self_closing_empty_elements():
     assert canonical_text("<a></a>") == "<a/>"
+
+
+class Node:
+    pass
+
+
+def test_stray_text_between_or_after_members_is_rejected():
+    clean = (
+        '<swap-cluster count="2" epoch="0" sid="3">'
+        '<object class="Node" oid="1"/><object class="Node" oid="2"/>'
+        "</swap-cluster>"
+    )
+    stray = clean.replace('"1"/>', '"1"/>rot').replace(
+        '"2"/>', '"2"/>tail'
+    )
+    with pytest.raises(CodecError):
+        canonical_text(stray)
+    assert verify_payload(clean, payload_digest(clean))
+    assert not verify_payload(stray, payload_digest(clean))
+    registry = SimpleNamespace(resolve={"Node": Node}.__getitem__)
+    assert len(
+        decode_cluster(clean, registry=registry, resolve_out=int).objects
+    ) == 2
+    with pytest.raises(CodecError):
+        decode_cluster(stray, registry=registry, resolve_out=int)
 
 
 def _outcome(function, text):

@@ -347,8 +347,8 @@ def _pair_text() -> str:
     "old, new, fails",
     [
         ("</object><object", '</object><tombstone oid="3"/><object', True),
-        # foreign text: its canonical form drops the character data
-        ("</object><object", "</object>text<object", False),
+        # foreign text between members: canonical_text rejects it
+        ("</object><object", "</object>text<object", True),
         ("</object><object", "<object", True),  # the first member is not closed
         ('count="2"', 'count="3"', True),
         ('<ref oid="2"/>', '<ref oid="9"/>', True),  # dangling

@@ -72,10 +72,6 @@ class CompressedPoolStore:
     def pool_used(self) -> int:
         return self._pool_used
 
-    @property
-    def pool_limit(self) -> int:
-        return self._pool_limit
-
     def store(self, key: str, xml_text: str) -> None:
         raw = xml_text.encode("utf-8")
         started = time.perf_counter()

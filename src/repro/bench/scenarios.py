@@ -35,7 +35,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.bench.runner import Case, World
 from repro.clock import SimulatedClock
 from repro.comm.transport import bluetooth_link
-from repro.core.degrade import DegradeLadderConfig
 from repro.core.fastpath import FastPathConfig
 from repro.core.space import Space
 from repro.devices.store import XmlStoreDevice
@@ -217,9 +216,7 @@ def _world(spec: ScenarioSpec, seed: int, ladder: bool) -> World:
         )
     )
     if ladder:
-        manager.enable_degrade_ladder(
-            DegradeLadderConfig(slo_p95_stall_s=spec.slo_p95_stall_s)
-        )
+        manager.enable_degrade_ladder()
     return World(space, stores)
 
 

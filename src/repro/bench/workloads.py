@@ -115,9 +115,6 @@ class Record:
     def get_payload(self) -> str:
         return self.payload
 
-    def link_count(self) -> int:
-        return len(self.links)
-
 
 def build_record_clusters(
     space: Any,

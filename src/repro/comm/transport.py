@@ -123,8 +123,7 @@ class LoopbackLink:
 
     Keeps the same :class:`LinkStats` / ``on_transfer`` surface as
     :class:`SimulatedLink` so per-link observability works in loopback
-    tests too.  The historical bare ``bytes_carried`` counter survives
-    as a property alias of ``stats.bytes_carried``.
+    tests too.
     """
 
     def __init__(self) -> None:
@@ -134,11 +133,6 @@ class LoopbackLink:
         self.on_transfer: Optional[
             Callable[["LoopbackLink", int, float], None]
         ] = None
-
-    @property
-    def bytes_carried(self) -> int:
-        """Deprecated alias of ``stats.bytes_carried``."""
-        return self.stats.bytes_carried
 
     def transfer(self, nbytes: int) -> float:
         self.stats.transfers += 1

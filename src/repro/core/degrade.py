@@ -25,14 +25,12 @@ rung                behavior
                     re-ship, zero bytes and zero latency on the link
 ``EMERGENCY``       when the victim loop still cannot make room, resident
                     clusters are OOM-killed lowest-priority-first
-                    (foreground clusters are exempt while
-                    ``protect_foreground`` holds and any other candidate
-                    exists)
+                    (foreground clusters are never killed)
 ==================  ========================================================
 
 Escalation is immediate — the signal's level *is* the target rung.
 De-escalation is hysteretic and fully reversible: one rung down per
-``hold_s`` of simulated time spent below the current rung, until the
+:data:`HOLD_S` of simulated time spent below the current rung, until the
 ladder is back at ``NORMAL`` and the pipeline behaves exactly as if it
 had never been installed (pool-hibernated clusters are re-promoted to
 real stores by the existing scrubber).
@@ -46,22 +44,25 @@ stalls, with p95s exported through ``repro.obs`` as
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
 from repro.events import DegradeRungChangedEvent, PressureChangedEvent
 from repro.policy.pressure import (
     PressureLevel,
     PressureSignal,
-    PressureThresholds,
     classify,
     links_busy_seconds,
     store_health_of,
 )
 
-#: ``SwapCluster.priority`` value the emergency rung must not kill
-#: (``repro.policy.priority.Priority.FOREGROUND``, as a plain int).
-FOREGROUND_PRIORITY = 2
+#: Simulated seconds the signal must stay below the current rung
+#: before the ladder steps down one rung (hysteresis).
+HOLD_S = 5.0
+#: Minimum simulated seconds between link-saturation samples (the
+#: reading is a rate and needs a window to be meaningful).
+SATURATION_WINDOW_S = 1.0
+#: Stall samples retained per tracker (oldest dropped beyond this).
+STALL_SAMPLES = 4096
 
 
 class DegradeRung(enum.IntEnum):
@@ -73,38 +74,10 @@ class DegradeRung(enum.IntEnum):
     EMERGENCY = 3
 
 
-@dataclass(frozen=True)
-class DegradeLadderConfig:
-    """Tuning knobs for the degrade ladder."""
-
-    thresholds: PressureThresholds = field(default_factory=PressureThresholds)
-    #: Simulated seconds the signal must stay below the current rung
-    #: before the ladder steps down one rung (hysteresis).
-    hold_s: float = 5.0
-    #: The responsiveness SLO this space is held to (benchmarks and the
-    #: obs export read it; the ladder itself never blocks on it).
-    slo_p95_stall_s: float = 2.0
-    #: Emergency rung: never OOM-kill a foreground-priority cluster
-    #: while any lower-priority candidate exists.
-    protect_foreground: bool = True
-    #: Install the ``responsiveness`` victim strategy when the ladder
-    #: is enabled (set False to keep the manager's current selector).
-    install_selector: bool = True
-    victim_strategy: str = "responsiveness"
-    #: Minimum simulated seconds between link-saturation samples (the
-    #: reading is a rate and needs a window to be meaningful).
-    saturation_window_s: float = 1.0
-    #: Heap share the ladder's own fallback pool may occupy when no
-    #: resilience coordinator provides one.
-    fallback_pool_fraction: float = 0.5
-    #: Stall samples retained per tracker (oldest dropped beyond this).
-    stall_samples: int = 4096
-
-
 class StallTracker:
     """Bounded reservoir of (seconds, priority) stall samples."""
 
-    def __init__(self, cap: int = 4096) -> None:
+    def __init__(self, cap: int = STALL_SAMPLES) -> None:
         self._cap = max(1, cap)
         self._samples: List[Tuple[float, int]] = []
         self.count = 0
@@ -141,8 +114,7 @@ class StallTracker:
 class DegradeLadder:
     """Pressure-tiered degradation state for one swapping manager."""
 
-    def __init__(self, manager: Any, config: DegradeLadderConfig) -> None:
-        self.config = config
+    def __init__(self, manager: Any) -> None:
         self._manager = manager
         self.rung = DegradeRung.NORMAL
         #: The most recent :class:`PressureSignal` (None before the
@@ -152,10 +124,10 @@ class DegradeLadder:
         self.transitions: List[Tuple[float, int, int]] = []
         #: Fault stalls: simulated seconds an access spent waiting for a
         #: swap-in.  The headline SLO metric.
-        self.fault_stalls = StallTracker(config.stall_samples)
+        self.fault_stalls = StallTracker()
         #: Allocation stalls: simulated seconds ``ensure_room`` spent
         #: making space (victim ships included).
-        self.alloc_stalls = StallTracker(config.stall_samples)
+        self.alloc_stalls = StallTracker()
         self._below_since: Optional[float] = None
         self._busy_at_sample = 0.0
         self._sample_time: Optional[float] = None
@@ -189,9 +161,7 @@ class DegradeLadder:
         if self._fallback is None:
             from repro.baselines.compression import CompressedPoolStore
 
-            self._fallback = CompressedPoolStore(
-                self._space, pool_fraction=self.config.fallback_pool_fraction
-            )
+            self._fallback = CompressedPoolStore(self._space)
         return self._fallback
 
     # -- pressure ----------------------------------------------------------
@@ -237,22 +207,20 @@ class DegradeLadder:
         if self._sample_time is None:
             self._sample_time = now
             self._busy_at_sample = busy
-        elif now - self._sample_time >= self.config.saturation_window_s:
+        elif now - self._sample_time >= SATURATION_WINDOW_S:
             elapsed = now - self._sample_time
             self._saturation = min(
                 1.0, max(0.0, (busy - self._busy_at_sample) / elapsed)
             )
             self._sample_time = now
             self._busy_at_sample = busy
-        return classify(
-            headroom, health, self._saturation, self.config.thresholds
-        )
+        return classify(headroom, health, self._saturation)
 
     def update(self) -> DegradeRung:
         """Re-assess pressure and move the rung; returns the new rung.
 
         Escalation is immediate (the signal's level is the target
-        rung); de-escalation steps down one rung per ``hold_s`` of
+        rung); de-escalation steps down one rung per :data:`HOLD_S` of
         simulated time spent below the current rung.
         """
         signal = self.assess()
@@ -280,7 +248,7 @@ class DegradeLadder:
         elif target < self.rung:
             if self._below_since is None:
                 self._below_since = now
-            elif now - self._below_since >= self.config.hold_s:
+            elif now - self._below_since >= HOLD_S:
                 self._transition(
                     DegradeRung(int(self.rung) - 1), now, "pressure subsided"
                 )
@@ -298,7 +266,7 @@ class DegradeLadder:
         read below CRITICAL (its reclaimable estimate can name clusters
         that turned out to be unevictable with every store full); failed
         reclaim is ground truth.  De-escalation happens normally once
-        the signal stays below EMERGENCY for ``hold_s``.
+        the signal stays below EMERGENCY for :data:`HOLD_S`.
         """
         if self.rung < DegradeRung.EMERGENCY:
             self._transition(

@@ -27,28 +27,27 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.ids import Sid
 from repro.wire.canonical import utf8_len
 
+#: Frame size for chunked payload shipping (store_stream batches).
+FRAME_BYTES = 2048
+
 
 @dataclass
 class FastPathConfig:
-    """Tunables for the swap fast path."""
+    """Tunables for the swap fast path.
+
+    Payload copies always stay on their stores after swap-in, so a later
+    clean swap-out can be a metadata-only no-op against them.
+    """
 
     #: Byte budget for locally retained canonical payloads.
     cache_budget_bytes: int = 8 << 20
-    #: Leave payload copies on stores after swap-in so a later clean
-    #: swap-out can be a metadata-only no-op against them.
-    retain_remote_copies: bool = True
     #: Serve swap-in from the local payload cache when possible.
     serve_swap_in_from_cache: bool = True
-    #: Codecs offered during per-store compression negotiation, best
-    #: first.  Empty tuple disables compression entirely.
-    compression: Tuple[str, ...] = ("zlib",)
-    #: Frame size for chunked payload shipping (store_stream batches).
-    frame_bytes: int = 2048
     #: Ship object-granular deltas for clusters whose staleness is fully
     #: attributed (see ``SwapCluster.delta_eligible``).  Off by default:
     #: with ``delta=False`` nothing about the existing pipeline changes.
@@ -164,8 +163,12 @@ class FastPathState:
         self.cache = PayloadCache(self.config.cache_budget_bytes)
 
     def negotiate_for(self, store: object) -> Optional[str]:
-        """Negotiate (once per store) a payload compression codec."""
-        from repro.comm.transport import negotiate_compression
+        """Negotiate (once per store) a payload compression codec; a
+        store that advertises none gets plain text."""
+        from repro.comm.transport import (
+            SUPPORTED_COMPRESSIONS,
+            negotiate_compression,
+        )
 
         device_id = getattr(store, "device_id", None)
         if device_id is None:
@@ -173,7 +176,7 @@ class FastPathState:
         if device_id not in self.negotiated:
             theirs = getattr(store, "supported_compressions", None)
             self.negotiated[device_id] = negotiate_compression(
-                self.config.compression, theirs
+                SUPPORTED_COMPRESSIONS, theirs
             )
         return self.negotiated[device_id]
 

@@ -42,7 +42,12 @@ from typing import (
 )
 
 from repro.comm.transport import compress_payload
-from repro.core.fastpath import DeltaChain, FastPathConfig, FastPathState
+from repro.core.fastpath import (
+    FRAME_BYTES,
+    DeltaChain,
+    FastPathConfig,
+    FastPathState,
+)
 from repro.core.interfaces import SwapStore
 from repro.core.replacement import ReplacementObject, SwapLocation
 from repro.core.swap_cluster import SwapCluster, SwapClusterState
@@ -81,7 +86,7 @@ from repro.wire.delta import apply_cluster_delta, encode_cluster_delta
 from repro.wire.xmlcodec import decode_cluster, encode_cluster_canonical
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs import ObsConfig, Observability
+    from repro.obs import Observability
     from repro.resilience import Resilience, ResilienceConfig
 
 #: The dedicated subclass lets the retry machinery distinguish "this
@@ -237,11 +242,11 @@ def _with_room(
     return chosen
 
 
-def _frames(data: bytes, frame_bytes: int) -> List[bytes]:
+def _frames(data: bytes) -> List[bytes]:
     """``data`` cut into link frames (one empty frame for no data)."""
     return [
-        data[offset : offset + frame_bytes]
-        for offset in range(0, len(data), frame_bytes)
+        data[offset : offset + FRAME_BYTES]
+        for offset in range(0, len(data), FRAME_BYTES)
     ] or [b""]
 
 
@@ -385,70 +390,41 @@ class SwappingManager:
         )
         return self.resilience
 
-    def disable_resilience(self) -> None:
-        self.resilience = None
-
     # -- fast path ---------------------------------------------------------------
 
     def enable_fastpath(
-        self,
-        config: Optional[FastPathConfig] = None,
-        *,
-        delta: Optional[bool] = None,
+        self, config: Optional[FastPathConfig] = None
     ) -> FastPathState:
         """Turn on the swap fast path (see :mod:`repro.core.fastpath`).
 
         Calling again replaces the state (fresh cache and retention
-        tables) with the new ``config``.  ``enable_fastpath(delta=True)``
-        overlays the config to turn on object-granular delta swap-out.
-        Overlapped replica ships come from the async scheduler:
-        ``enable_async_scheduler(channels=n, prefetch=False)``.
+        tables) with the new ``config``;
+        ``enable_fastpath(FastPathConfig(delta=True))`` also ships
+        object-granular deltas.  Overlapped replica ships come from the
+        async scheduler: ``enable_async_scheduler(channels=n,
+        prefetch=False)``.
         """
-        config = config if config is not None else FastPathConfig()
-        if delta is not None:
-            config = replace(config, delta=delta)
-        self.fastpath = FastPathState(config)
+        self.fastpath = FastPathState(
+            config if config is not None else FastPathConfig()
+        )
         return self.fastpath
-
-    def disable_fastpath(self) -> None:
-        """Back to the classic always-encode pipeline.
-
-        Clean bits left on clusters are ignored while ``fastpath`` is
-        ``None``, so this is safe at any point.
-        """
-        self.fastpath = None
 
     # -- degrade ladder ----------------------------------------------------------
 
-    def enable_degrade_ladder(self, config: Optional[Any] = None) -> Any:
+    def enable_degrade_ladder(self) -> Any:
         """Turn on the pressure-tiered degrade ladder (see
         :mod:`repro.core.degrade`).
 
-        Unless ``config.install_selector`` is off, this also installs
-        the ``responsiveness`` victim strategy so eviction order and
-        the emergency rung agree about priorities.  Calling again
-        replaces the ladder (fresh pressure/SLO state) with the new
-        config.
+        This also installs the ``responsiveness`` victim strategy, so
+        eviction order and the emergency rung agree about priorities.
+        Calling again replaces the ladder (fresh pressure/SLO state).
         """
-        from repro.core.degrade import DegradeLadder, DegradeLadderConfig
+        from repro.core.degrade import DegradeLadder
+        from repro.policy.victims import make_selector
 
-        config = config if config is not None else DegradeLadderConfig()
-        self.ladder = DegradeLadder(self, config)
-        if config.install_selector:
-            from repro.policy.victims import make_selector
-
-            self.victim_selector = make_selector(config.victim_strategy)
+        self.ladder = DegradeLadder(self)
+        self.victim_selector = make_selector("responsiveness")
         return self.ladder
-
-    def disable_degrade_ladder(self) -> None:
-        """Drop the ladder; swap-outs route exactly as before it existed.
-
-        The victim selector falls back to the default LRU policy when
-        the ladder had installed its own.
-        """
-        if self.ladder is not None and self.ladder.config.install_selector:
-            self.victim_selector = _default_selector()
-        self.ladder = None
 
     # -- async scheduler ---------------------------------------------------------
 
@@ -502,48 +478,25 @@ class SwappingManager:
 
     # -- topology ----------------------------------------------------------------
 
-    def enable_topology(
-        self,
-        config: Optional[Any] = None,
-        *,
-        shards: Optional[int] = None,
-        replicas: Optional[int] = None,
-    ) -> Any:
+    def enable_topology(self, shards: int = 16) -> Any:
         """Turn on the sharded topology service (see :mod:`repro.topology`):
         the sid space is folded onto hash shards, each with a primary
         store and replicas spread across cells (``placement_group``s),
         per-cell replication records track every replica-set change, and
         a dead/browned-out/detached primary is *reparented* to the
-        healthiest in-sync replica.
+        healthiest in-sync replica.  Each shard is held by
+        :meth:`target_replicas` stores.
 
         Requires the resilience pipeline (the topology elects by health
         history and repairs through the scrubber); raises
-        :class:`~repro.errors.SwapError` otherwise.  The keyword
-        shortcuts overlay the config: ``enable_topology(shards=64)``.
-        Calling again replaces the service (fresh shard table and cell
-        records) with the new config.
+        :class:`~repro.errors.SwapError` otherwise.  Calling again
+        replaces the service (fresh shard table and cell records).
         """
-        from repro.topology import TopologyConfig, TopologyService
+        from repro.topology import TopologyService
 
-        config = config if config is not None else TopologyConfig()
-        overrides: Dict[str, Any] = {}
-        if shards is not None:
-            overrides["shards"] = shards
-        if replicas is not None:
-            overrides["replicas_per_shard"] = replicas
-        if overrides:
-            config = replace(config, **overrides)
-        self.topology = TopologyService(self, config)
-        if self.resilience is not None:
-            self.resilience.placement.observer = self.topology
+        self.topology = TopologyService(self, shards)
+        self.resilience.placement.observer = self.topology
         return self.topology
-
-    def disable_topology(self) -> None:
-        """Back to per-key health/anti-affinity planning."""
-        if self.topology is not None and self.resilience is not None:
-            if self.resilience.placement.observer is self.topology:
-                self.resilience.placement.observer = None
-        self.topology = None
 
     def rebuild_topology(self) -> Dict[str, int]:
         """Recover placement *and* topology after a crash or cell loss.
@@ -563,32 +516,22 @@ class SwappingManager:
 
     # -- observability -----------------------------------------------------------
 
-    def enable_observability(
-        self, config: Optional["ObsConfig"] = None
-    ) -> "Observability":
+    def enable_observability(self) -> "Observability":
         """Turn on unified observability (see :mod:`repro.obs`): span
         tracing through the swap pipeline, a metrics registry, per-phase
         profiling, and event/trace correlation.
 
-        Calling again replaces the runtime (fresh tracer and registry)
-        with the new ``config``.  While disabled (the default) every
-        instrumented site costs one ``None`` check.
+        Calling again replaces the runtime (fresh tracer and registry).
+        While off (the default) every instrumented site costs one
+        ``None`` check.
         """
-        from repro.obs import Observability, ObsConfig
+        from repro.obs import Observability
 
         if self.obs is not None:
             self.obs.detach()
-        self.obs = Observability(
-            self, config if config is not None else ObsConfig()
-        )
+        self.obs = Observability(self)
         self.obs.attach()
         return self.obs
-
-    def disable_observability(self) -> None:
-        """Detach hooks and drop the observability runtime."""
-        if self.obs is not None:
-            self.obs.detach()
-            self.obs = None
 
     def _obs_span(self, name: str, **tags: Any):
         """A live span when observability is on, :data:`NULL_SPAN` when off."""
@@ -1061,28 +1004,17 @@ class SwappingManager:
         applied_text: str,
     ) -> int:
         """Ship each holder the ``<swap-delta>`` document, or the applied
-        full payload when it has no ``store_delta``, its base diverged or
-        it refuses the delta; returns how many took the delta."""
+        full payload when it has no ``store_delta`` or refuses the delta
+        (its base diverged or is lost); returns how many took the delta."""
         sid, key = handoff.sid, handoff.key
         fastpath = self.fastpath
         resilience = self.resilience
-        record = (
-            resilience.placement.get(sid) if resilience is not None else None
-        )
         copies = 0
         for holder in holders:
             sink = getattr(holder, "store_delta", None)
-            if record is not None and (
-                record.applied_epochs.get(holder.device_id, base_epoch)
-                != base_epoch
-            ):
-                sink = None  # diverged: ship it whole
             if sink is not None:
                 compression = fastpath.negotiate_for(holder)
-                frames = _frames(
-                    compress_payload(delta_text, compression),
-                    fastpath.config.frame_bytes,
-                )
+                frames = _frames(compress_payload(delta_text, compression))
                 ship = partial(
                     sink,
                     key,
@@ -1693,11 +1625,7 @@ class SwappingManager:
         """After a reload: keep the store copies for the fast path, or
         drop them with the rest of the delta chain."""
         fastpath = self.fastpath
-        if (
-            fastpath is not None
-            and fastpath.config.retain_remote_copies
-            and holders
-        ):
+        if fastpath is not None and holders:
             # leave the copies in place: if the cluster comes back
             # clean, the next swap-out is a metadata-only no-op (and
             # the delta chain stays valid for a later delta ship)
@@ -1746,9 +1674,7 @@ class SwappingManager:
         if fastpath is None or stream is None:
             return lambda: holder.store(key, xml_text)
         compression = fastpath.negotiate_for(holder)
-        frames = _frames(
-            compress_payload(xml_text, compression), fastpath.config.frame_bytes
-        )
+        frames = _frames(compress_payload(xml_text, compression))
         return lambda: stream(key, frames, compression)
 
     def _fetch_verified(
@@ -2123,24 +2049,22 @@ class SwappingManager:
         evicted outright) and clusters hibernating in the local
         compressed pool (their pool bytes live in this same heap, so
         dropping them is reclamation too).  Foreground clusters are
-        exempt while ``protect_foreground`` holds and any lower-priority
-        candidate remains — under that policy a space whose remaining
-        candidates are all foreground simply stays full and the
-        allocation fails, which the benchmark counts as an SLO breach
-        rather than a kill.
+        never killed: a space whose remaining candidates are all
+        foreground simply stays full and the allocation fails, which
+        the benchmark counts as an SLO breach rather than a kill.
         """
         space = self._space
         ladder = self.ladder
-        protect = ladder is not None and ladder.config.protect_foreground
         pool_device = None
-        if ladder is not None and ladder.has_fallback():
+        if ladder.has_fallback():
             pool_device = ladder.fallback_store().device_id
         freed = 0
         while not space.heap.would_fit(need_bytes):
             candidates = [
                 cluster
                 for cluster in space._clusters.values()
-                if cluster.sid not in self._loading  # never the one being reloaded
+                if cluster.priority < FOREGROUND_PRIORITY
+                and cluster.sid not in self._loading  # never the one being reloaded
                 and (
                     cluster.swappable()
                     or (
@@ -2153,18 +2077,8 @@ class SwappingManager:
                     )
                 )
             ]
-            if protect:
-                spared = [
-                    cluster
-                    for cluster in candidates
-                    if cluster.priority < FOREGROUND_PRIORITY
-                ]
-                if spared:
-                    candidates = spared
-                elif candidates:
-                    break  # only foreground left: refuse to kill it
             if not candidates:
-                break
+                break  # nothing left but foreground: refuse to kill it
             victim = min(
                 candidates,
                 key=lambda c: (c.priority, c.last_crossing_tick, c.sid),

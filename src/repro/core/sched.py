@@ -150,14 +150,6 @@ class AsyncSchedConfig:
     #: speculative payloads are shed (1 = COMPRESS_LOCAL: the moment the
     #: ladder starts defending memory, speculation yields)
     prefetch_pressure_limit: int = 1
-    #: pace fault admission: a fault does not return until at least one
-    #: transfer channel is idle again.  Without this the app races ahead
-    #: during prefetch-hit streaks while every fault enqueues deferred
-    #: ships/drops, and the accumulated link debt lands on whichever
-    #: fault finally misses — a fat stall tail (and unbounded payload
-    #: buffering).  The pacing wait is real flow control, charged to the
-    #: fault that incurred it.
-    backpressure: bool = True
 
     def __post_init__(self) -> None:
         if self.channels < 1:
@@ -557,14 +549,14 @@ class AsyncSwapScheduler:
     def _apply_backpressure(self) -> float:
         """Hold the fault until a transfer channel is idle (flow control).
 
-        Bounds how much deferred I/O the app can have outstanding: the
-        per-fault wait amortizes link debt that would otherwise pile up
-        through prefetch-hit streaks and land, in one lump, on the next
-        demand miss.  No-op when a channel is already free, or with
-        ``backpressure=False``.
+        Bounds how much deferred I/O the app can have outstanding.
+        Without it the app races ahead during prefetch-hit streaks while
+        every fault enqueues deferred ships/drops, and the accumulated
+        link debt lands, in one lump, on whichever fault finally misses
+        — a fat stall tail (and unbounded payload buffering).  The
+        pacing wait is charged to the fault that incurred it; no-op when
+        a channel is already free.
         """
-        if not self.config.backpressure:
-            return 0.0
         pace = self.transfers.next_channel_free() - self.clock.now()
         if pace <= 0.0:
             return 0.0

@@ -193,10 +193,6 @@ class Space:
     def object_count(self) -> int:
         return len(self._objects)
 
-    def _next_tick(self) -> int:
-        self._tick += 1
-        return self._tick
-
     # ------------------------------------------------------------------ adoption
 
     def adopt(self, obj: Any, sid: Sid = ROOT_SID) -> Oid:

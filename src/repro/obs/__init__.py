@@ -29,12 +29,11 @@ from repro.obs.metrics import (
     RETRY_BUCKETS,
 )
 from repro.obs.profile import PHASE_OF, PhaseProfiler, PhaseStats, format_breakdown
-from repro.obs.runtime import Observability, ObsConfig
+from repro.obs.runtime import Observability
 from repro.obs.trace import NULL_SPAN, Span, Tracer, span_tree
 
 __all__ = [
     "Observability",
-    "ObsConfig",
     "Tracer",
     "Span",
     "NULL_SPAN",

@@ -16,14 +16,13 @@ mirroring ``enable_resilience()`` / ``enable_fastpath()``.  Attaching
 * bridges finished ``swap.out`` / ``swap.in`` spans into latency
   histograms.
 
-Detaching undoes all of it; with no state attached the manager's only
-overhead is a ``None`` check per operation.
+``detach()`` undoes all of it.  A manager that never enabled
+observability pays one ``None`` check per operation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.export import render_prometheus, write_dump
 from repro.obs.metrics import (
@@ -36,32 +35,12 @@ from repro.obs.profile import PhaseProfiler, format_breakdown
 from repro.obs.trace import NULL_SPAN, Span, Tracer, span_tree
 
 
-@dataclass(frozen=True)
-class ObsConfig:
-    """Tuning knobs for the observability subsystem."""
-
-    #: Finished spans retained in the tracer's bounded buffer.
-    max_spans: int = 4096
-    #: Count every bus event under ``event.<topic>.count``.
-    count_events: bool = True
-    #: Record a ``link.transfer`` span per radio transfer (the metrics
-    #: are kept either way).
-    trace_link_transfers: bool = True
-    #: Bucket bounds for the swap latency histograms (simulated s).
-    latency_buckets_s: Tuple[float, ...] = LATENCY_BUCKETS_S
-    #: Bucket bounds for shipped payload sizes (bytes).
-    payload_buckets_b: Tuple[float, ...] = PAYLOAD_BUCKETS_B
-    #: Bucket bounds for retry attempts per operation.
-    retry_buckets: Tuple[float, ...] = RETRY_BUCKETS
-
-
 class Observability:
     """Tracing + metrics + profiling for one swapping manager."""
 
-    def __init__(self, manager: Any, config: Optional[ObsConfig] = None) -> None:
-        self.config = config if config is not None else ObsConfig()
+    def __init__(self, manager: Any) -> None:
         self._manager = manager
-        self.tracer = Tracer(self.clock, max_spans=self.config.max_spans)
+        self.tracer = Tracer(self.clock)
         self.metrics = MetricsRegistry()
         self.profiler = PhaseProfiler()
         self._unsubscribe: List[Callable[[], None]] = []
@@ -72,18 +51,10 @@ class Observability:
         self._attached = False
         # pre-create the headline histograms so exports are stable even
         # before the first operation
-        self.metrics.histogram(
-            "swap.out.latency_s", self.config.latency_buckets_s
-        )
-        self.metrics.histogram(
-            "swap.in.latency_s", self.config.latency_buckets_s
-        )
-        self.metrics.histogram(
-            "swap.payload.bytes", self.config.payload_buckets_b
-        )
-        self.metrics.histogram(
-            "swap.retry.attempts", self.config.retry_buckets
-        )
+        self.metrics.histogram("swap.out.latency_s", LATENCY_BUCKETS_S)
+        self.metrics.histogram("swap.in.latency_s", LATENCY_BUCKETS_S)
+        self.metrics.histogram("swap.payload.bytes", PAYLOAD_BUCKETS_B)
+        self.metrics.histogram("swap.retry.attempts", RETRY_BUCKETS)
         self.tracer.add_observer(self.profiler.record)
         self.tracer.add_observer(self._bridge_span)
 
@@ -109,8 +80,7 @@ class Observability:
         self._attached = True
         bus = self._space.bus
         bus.set_trace_provider(self.tracer.current_context)
-        if self.config.count_events:
-            self._unsubscribe.append(bus.subscribe_all(self._on_event))
+        self._unsubscribe.append(bus.subscribe_all(self._on_event))
         for store in self._manager.available_stores():
             self.instrument_store(store)
 
@@ -162,25 +132,24 @@ class Observability:
             self.metrics.counter("link.transfer.count").inc()
             self.metrics.counter("link.bytes.total").inc(nbytes)
             now = self.clock.now()
-            if self.config.trace_link_transfers:
-                self.tracer.record_span(
-                    "link.transfer",
-                    start_s=now - elapsed_s,
-                    end_s=now,
-                    link=getattr(link, "name", "link"),
-                    nbytes=nbytes,
-                )
+            self.tracer.record_span(
+                "link.transfer",
+                start_s=now - elapsed_s,
+                end_s=now,
+                link=getattr(link, "name", "link"),
+                nbytes=nbytes,
+            )
         except Exception:  # noqa: BLE001
             pass
 
     def _bridge_span(self, span: Span) -> None:
         if span.name == "swap.out":
             self.metrics.histogram(
-                "swap.out.latency_s", self.config.latency_buckets_s
+                "swap.out.latency_s", LATENCY_BUCKETS_S
             ).observe(span.duration_s)
         elif span.name == "swap.in":
             self.metrics.histogram(
-                "swap.in.latency_s", self.config.latency_buckets_s
+                "swap.in.latency_s", LATENCY_BUCKETS_S
             ).observe(span.duration_s)
         elif span.name == "retry.backoff":
             self.metrics.counter("swap.retry.count").inc()
@@ -188,14 +157,14 @@ class Observability:
     # -- recording helpers used by instrumented code -----------------------
 
     def observe_payload(self, nbytes: int) -> None:
-        self.metrics.histogram(
-            "swap.payload.bytes", self.config.payload_buckets_b
-        ).observe(nbytes)
+        self.metrics.histogram("swap.payload.bytes", PAYLOAD_BUCKETS_B).observe(
+            nbytes
+        )
 
     def observe_attempts(self, attempts: int) -> None:
-        self.metrics.histogram(
-            "swap.retry.attempts", self.config.retry_buckets
-        ).observe(attempts)
+        self.metrics.histogram("swap.retry.attempts", RETRY_BUCKETS).observe(
+            attempts
+        )
 
     # -- unified counter view ----------------------------------------------
 
@@ -421,4 +390,4 @@ class Observability:
         return self.tracer.span(name, **tags)
 
 
-__all__ = ["ObsConfig", "Observability", "NULL_SPAN"]
+__all__ = ["Observability", "NULL_SPAN"]

@@ -112,14 +112,8 @@ class Replicator:
             self._root_by_cid.setdefault(cid, root_name)
             self._materialize(root_name, cid)
 
-    def materialized_clusters(self) -> Dict[int, int]:
-        return dict(self._materialized)
-
     def pending_proxy_count(self) -> int:
         return len(self._proxies)
-
-    def oid_of_soid(self, soid: int) -> Optional[int]:
-        return self._oid_by_soid.get(soid)
 
     # -- fault handling --------------------------------------------------------------
 
@@ -408,15 +402,6 @@ class Replicator:
             self._proxies[soid] = proxy
             self._cid_by_soid.setdefault(soid, cid)
         return proxy
-
-    def cid_of_soid(self, soid: int) -> Optional[int]:
-        return self._cid_by_soid.get(soid)
-
-    def soid_of_oid(self, oid: int) -> Optional[int]:
-        return self._soid_by_oid.get(oid)
-
-    def cluster_soids(self, cid: int) -> List[int]:
-        return list(self._soids_by_cid.get(cid, ()))
 
     def cluster_version(self, cid: int) -> Optional[int]:
         return self._version_by_cid.get(cid)

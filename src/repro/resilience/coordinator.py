@@ -43,8 +43,6 @@ class ResilienceConfig:
     #: When every store is unreachable, hibernate the cluster into the
     #: local compressed pool instead of raising.
     degrade_to_local: bool = True
-    #: Heap share the local fallback pool may occupy.
-    fallback_pool_fraction: float = 0.5
     #: Completed journal entries retained for inspection.
     journal_history: int = 256
     #: Seed for the deterministic retry-jitter PRNG.
@@ -54,12 +52,6 @@ class ResilienceConfig:
     replication_factor: int = 1
     #: Simulated seconds between background scrub passes.
     scrub_interval_s: float = 30.0
-    #: Placement records integrity-sampled per scrub pass.
-    scrub_sample: int = 4
-    #: A record verified this recently is skipped by the sampler; clean
-    #: fast-path swap-outs refresh it so unmodified clusters are not
-    #: re-fetched by scrub.
-    reverify_interval_s: float = 600.0
 
 
 class Resilience:
@@ -286,7 +278,5 @@ class Resilience:
         if self._fallback is None:
             from repro.baselines.compression import CompressedPoolStore
 
-            self._fallback = CompressedPoolStore(
-                self._space, pool_fraction=self.config.fallback_pool_fraction
-            )
+            self._fallback = CompressedPoolStore(self._space)
         return self._fallback

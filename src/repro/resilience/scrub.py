@@ -45,12 +45,15 @@ from repro.events import (
     ReplicaRepairedEvent,
     ScrubCompletedEvent,
 )
-from repro.resilience.placement import (
-    PlacementRecord,
-    ReplicaState,
-    plan_placement,
-)
+from repro.resilience.placement import PlacementRecord, plan_placement
 from repro.wire.canonical import verify_payload
+
+#: Placement records integrity-sampled per scrub pass.
+SCRUB_SAMPLE = 4
+#: A record verified this recently is skipped by the sampler; clean
+#: fast-path swap-outs refresh it so unmodified clusters are not
+#: re-fetched by scrub.
+REVERIFY_INTERVAL_S = 600.0
 
 
 @dataclass
@@ -91,13 +94,10 @@ class Scrubber:
     def _placement(self) -> Any:
         return self._resilience.placement
 
-    @property
-    def _config(self) -> Any:
-        return self._resilience.config
-
     def due(self) -> bool:
         now = self._space.clock.now()
-        return now - self._last_tick >= self._config.scrub_interval_s
+        interval = self._resilience.config.scrub_interval_s
+        return now - self._last_tick >= interval
 
     # -- the pass ----------------------------------------------------------
 
@@ -196,15 +196,14 @@ class Scrubber:
     def _verify_sampled(
         self, stores: Dict[str, Any], report: ScrubReport, now: float
     ) -> None:
-        config = self._config
         candidates: List[PlacementRecord] = [
             record
             for record in self._placement.records().values()
             if record.verified_epoch != record.epoch
-            or now - record.verified_at >= config.reverify_interval_s
+            or now - record.verified_at >= REVERIFY_INTERVAL_S
         ]
         candidates.sort(key=lambda record: (record.verified_at, record.sid))
-        for record in candidates[: config.scrub_sample]:
+        for record in candidates[:SCRUB_SAMPLE]:
             all_good = True
             probed_any = False
             for device_id in record.active():

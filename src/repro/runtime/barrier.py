@@ -59,21 +59,6 @@ def is_readonly_method(cls: Type[Any], name: str) -> bool:
     return getattr(getattr(cls, name, None), "_obi_readonly", False)
 
 
-def mark_instance_dirty(obj: Any) -> None:
-    """Flip the dirty bit of ``obj``'s swap-cluster (no-op if unadopted)."""
-    instance_dict = getattr(obj, "__dict__", None)
-    if instance_dict is None:
-        return
-    space = instance_dict.get("_obi_space")
-    if space is None:
-        return
-    cluster = space._clusters.get(instance_dict.get("_obi_sid"))
-    if cluster is not None and not cluster.dirty_all:
-        oid = instance_dict.get("_obi_oid")
-        if oid not in cluster.dirty_oids:
-            cluster.mark_dirty(oid)
-
-
 def install_write_barrier(cls: Type[Any]) -> Type[Any]:
     """Install the dirty-tracking ``__setattr__`` on a managed class.
 

@@ -132,10 +132,6 @@ def is_managed(obj: Any) -> bool:
     return getattr(type(obj), "_obi_managed", False)
 
 
-def is_managed_class(cls: Type[Any]) -> bool:
-    return getattr(cls, "_obi_managed", False)
-
-
 def is_proxy(obj: Any) -> bool:
     """True for swap-cluster-proxy instances."""
     return getattr(type(obj), "_obi_is_proxy", False)

@@ -20,7 +20,6 @@ from repro.topology.shard import ShardRecord, ShardTable, shard_of
 from repro.topology.service import (
     CellReplication,
     CellState,
-    TopologyConfig,
     TopologyService,
     TopologyStats,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "ShardTable",
     "CellReplication",
     "CellState",
-    "TopologyConfig",
     "TopologyService",
     "TopologyStats",
 ]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.events import CellDownEvent, CellRecoveredEvent, ShardReparentedEvent
 from repro.ids import parse_swap_key
@@ -80,21 +80,6 @@ class CellReplication:
 
 
 @dataclass
-class TopologyConfig:
-    """Tuning for one :class:`TopologyService`."""
-
-    #: Number of hash shards the sid space is folded onto.
-    shards: int = 16
-    #: Stores per shard (primary + replicas).  ``None`` follows the
-    #: manager's replication target.
-    replicas_per_shard: Optional[int] = None
-    #: Force a scrub pass right after a reparent so the deficit the dead
-    #: primary left behind is repaired immediately rather than at the
-    #: next scheduled tick.
-    auto_repair: bool = True
-
-
-@dataclass
 class TopologyStats:
     reparents: int = 0
     reparent_noops: int = 0
@@ -119,7 +104,7 @@ class TopologyService:
     the per-cell records track every replica-set change.
     """
 
-    def __init__(self, manager: Any, config: TopologyConfig) -> None:
+    def __init__(self, manager: Any, shards: int = 16) -> None:
         if manager.resilience is None:
             from repro.errors import SwapError
 
@@ -128,9 +113,8 @@ class TopologyService:
                 "enable_resilience() before enable_topology()"
             )
         self._manager = manager
-        self.config = config
         self.stats = TopologyStats()
-        self.shard_table = ShardTable(config.shards)
+        self.shard_table = ShardTable(shards)
         self._cells: Dict[str, CellReplication] = {}
         self._cell_of_device: Dict[str, str] = {}
         self.refresh_cells()
@@ -150,8 +134,6 @@ class TopologyService:
         return shard_of(sid, self.shard_table.num_shards)
 
     def replicas_per_shard(self) -> int:
-        if self.config.replicas_per_shard is not None:
-            return max(1, self.config.replicas_per_shard)
         return self._manager.target_replicas()
 
     # -- cells -------------------------------------------------------------
@@ -289,19 +271,6 @@ class TopologyService:
             )
         )
 
-    def cell_down(self, cell_name: str, reason: str = "declared down") -> List[int]:
-        """Explicitly declare a cell down (operator action / churn hook)."""
-        cell = self._cells.get(cell_name)
-        if cell is None or cell.state is CellState.DOWN:
-            return []
-        return self._mark_cell_down(cell, reason)
-
-    def cell_recovered(self, cell_name: str) -> None:
-        """Explicitly declare a cell healed."""
-        cell = self._cells.get(cell_name)
-        if cell is not None and cell.state is CellState.DOWN:
-            self._mark_cell_recovered(cell)
-
     # -- shard assignment --------------------------------------------------
 
     def rebalance(self) -> None:
@@ -402,14 +371,13 @@ class TopologyService:
             store = stores_by_id.get(device_id)
             if store is None or not self._store_reachable(store):
                 continue
-            if resilience is not None and not resilience.admits(device_id):
+            if not resilience.admits(device_id):
                 continue
             try:
                 if not store.has_room(nbytes):
                     continue
             except Exception:
-                if resilience is not None:
-                    resilience.record_failure(device_id)
+                resilience.record_failure(device_id)
                 continue
             chosen.append(store)
         if len(chosen) < count:
@@ -422,15 +390,9 @@ class TopologyService:
                 ],
                 nbytes,
                 count - len(chosen),
-                health=resilience.health if resilience is not None else None,
-                on_probe_failure=(
-                    (
-                        lambda store: resilience.record_failure(
-                            store.device_id
-                        )
-                    )
-                    if resilience is not None
-                    else None
+                health=resilience.health,
+                on_probe_failure=lambda store: resilience.record_failure(
+                    store.device_id
                 ),
             )
             chosen.extend(extras)
@@ -458,7 +420,7 @@ class TopologyService:
         if (
             incumbent is not None
             and incumbent in reachable
-            and (resilience is None or resilience.admits(incumbent))
+            and resilience.admits(incumbent)
         ):
             self.stats.reparent_noops += 1
             return False
@@ -486,11 +448,7 @@ class TopologyService:
             return False
 
         def election_key(device_id: str) -> Tuple:
-            if resilience is not None:
-                rank = health_rank(resilience.health.of(device_id))
-            else:
-                rank = (0, 0.0)
-            return (*rank, device_id)
+            return (*health_rank(resilience.health.of(device_id)), device_id)
 
         winner = min(candidates, key=election_key)
         if winner == incumbent:
@@ -516,20 +474,18 @@ class TopologyService:
                 latency_s=latency,
             )
         )
-        if self.config.auto_repair and resilience is not None:
-            scrubber = getattr(resilience, "scrubber", None)
-            if scrubber is not None:
-                scrubber.tick(force=True)
+        # repair the deficit the dead primary left now, not at the next
+        # scheduled scrub
+        resilience.scrubber.tick(force=True)
         return True
 
     def _drain_shard_ops(self, shard_id: int, reason: str) -> None:
         """Invalidate in-flight async swap ops routed at the old primary."""
         sched = self._manager.sched
-        resilience = self._manager.resilience
-        if sched is None or resilience is None:
+        if sched is None:
             return
         in_flight = getattr(sched, "_speculative", {})
-        for sid in resilience.placement.records():
+        for sid in self._manager.resilience.placement.records():
             if self.shard_of(sid) == shard_id:
                 if sid in in_flight:
                     self.stats.ops_invalidated += 1

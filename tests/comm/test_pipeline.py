@@ -175,7 +175,6 @@ def test_loopback_link_matches_the_simulated_link_protocol():
     assert link.stats.transfers == 2
     assert link.stats.frames == 3
     assert link.stats.bytes_carried == 200
-    assert link.bytes_carried == 200  # historical alias still works
     assert seen == [(100, 0.0), (100, 0.0)]
 
 

@@ -20,7 +20,7 @@ from repro.errors import TransportError
 def test_loopback_free():
     link = LoopbackLink()
     assert link.transfer(1000) == 0.0
-    assert link.bytes_carried == 1000
+    assert link.stats.bytes_carried == 1000
     assert link.is_up
 
 

@@ -218,16 +218,6 @@ def test_backpressure_waits_are_charged_to_the_stat():
     assert sched.stats.backpressure_stall_s > 0.0
 
 
-def test_backpressure_can_be_disabled():
-    space, _clock, handle = _space()
-    sched = space.manager.enable_async_scheduler(
-        AsyncSchedConfig(channels=3, prefetch=True, backpressure=False)
-    )
-    chain_values(handle)
-    sched.drain()
-    assert sched.stats.backpressure_stall_s == 0.0
-
-
 # -- write-back and stale drops --------------------------------------------
 
 

@@ -1,9 +1,10 @@
 """The store matrix on canonical XML: every store kind x compression.
 
 {InMemoryStore, XmlStoreDevice, FlakyStore} x {zlib, no compression},
-all driven through the manager hot path.  Each store must negotiate the
-compression it advertises, hold canonical XML at rest, and round-trip
-values through a mutate-and-cycle swap.
+all driven through the manager hot path; "none" is a store that
+advertises no codec.  Each store must negotiate the compression it
+advertises, hold canonical XML at rest, and round-trip values through
+a mutate-and-cycle swap.
 """
 
 import pytest
@@ -31,13 +32,12 @@ def _make_store(kind):
 @pytest.mark.parametrize("kind", ["memory", "xml", "flaky"])
 def test_negotiation_matrix_roundtrips(kind, compression):
     store, inner = _make_store(kind)
+    if compression == "none":
+        inner.supported_compressions = ()
     space = make_space(with_store=False)
     space.manager.add_store(store)
     space.manager.enable_fastpath(
-        FastPathConfig(
-            compression=("zlib",) if compression == "zlib" else (),
-            serve_swap_in_from_cache=False,
-        )
+        FastPathConfig(serve_swap_in_from_cache=False)
     )
     handle = space.ingest(build_chain(12), cluster_size=4, root_name="h")
     expected = list(range(12))

@@ -6,11 +6,7 @@ import pytest
 
 from repro import Space, managed
 from repro.clock import SimulatedClock
-from repro.core.degrade import (
-    DegradeLadderConfig,
-    DegradeRung,
-    StallTracker,
-)
+from repro.core.degrade import HOLD_S, DegradeRung, StallTracker
 from repro.core.fastpath import FastPathConfig
 from repro.policy.victims import select_lru
 from repro.devices import InMemoryStore
@@ -92,7 +88,7 @@ def _ladder_space():
     clock = SimulatedClock()
     space = Space("ladder", heap_capacity=1 << 20, clock=clock)
     space.manager.add_store(InMemoryStore("ladder-store"))
-    ladder = space.manager.enable_degrade_ladder(DegradeLadderConfig())
+    ladder = space.manager.enable_degrade_ladder()
     return space, ladder, clock
 
 
@@ -111,15 +107,15 @@ def test_deescalation_is_hysteretic_one_rung_per_hold():
     ladder.assess = lambda: NOMINAL
 
     assert ladder.update() is DegradeRung.EMERGENCY  # starts the timer
-    clock.advance(ladder.config.hold_s - 0.1)
+    clock.advance(HOLD_S - 0.1)
     assert ladder.update() is DegradeRung.EMERGENCY  # not held long enough
     clock.advance(0.2)
     assert ladder.update() is DegradeRung.DROP_CLEAN  # one rung, not all
-    clock.advance(ladder.config.hold_s)
+    clock.advance(HOLD_S)
     assert ladder.update() is DegradeRung.COMPRESS_LOCAL
-    clock.advance(ladder.config.hold_s)
+    clock.advance(HOLD_S)
     assert ladder.update() is DegradeRung.NORMAL
-    clock.advance(ladder.config.hold_s)
+    clock.advance(HOLD_S)
     assert ladder.update() is DegradeRung.NORMAL  # fully reversible, stays
     assert space.manager.stats.ladder_deescalations == 3
 
@@ -130,7 +126,7 @@ def test_rising_pressure_restarts_the_hold_timer():
     ladder.update()
     ladder.assess = lambda: NOMINAL
     ladder.update()
-    clock.advance(ladder.config.hold_s - 0.1)
+    clock.advance(HOLD_S - 0.1)
     ladder.assess = lambda: HIGH  # pressure came back mid-hold
     assert ladder.update() is DegradeRung.DROP_CLEAN
     ladder.assess = lambda: NOMINAL
@@ -150,7 +146,7 @@ def test_force_emergency_overrides_the_signal():
     assert space.manager.stats.ladder_escalations == escalations
     # normal hysteretic recovery still applies
     ladder.update()
-    clock.advance(ladder.config.hold_s)
+    clock.advance(HOLD_S)
     assert ladder.update() is DegradeRung.DROP_CLEAN
 
 
@@ -160,7 +156,7 @@ def test_force_emergency_overrides_the_signal():
 def test_drop_clean_rung_skips_contains_probes():
     space = make_space("dropclean")
     space.manager.enable_fastpath(FastPathConfig())
-    ladder = space.manager.enable_degrade_ladder(DegradeLadderConfig())
+    ladder = space.manager.enable_degrade_ladder()
     space.ingest(build_chain(6), cluster_size=6, root_name="t")
     space.swap_out(1)
     space.swap_in(1)  # clean, cached, with a retained holder
@@ -186,7 +182,7 @@ def test_drop_clean_rung_skips_contains_probes():
 def test_compress_local_needs_no_store_and_reverses():
     clock = SimulatedClock()
     space = Space("pool-only", heap_capacity=1 << 20, clock=clock)
-    ladder = space.manager.enable_degrade_ladder(DegradeLadderConfig())
+    ladder = space.manager.enable_degrade_ladder()
     handle = space.ingest(build_chain(8), cluster_size=8, root_name="t")
     ladder.assess = lambda: ELEVATED
 
@@ -203,14 +199,13 @@ def test_compress_local_displaces_the_victim_on_a_full_heap():
     # free heap (64 bytes) is far below any compressed payload: without
     # the zswap-style displacement of the victim's own accounting the
     # pool allocation must fail.  The random-hex bodies keep zlib from
-    # shrinking the payload under the free space.
+    # shrinking the payload under the free space; 300 of them compress
+    # to ~1.2 KB, inside the pool's half-heap share.
     rng = random.Random(7)
-    head = _payload_chain(6, 400, rng)
+    head = _payload_chain(6, 300, rng)
     space = Space("tight", heap_capacity=6 * 512 + 64)
     space.manager.auto_swap = False
-    ladder = space.manager.enable_degrade_ladder(
-        DegradeLadderConfig(fallback_pool_fraction=1.0)
-    )
+    ladder = space.manager.enable_degrade_ladder()
     space.ingest(head, cluster_size=6, root_name="t")
     assert space.heap.capacity - space.heap.used == 64
     ladder.assess = lambda: ELEVATED
@@ -227,7 +222,7 @@ def test_compress_local_displaces_the_victim_on_a_full_heap():
 def test_emergency_evict_kills_idle_before_foreground():
     space = Space("oom", heap_capacity=8 << 10)
     space.manager.auto_swap = False
-    space.manager.enable_degrade_ladder(DegradeLadderConfig())
+    space.manager.enable_degrade_ladder()
     fg = space.ingest(build_chain(6, Payload), cluster_size=6, root_name="fg")
     idle = space.ingest(
         build_chain(6, Payload), cluster_size=6, root_name="idle"
@@ -246,7 +241,7 @@ def test_emergency_evict_kills_idle_before_foreground():
 def test_emergency_evict_refuses_to_kill_the_last_foreground():
     space = Space("oom-fg", heap_capacity=8 << 10)
     space.manager.auto_swap = False
-    space.manager.enable_degrade_ladder(DegradeLadderConfig())
+    space.manager.enable_degrade_ladder()
     fg = space.ingest(build_chain(6, Payload), cluster_size=6, root_name="fg")
     space.set_priority(fg, 2)
 
@@ -255,36 +250,11 @@ def test_emergency_evict_refuses_to_kill_the_last_foreground():
     assert fg.get_body() == 0  # stays full rather than kill foreground
 
 
-def test_unprotected_ladder_does_kill_foreground():
-    space = Space("oom-unprot", heap_capacity=8 << 10)
-    space.manager.auto_swap = False
-    space.manager.enable_degrade_ladder(
-        DegradeLadderConfig(protect_foreground=False)
-    )
-    fg = space.ingest(build_chain(6, Payload), cluster_size=6, root_name="fg")
-    space.set_priority(fg, 2)
-
-    assert space.manager._emergency_evict(7 << 10) > 0
-    with pytest.raises(IntegrityError):
-        fg.get_body()
+# -- enable ----------------------------------------------------------------
 
 
-# -- enable/disable --------------------------------------------------------
-
-
-def test_disable_restores_the_default_victim_selector():
+def test_enable_installs_the_responsiveness_selector():
     space = make_space("toggle")
     assert space.manager.victim_selector is select_lru
-    space.manager.enable_degrade_ladder(DegradeLadderConfig())
+    space.manager.enable_degrade_ladder()
     assert space.manager.victim_selector is not select_lru
-    space.manager.disable_degrade_ladder()
-    assert space.manager.ladder is None
-    assert space.manager.victim_selector is select_lru
-
-
-def test_enable_without_selector_keeps_the_current_one():
-    space = make_space("keep")
-    space.manager.enable_degrade_ladder(
-        DegradeLadderConfig(install_selector=False)
-    )
-    assert space.manager.victim_selector is select_lru

@@ -25,13 +25,14 @@ def _cycle(space, sid):
 # -- manager integration -------------------------------------------------
 
 
-def test_enable_and_disable():
+def test_enable_installs_fresh_state():
     space = make_space()
     state = space.manager.enable_fastpath()
     assert isinstance(state, FastPathState)
     assert space.manager.fastpath is state
-    space.manager.disable_fastpath()
-    assert space.manager.fastpath is None
+    again = space.manager.enable_fastpath()
+    assert again is not state
+    assert space.manager.fastpath is again
 
 
 def test_clean_swap_out_is_metadata_noop():
@@ -96,11 +97,15 @@ def test_reship_from_cache_when_store_evicted():
 
 
 def test_cache_miss_without_retention_falls_back_to_full():
-    # a 1-byte cache never holds the payload; retention is off, so the
-    # clean path has nothing to work with and must re-encode
-    space = _fast_space(cache_budget_bytes=1, retain_remote_copies=False)
+    # a 1-byte cache never holds the payload, and the store lost its
+    # retained copy, so the clean path has nothing to work with and
+    # must re-encode
+    space = _fast_space(cache_budget_bytes=1)
     _ingest_chain(space)
-    _cycle(space, 2)
+    store = space.manager.available_stores()[0]
+    first = space.swap_out(2)
+    space.swap_in(2)
+    store.drop(first.key)  # retention broken behind the manager's back
     space.swap_out(2)
     stats = space.manager.stats
     assert stats.encode_calls == 2
@@ -118,16 +123,6 @@ def test_mutation_cleans_up_stale_store_copy():
     second = space.swap_out(2)
     assert second.key != first.key
     assert store.keys() == [second.key]  # the stale copy was dropped
-
-
-def test_disable_fastpath_restores_full_pipeline():
-    space = _fast_space()
-    handle = _ingest_chain(space)
-    _cycle(space, 2)
-    space.manager.disable_fastpath()
-    space.swap_out(2)
-    assert space.manager.stats.encode_calls == 2  # full path again
-    assert chain_values(handle) == list(range(20))
 
 
 def test_drop_swapped_forgets_retention():
@@ -197,7 +192,7 @@ class _Advertising:
 
 
 def test_negotiate_for_caches_per_store():
-    state = FastPathState(FastPathConfig(compression=("zlib",)))
+    state = FastPathState(FastPathConfig())
     modern = _Advertising("modern", ("zlib",))
     legacy = _Advertising("legacy", ())
     assert state.negotiate_for(modern) == "zlib"

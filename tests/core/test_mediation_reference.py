@@ -40,6 +40,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.fastpath import FastPathConfig
 from repro.core.replacement import ReplacementObject
 from repro.core.swap_proxy import SwapClusterProxyBase
 from repro.core.utils import SwapClusterUtils
@@ -330,7 +331,7 @@ def _build_space(reference: bool, nodes: int, cluster_size: int, shape_seed: int
     space = make_space("reference" if reference else "generated", heap_capacity=8 << 20)
     # with the fast path on, a swapped-in cluster starts clean, so every
     # dirty mark a call makes (or must not make) shows
-    space.manager.enable_fastpath(delta=True)
+    space.manager.enable_fastpath(FastPathConfig(delta=True))
     if reference:
         space._proxy_for = MethodType(reference_proxy_for, space)
         space.make_cursor = MethodType(reference_make_cursor, space)

@@ -176,8 +176,7 @@ def test_clean_noop_swap_out_refreshes_verification():
     cluster — the ``contains`` probes of the fast path already
     re-verified it and bumped the verified epoch."""
     space, stores = _space(
-        n_stores=3, factor=2, store_cls=CountingStore,
-        reverify_interval_s=600.0,
+        n_stores=3, factor=2, store_cls=CountingStore
     )
     space.manager.enable_fastpath()
     space.ingest(build_chain(10), cluster_size=10, root_name="h")

@@ -61,12 +61,10 @@ class TestEnable:
         with pytest.raises(SwapError):
             space.manager.enable_topology(shards=4)
 
-    def test_installs_placement_observer_and_disable_removes_it(self):
+    def test_installs_placement_observer(self):
         space, _, topology = fleet_space()
         assert space.manager.resilience.placement.observer is topology
-        space.manager.disable_topology()
-        assert space.manager.resilience.placement.observer is None
-        assert space.manager.topology is None
+        assert space.manager.topology is topology
 
     def test_cells_derive_from_placement_groups(self):
         _, _, topology = fleet_space(cells=3, per_cell=2)
